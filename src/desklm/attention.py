@@ -19,17 +19,23 @@ Scores are scaled by 1 / sqrt(tau * head_size) where tau counts the
 enabled terms (3 when both position terms are on), then masked and
 row-softmaxed.
 
+Inputs are (..., n, d): one row or a batch of rows.  Heads are never
+looped over: the width splits into (heads, head_size) by reshape and
+transpose, and every score tensor is (..., heads, n, n).
+
 Two kernels produce the same scores:
 
   * scores_naive materialises, for every query/key pair, the gathered
-    relative embedding rows: an (n*n, d) intermediate per term.  It is
-    the transcription of the definition above and exists as the oracle
-    and allocation baseline.
+    relative embedding rows: an (n*n, d) intermediate per term, split
+    into heads only after the pairwise products.  It is the
+    transcription of the definition above and exists as the oracle and
+    allocation baseline.
   * scores_efficient never builds an (n*n, d) object.  For the c2p term
-    it computes Q_c K_r^T once, an (n, 2k) matrix, and gathers element
-    [i, delta[i, j]].  For p2c it computes K_c Q_r^T, gathers element
-    [j, delta[j, i]] and transposes.  Peak extra storage is O(k d) for
-    the projected tables plus one (n, 2k) reuse buffer.
+    it computes Q_c K_r^T once for every head, an (..., heads, n, 2k)
+    tensor, and gathers element [i, delta[i, j]].  For p2c it computes
+    K_c Q_r^T, gathers element [j, delta[j, i]] and swaps the last two
+    axes.  Peak extra storage is O(k d) for the projected tables plus
+    one (heads, n, 2k) reuse buffer per row.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -108,21 +114,38 @@ class AttentionParams:
 
 @dataclass
 class AttentionScores:
-    """Unscaled per-head score components.  Disabled terms are zero."""
+    """Unscaled score components, each (..., heads, n, n).  A disabled
+    term is passed as None and stored as zeros."""
 
     heads: int
-    c2c: list[Tensor]
-    c2p: list[Tensor]
-    p2c: list[Tensor]
-    combined: list[Tensor]
+    c2c: Tensor
+    c2p: Tensor | None
+    p2c: Tensor | None
+    combined: Tensor
     scale: float
 
+    def __post_init__(self):
+        if self.c2p is None:
+            self.c2p = T.zeros(self.c2c.shape)
+        if self.p2c is None:
+            self.p2c = T.zeros(self.c2c.shape)
 
-def _head_slices(m: Tensor, heads: int) -> list[Tensor]:
-    hs = m.shape[1] // heads
-    if heads == 1:
-        return [m]
-    return [T.slice_cols(m, h * hs, (h + 1) * hs) for h in range(heads)]
+
+def _heads_t(m: Tensor, heads: int) -> Tensor:
+    """(..., n, d) -> (..., heads, head_size, n): each head's rows, transposed."""
+    *lead, n, d = m.shape
+    return T.reshape(T.transpose(m), (*lead, heads, d // heads, n))
+
+
+def _heads(m: Tensor, heads: int) -> Tensor:
+    """(..., n, d) -> (..., heads, n, head_size)."""
+    return T.transpose(_heads_t(m, heads))
+
+
+def _merge_heads(m: Tensor) -> Tensor:
+    """(..., heads, n, head_size) -> (..., n, heads * head_size)."""
+    *lead, heads, n, hs = m.shape
+    return T.transpose(T.reshape(T.transpose(m), (*lead, heads * hs, n)))
 
 
 def _meter_alloc(meter, t: Tensor) -> None:
@@ -138,12 +161,13 @@ def _meter_release(meter, t: Tensor) -> None:
 def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
                   query: Tensor | None) -> Tensor:
     q_in = h if query is None else query
-    if h.ndim != 2 or h.shape[1] != params.d:
-        raise ShapeError(f"content input must be (n, {params.d}), got {h.shape}")
-    if q_in.ndim != 2 or q_in.shape[1] != params.d:
-        raise ShapeError(f"query input must be (m, {params.d}), got {q_in.shape}")
-    if dm.n != h.shape[0]:
-        raise ShapeError(f"delta matrix is for n={dm.n}, content has n={h.shape[0]}")
+    if h.ndim < 2 or h.shape[-1] != params.d:
+        raise ShapeError(f"content input must be (..., n, {params.d}), got {h.shape}")
+    if q_in.shape != h.shape:
+        raise ShapeError(f"query input must match the content shape {h.shape}, "
+                         f"got {q_in.shape}")
+    if dm.n != h.shape[-2]:
+        raise ShapeError(f"delta matrix is for n={dm.n}, content has n={h.shape[-2]}")
     if (params.enable_c2p or params.enable_p2c) and table.shape != (2 * dm.k, params.d):
         raise ShapeError(
             f"position table must be ({2 * dm.k}, {params.d}), got {table.shape}"
@@ -157,73 +181,57 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
 
     Kept deliberately close to the defining equations.  The (n*n, d)
     gathers are the cost being audited; do not "optimise" them away
-    here, that is what scores_efficient is for.
+    here, that is what scores_efficient is for.  Heads are split only
+    after the per-pair products, by viewing the width as (heads,
+    head_size) and summing each head's slice.
     """
     q_in = _check_inputs(h, params, table, dm, query)
-    n = dm.n
-    m = q_in.shape[0]
-    if m != n:
-        raise ShapeError("naive kernel requires square attention (query rows == n)")
+    n, heads = dm.n, params.heads
+    lead = h.shape[:-2]
 
     qc = T.matmul(q_in, params.w_qc)
     kc = T.matmul(h, params.w_kc)
-    qc_h = _head_slices(qc, params.heads)
-    kc_h = _head_slices(kc, params.heads)
+    c2c = T.matmul(_heads(qc, heads), _heads_t(kc, heads))
+    total = c2c
 
-    need_pos = params.enable_c2p or params.enable_p2c
-    kr = qr = None
-    kr_h = qr_h = None
-    if need_pos:
-        kr = T.matmul(table, params.w_kr)
-        qr = T.matmul(table, params.w_qr)
-        _meter_alloc(meter, kr)
-        _meter_alloc(meter, qr)
-        kr_h = _head_slices(kr, params.heads)
-        qr_h = _head_slices(qr, params.heads)
+    def per_head(prod: Tensor) -> Tensor:
+        # (..., n*n, d) pair products -> (..., heads, n, n) dot products
+        split = T.reshape(prod, (*lead, n * n, heads, params.head_size))
+        return T.reshape(T.transpose(T.row_sum(split)), (*lead, heads, n, n))
 
     flat_ij = dm.values.reshape(-1)          # delta(i, j) in row-major (i, j) order
     flat_ji = dm.values.T.reshape(-1)        # delta(j, i) in row-major (i, j) order
     rep = np.repeat(np.arange(n), n)         # query index for each (i, j) pair
     tile = np.tile(np.arange(n), n)          # key index for each (i, j) pair
 
-    c2c, c2p, p2c, combined = [], [], [], []
-    for hd in range(params.heads):
-        a = T.matmul(qc_h[hd], T.transpose(kc_h[hd]))
-        c2c.append(a)
-        total = a
+    need_pos = params.enable_c2p or params.enable_p2c
+    if need_pos:
+        kr = T.matmul(table, params.w_kr)
+        qr = T.matmul(table, params.w_qr)
+        _meter_alloc(meter, kr)
+        _meter_alloc(meter, qr)
 
-        if params.enable_c2p:
-            # Row for pair (i, j) holds K_r[delta(i, j)]: an (n*n, hs) object.
-            kr_pairs = T.gather_rows(kr_h[hd], flat_ij)
-            _meter_alloc(meter, kr_pairs)
-            q_rep = T.gather_rows(qc_h[hd], rep)
-            prod = T.mul(q_rep, kr_pairs)
-            term = T.reshape(T.row_sum(prod), (n, n))
-            _meter_release(meter, kr_pairs)
-            c2p.append(term)
-            total = T.add(total, term)
-        else:
-            c2p.append(T.zeros((n, n)))
+    c2p = p2c = None
+    if params.enable_c2p:
+        # Row for pair (i, j) holds K_r[delta(i, j)]: an (n*n, d) object.
+        kr_pairs = T.gather_rows(kr, flat_ij)
+        _meter_alloc(meter, kr_pairs)
+        c2p = per_head(T.mul(T.gather_rows(qc, rep), kr_pairs))
+        _meter_release(meter, kr_pairs)
+        total = T.add(total, c2p)
 
-        if params.enable_p2c:
-            # Row for pair (i, j) holds Q_r[delta(j, i)]: orientation flipped.
-            qr_pairs = T.gather_rows(qr_h[hd], flat_ji)
-            _meter_alloc(meter, qr_pairs)
-            k_tile = T.gather_rows(kc_h[hd], tile)
-            prod = T.mul(k_tile, qr_pairs)
-            term = T.reshape(T.row_sum(prod), (n, n))
-            _meter_release(meter, qr_pairs)
-            p2c.append(term)
-            total = T.add(total, term)
-        else:
-            p2c.append(T.zeros((n, n)))
-
-        combined.append(total)
+    if params.enable_p2c:
+        # Row for pair (i, j) holds Q_r[delta(j, i)]: orientation flipped.
+        qr_pairs = T.gather_rows(qr, flat_ji)
+        _meter_alloc(meter, qr_pairs)
+        p2c = per_head(T.mul(T.gather_rows(kc, tile), qr_pairs))
+        _meter_release(meter, qr_pairs)
+        total = T.add(total, p2c)
 
     if need_pos:
         _meter_release(meter, kr)
         _meter_release(meter, qr)
-    return AttentionScores(params.heads, c2c, c2p, p2c, combined, params.scale)
+    return AttentionScores(heads, c2c, c2p, p2c, total, params.scale)
 
 
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
@@ -231,79 +239,60 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor, dm: Delt
                      fault: str | None = None) -> AttentionScores:
     """Gather-based kernel: O(k d) extra space, no (n^2, d) intermediate.
 
-    fault="swap-delta" deliberately gathers the p2c term with the
-    forward-oriented distances.  It exists so the equivalence suite can
-    prove it would catch the classic orientation bug; never set it in
-    real use.
+    All heads are scored in one (..., heads, n, .) pass.  fault="swap-delta"
+    deliberately gathers the p2c term with the forward-oriented
+    distances.  It exists so the equivalence suite can prove it would
+    catch the classic orientation bug; never set it in real use.
     """
     if fault not in (None, "swap-delta"):
         raise ConfigError(f"unknown fault {fault!r}")
     q_in = _check_inputs(h, params, table, dm, query)
-    n = dm.n
-    if q_in.shape[0] != n:
-        raise ShapeError("efficient kernel requires square attention (query rows == n)")
+    heads = params.heads
 
-    qc = T.matmul(q_in, params.w_qc)
-    kc = T.matmul(h, params.w_kc)
-    qc_h = _head_slices(qc, params.heads)
-    kc_h = _head_slices(kc, params.heads)
+    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, n, hs)
+    kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
+    c2c = T.matmul(qc_h, kc_t)
+    total = c2c
 
     need_pos = params.enable_c2p or params.enable_p2c
-    kr_h = qr_h = None
-    kr = qr = None
     if need_pos:
         kr = T.matmul(table, params.w_kr)
         qr = T.matmul(table, params.w_qr)
         _meter_alloc(meter, kr)
         _meter_alloc(meter, qr)
-        kr_h = _head_slices(kr, params.heads)
-        qr_h = _head_slices(qr, params.heads)
 
-    # gather_elements(prod, cols)[a, b] = prod[a, cols[a, b]].  For p2c we
-    # need G[j, i] = prod[j, delta(j, i)] = prod[j, dm[j, i]], so the
-    # gather uses dm itself and the transpose happens afterwards.  The
-    # swap-delta fault gathers with dm transposed, which lands on
+    # gather_elements(prod, cols)[..., a, b] = prod[..., a, cols[a, b]].
+    # For p2c we need G[j, i] = prod[j, delta(j, i)] = prod[j, dm[j, i]],
+    # so the gather uses dm itself and the transpose happens afterwards.
+    # The swap-delta fault gathers with dm transposed, which lands on
     # prod[j, delta(i, j)]: the orientation bug.
     dm_fwd = dm.values
     dm_rev = dm.values if fault is None else dm.values.T
 
-    c2c, c2p, p2c, combined = [], [], [], []
-    for hd in range(params.heads):
-        a = T.matmul(qc_h[hd], T.transpose(kc_h[hd]))
-        c2c.append(a)
-        total = a
+    c2p = p2c = None
+    if params.enable_c2p:
+        # All n * 2k query/position-key products of every head, then
+        # pick column delta(i, j) in row i.
+        prod = T.matmul(qc_h, _heads_t(kr, heads))
+        _meter_alloc(meter, prod)
+        c2p = T.gather_elements(prod, dm_fwd)
+        _meter_release(meter, prod)
+        total = T.add(total, c2p)
 
-        if params.enable_c2p:
-            # All n * 2k query/position-key products, then pick column
-            # delta(i, j) in row i.
-            prod = T.matmul(qc_h[hd], T.transpose(kr_h[hd]))
-            _meter_alloc(meter, prod)
-            term = T.gather_elements(prod, dm_fwd)
-            _meter_release(meter, prod)
-            c2p.append(term)
-            total = T.add(total, term)
-        else:
-            c2p.append(T.zeros((n, n)))
-
-        if params.enable_p2c:
-            # Row j of the product holds K_c[j] . Q_r[*]; entry (j, i)
-            # of the gathered matrix is K_c[j] . Q_r[delta(j, i)], and
-            # the transpose places it at (i, j).
-            prod = T.matmul(kc_h[hd], T.transpose(qr_h[hd]))
-            _meter_alloc(meter, prod)
-            term = T.transpose(T.gather_elements(prod, dm_rev))
-            _meter_release(meter, prod)
-            p2c.append(term)
-            total = T.add(total, term)
-        else:
-            p2c.append(T.zeros((n, n)))
-
-        combined.append(total)
+    if params.enable_p2c:
+        # Row j of the product holds K_c[j] . Q_r[*]; entry (j, i) of
+        # the gathered matrix is K_c[j] . Q_r[delta(j, i)], and the
+        # transpose places it at (i, j).
+        prod = T.matmul(T.transpose(kc_t), _heads_t(qr, heads))
+        _meter_alloc(meter, prod)
+        p2c = T.transpose(T.gather_elements(prod, dm_rev))
+        _meter_release(meter, prod)
+        total = T.add(total, p2c)
 
     if need_pos:
         _meter_release(meter, kr)
         _meter_release(meter, qr)
-    return AttentionScores(params.heads, c2c, c2p, p2c, combined, params.scale)
+    return AttentionScores(heads, c2c, c2p, p2c, total, params.scale)
 
 
 _KERNELS = {"naive": scores_naive, "efficient": scores_efficient}
@@ -316,9 +305,10 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
            fault: str | None = None) -> Tensor:
     """Full multi-head attention: scores, mask, softmax, value mix.
 
-    mask, when given, is an (n, n) additive tensor using the -1e30
-    sentinel for blocked pairs.  collect, when given, receives one
-    (n, n) numpy array of post-softmax probabilities per head.
+    h is (..., n, d).  mask, when given, is a (..., n, n) additive
+    tensor using the -1e30 sentinel for blocked pairs; every head gets
+    the same mask.  collect, when given, receives one (..., heads, n, n)
+    numpy array of post-softmax probabilities.
     """
     if kernel not in _KERNELS:
         raise ConfigError(f"unknown kernel {kernel!r}")
@@ -330,23 +320,17 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
     extra = {"fault": fault} if kernel == "efficient" else {}
     scores = _KERNELS[kernel](h, params, table, dm, query=query, **extra)
 
-    v = T.matmul(h, params.w_vc)
-    v_h = _head_slices(v, params.heads)
-
-    outs = []
-    for hd in range(params.heads):
-        logits = T.mul(scores.combined[hd], scores.scale)
-        if mask is not None:
-            logits = T.add(logits, mask)
-        probs = T.softmax_rows(logits)
-        if collect is not None:
-            collect.append(probs.data.copy())
-        if dropout_p > 0.0:
-            probs = T.dropout(probs, dropout_p, rng)
-        outs.append(T.matmul(probs, v_h[hd]))
-
-    mixed = outs[0] if params.heads == 1 else T.concat_cols(outs)
-    return T.matmul(mixed, params.w_o)
+    logits = T.mul(scores.combined, scores.scale)
+    if mask is not None:
+        *lead, n, m = mask.shape
+        logits = T.add(logits, T.reshape(mask, (*lead, 1, n, m)))
+    probs = T.softmax_rows(logits)
+    if collect is not None:
+        collect.append(probs.data.copy())
+    if dropout_p > 0.0:
+        probs = T.dropout(probs, dropout_p, rng)
+    mixed = T.matmul(probs, _heads(T.matmul(h, params.w_vc), params.heads))
+    return T.matmul(_merge_heads(mixed), params.w_o)
 
 
 def extra_param_count(config) -> int:

@@ -210,12 +210,16 @@ class MaskedBatch:
     x_tilde: np.ndarray                 # (b, n) int64, corrupted ids
     positions: list[list[int]]          # per row, sorted masked positions
     real: np.ndarray                    # (b, n) bool, True at non-PAD
+    predict: np.ndarray = field(init=False, repr=False)  # (b, n) bool, at positions
 
     def __post_init__(self):
         if self.x.shape != self.x_tilde.shape or self.x.shape != self.real.shape:
             raise ConfigError("batch arrays disagree on shape")
         if len(self.positions) != self.x.shape[0]:
             raise ConfigError("positions list does not match batch size")
+        self.predict = np.zeros(self.x.shape, dtype=bool)
+        for r, pos in enumerate(self.positions):
+            self.predict[r, pos] = True
 
     def digest_update(self, h) -> None:
         h.update(self.x.tobytes())

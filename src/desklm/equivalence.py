@@ -35,7 +35,7 @@ class AllocationMeter:
     The kernels report allocation and release of every array that holds
     relative-position embedding data: the projected tables K_r and Q_r,
     the naive kernel's per-pair gathered rows, and the efficient
-    kernel's (n, 2k) reuse products.  Content projections and the
+    kernel's (heads, n, 2k) reuse products.  Content projections and the
     (n, n) score matrices exist identically under both kernels and are
     excluded, so the meter isolates exactly the cost the efficient
     kernel claims to remove.  Counts are float64 elements, not bytes.
@@ -163,29 +163,19 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
     # exposes gradient disagreements.
     probe = rng_for(case_seed, "equiv/probe").normal(0.0, 1.0, (n, n))
 
-    diffs, gdiffs = [], []
-    grads = {}
-    ref = None
+    gdiffs = []
+    grads, combined = {}, {}
     for kernel in ("naive", "efficient"):
         with Tape() as tape:
             if kernel == "naive":
                 scores = scores_naive(h, params, table, dm)
             else:
                 scores = scores_efficient(h, params, table, dm, fault=fault)
-            parts = []
-            for hd in range(heads):
-                parts.append(T.sum_all(T.mul(scores.combined[hd],
-                                             T.constant(probe))))
-            loss = parts[0]
-            for p in parts[1:]:
-                loss = T.add(loss, p)
+            # the probe broadcasts over the heads
+            loss = T.sum_all(T.mul(scores.combined, T.constant(probe)))
         tape.backward(loss)
         grads[kernel] = _grad_map(params, table)
-        if kernel == "naive":
-            ref = [c.data.copy() for c in scores.combined]
-        else:
-            for hd in range(heads):
-                diffs.append(np.max(np.abs(scores.combined[hd].data - ref[hd])))
+        combined[kernel] = scores.combined.data
 
     for name, gn in grads["naive"].items():
         ge = grads["efficient"][name]
@@ -196,7 +186,7 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
             continue
         gdiffs.append(np.max(np.abs(gn - ge)))
 
-    max_s = float(max(diffs, default=0.0))
+    max_s = float(np.max(np.abs(combined["efficient"] - combined["naive"])))
     max_g = float(max(gdiffs, default=0.0))
     return EquivalenceCase(
         n=n, k=k, d=d, heads=heads, share=share,
@@ -265,7 +255,8 @@ def run_allocation_audit(ns=(32, 64, 128), k: int = 8, d: int = 16,
     """Meter both kernels across sequence lengths.
 
     Single-head on purpose: the budget formula describes the one-head
-    kernel, and extra heads only interleave identical smaller buffers.
+    kernel; with h heads the efficient kernel holds one (h, n, 2k)
+    product instead of one (n, 2k) product.
     Runs without a tape; the meter audits forward allocations only.
     """
     rows = []

@@ -15,6 +15,12 @@ Layout decisions, fixed across the package:
     same block runs once with query = H and no position rows, which is
     the ordinary single-block decode.
   * Logits tie the token embedding: logits = X E^T + b.
+  * Every forward pass takes one row of ids (n,) or a batch (b, n); a
+    batch is one pass through the same code, with no loop over rows.
+    Padded batches are left-packed and carry a real mask that keeps PAD
+    out of every attention row; the causal objective adds the causal
+    mask on top, so a padded batch scores exactly the real next tokens
+    of each row.
 
 Parameters live in a flat name -> Tensor dict.  Shapes come from one
 registry function so init, counting, checkpoint validation and the
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -178,7 +186,8 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
 
 
 def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
-    """(n, n) additive mask or None when nothing is blocked.
+    """(..., n, n) additive mask, one per row of real, or None when
+    nothing is blocked.
 
     Padding blocks columns only: a PAD position may still attend out,
     so its own softmax row stays well defined, but nothing real ever
@@ -186,14 +195,14 @@ def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
     """
     if real is None and not causal:
         return None
-    m = np.zeros((n, n))
+    blocked = np.triu(np.ones((n, n), dtype=bool), k=1) if causal \
+        else np.zeros((n, n), dtype=bool)
     if real is not None:
-        if real.shape != (n,):
-            raise ContractError(f"real mask shape {real.shape} != ({n},)")
-        m[:, ~np.asarray(real, dtype=bool)] = MASK_SENTINEL
-    if causal:
-        m[np.triu_indices(n, k=1)] = MASK_SENTINEL
-    return T.constant(m)
+        real = np.asarray(real, dtype=bool)
+        if real.shape[-1:] != (n,):
+            raise ContractError(f"real mask shape {real.shape} does not end in ({n},)")
+        blocked = blocked | ~real[..., None, :]
+    return T.constant(np.where(blocked, MASK_SENTINEL, 0.0))
 
 
 class Model:
@@ -257,12 +266,12 @@ class Model:
                training: bool, rng, collect: dict | None = None) -> Tensor:
         p = self.params
         drop = self.cfg.dropout if training else 0.0
-        heads_out: list | None = [] if collect is not None else None
+        probs: list | None = [] if collect is not None else None
         a = attend(content, self._attn_params(prefix), self._pos_table(), dm,
                    mask=mask, query=query, dropout_p=drop, rng=rng,
-                   collect=heads_out)
+                   collect=probs)
         if collect is not None:
-            collect[prefix] = heads_out
+            collect[prefix] = probs[0]
         if drop > 0.0:
             a = T.dropout(a, drop, rng)
         x = T.layer_norm(T.add(query, a), p[f"{prefix}_ln1_g"], p[f"{prefix}_ln1_b"])
@@ -278,11 +287,17 @@ class Model:
                causal: bool = False, training: bool = False, rng=None,
                perturb: Tensor | None = None,
                collect: dict | None = None) -> Tensor:
-        """Token ids (n,) to hidden states (n, d)."""
+        """Token ids (..., n) to hidden states (..., n, d).
+
+        real, when given, has the shape of ids and is False at PAD.
+        perturb, when given, is added to the normalised embeddings and
+        has the shape of the output.  collect receives, per block
+        prefix, the (..., heads, n, n) attention probabilities.
+        """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ContractError(f"encode wants a 1-d id row, got shape {ids.shape}")
-        n = ids.shape[0]
+        if ids.ndim < 1 or ids.shape[-1] < 1:
+            raise ContractError(f"encode wants rows of token ids, got shape {ids.shape}")
+        n = ids.shape[-1]
         if n > self.cfg.max_len:
             raise ContractError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
         if training and self.cfg.dropout > 0.0 and rng is None:
@@ -293,9 +308,9 @@ class Model:
             e = T.add(e, T.gather_rows(p["abs_in"], np.arange(n)))
         h = T.layer_norm(e, p["emb_ln_g"], p["emb_ln_b"])
         if perturb is not None:
-            if perturb.shape != (n, self.cfg.d):
+            if perturb.shape != h.shape:
                 raise ContractError(
-                    f"perturbation shape {perturb.shape} != ({n}, {self.cfg.d})"
+                    f"perturbation shape {perturb.shape} != {h.shape}"
                 )
             h = T.add(h, perturb)
         drop = self.cfg.dropout if training else 0.0
@@ -311,9 +326,9 @@ class Model:
     def decode(self, h: Tensor, real: np.ndarray | None = None,
                causal: bool = False, training: bool = False, rng=None,
                collect: dict | None = None) -> Tensor:
-        """Hidden states (n, d) to logits (n, vocab)."""
+        """Hidden states (..., n, d) to logits (..., n, vocab)."""
         cfg = self.cfg
-        n = h.shape[0]
+        n = h.shape[-2]
         dm = build_delta_matrix(n, cfg.k)
         mask = build_mask(n, real, causal)
         if cfg.ablations.emd:
@@ -329,66 +344,71 @@ class Model:
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))
         return T.add(logits, self.params["out_bias"])
 
-    def mlm_row(self, x_row: np.ndarray, xt_row: np.ndarray,
-                positions: list[int], real: np.ndarray,
-                training: bool = False, rng=None, perturb: Tensor | None = None,
-                collect: dict | None = None):
-        """One row's masked-prediction pieces.
+    def _picked_nll(self, logits: Tensor, picks: np.ndarray, targets: np.ndarray):
+        """(nll_sum, count, picked_logits) over the flat positions picks
+        of the (..., n, vocab) logits; targets holds one id per pick."""
+        vocab = self.cfg.vocab_size
+        flat = T.reshape(logits, (logits.size // vocab, vocab))
+        picked = T.gather_rows(flat, picks)
+        logp = T.log_softmax_rows(picked)
+        chosen = T.gather_elements(logp, targets[:, None])
+        return T.neg(T.sum_all(chosen)), picks.size, picked
 
-        Returns (nll_sum, count, picked_logits) where picked_logits is
-        the (len(positions), vocab) logit rows at the predicted slots;
-        the consistency regulariser needs them as tensors.
+    def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
+                real: np.ndarray, training: bool = False, rng=None,
+                perturb: Tensor | None = None, collect: dict | None = None):
+        """Masked-prediction pieces for one row (n,) or a batch (b, n).
+
+        predict is True at the slots to predict.  Returns (nll_sum,
+        count, picked_logits) where picked_logits is the (count, vocab)
+        logit rows at the predicted slots in row-major order; the
+        consistency regulariser needs them as tensors.
         """
-        if not positions:
+        picks = np.flatnonzero(predict)
+        if picks.size == 0:
             raise ContractError("mlm_row needs at least one masked position")
-        h = self.encode(xt_row, real=real, causal=False, training=training,
+        h = self.encode(x_tilde, real=real, causal=False, training=training,
                         rng=rng, perturb=perturb, collect=collect)
         logits = self.decode(h, real=real, causal=False, training=training,
                              rng=rng, collect=collect)
-        pos = np.asarray(positions, dtype=np.int64)
-        picked = T.gather_rows(logits, pos)
-        logp = T.log_softmax_rows(picked)
-        targets = np.asarray(x_row, dtype=np.int64)[pos]
-        chosen = T.gather_elements(logp, targets[:, None])
-        nll_sum = T.neg(T.sum_all(chosen))
-        return nll_sum, len(positions), picked
+        targets = np.asarray(x, dtype=np.int64).reshape(-1)[picks]
+        return self._picked_nll(logits, picks, targets)
 
     def forward_mlm(self, batch, training: bool = False, rng=None,
-                    perturbs: list | None = None) -> Tensor:
+                    perturb: Tensor | None = None) -> Tensor:
         """Mean masked-token negative log likelihood over the batch."""
-        total = None
-        count = 0
-        for r in range(batch.x.shape[0]):
-            pert = None if perturbs is None else perturbs[r]
-            nll, c, _ = self.mlm_row(batch.x[r], batch.x_tilde[r],
-                                     batch.positions[r], batch.real[r],
-                                     training=training, rng=rng, perturb=pert)
-            total = nll if total is None else T.add(total, nll)
-            count += c
-        return T.mul(total, 1.0 / count)
+        nll, count, _ = self.mlm_row(batch.x, batch.x_tilde, batch.predict,
+                                     batch.real, training=training, rng=rng,
+                                     perturb=perturb)
+        return T.mul(nll, 1.0 / count)
 
-    def arlm_row(self, tokens: np.ndarray, training: bool = False, rng=None,
+    def arlm_row(self, tokens: np.ndarray, real: np.ndarray | None = None,
+                 training: bool = False, rng=None,
                  perturb: Tensor | None = None, collect: dict | None = None):
-        """Causal next-token pieces: (nll_sum, count, next_token_logits)."""
-        ids = np.asarray(tokens, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 2:
-            raise ContractError("causal prediction needs at least two tokens")
-        h = self.encode(ids, real=None, causal=True, training=training,
-                        rng=rng, perturb=perturb, collect=collect)
-        logits = self.decode(h, real=None, causal=True, training=training,
-                             rng=rng, collect=collect)
-        n = ids.shape[0]
-        ctx = T.gather_rows(logits, np.arange(n - 1))
-        logp = T.log_softmax_rows(ctx)
-        chosen = T.gather_elements(logp, ids[1:][:, None])
-        nll_sum = T.neg(T.sum_all(chosen))
-        return nll_sum, n - 1, ctx
+        """Causal next-token pieces: (nll_sum, count, next_token_logits).
 
-    def forward_arlm(self, tokens, training: bool = False, rng=None,
+        tokens is one row (n,) or a batch (b, n).  Padded rows must be
+        left-packed with real False at PAD; only real targets count.
+        """
+        ids = np.asarray(tokens, dtype=np.int64)
+        if ids.ndim < 1 or ids.shape[-1] < 2:
+            raise ContractError("causal prediction needs at least two tokens")
+        h = self.encode(ids, real=real, causal=True, training=training,
+                        rng=rng, perturb=perturb, collect=collect)
+        logits = self.decode(h, real=real, causal=True, training=training,
+                             rng=rng, collect=collect)
+        # position i predicts token i + 1 of the same row
+        predict = np.zeros(ids.shape, dtype=bool)
+        predict[..., :-1] = True if real is None else np.asarray(real, dtype=bool)[..., 1:]
+        picks = np.flatnonzero(predict)
+        return self._picked_nll(logits, picks, ids.reshape(-1)[picks + 1])
+
+    def forward_arlm(self, tokens, real: np.ndarray | None = None,
+                     training: bool = False, rng=None,
                      perturb: Tensor | None = None) -> Tensor:
-        """Mean next-token negative log likelihood for one sequence."""
-        nll, c, _ = self.arlm_row(tokens, training=training, rng=rng,
-                                  perturb=perturb)
+        """Mean next-token negative log likelihood over the rows."""
+        nll, c, _ = self.arlm_row(tokens, real=real, training=training,
+                                  rng=rng, perturb=perturb)
         return T.mul(nll, 1.0 / c)
 
 
@@ -425,18 +445,22 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
         fh.write(buf.getvalue())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    b = fh.read(n)
-    if len(b) != n:
+def _read_exact(fh, n: int, size: int) -> bytes:
+    """n bytes from fh, or CheckpointTruncatedError when fewer than n
+    remain in the file of size bytes: a length field is never trusted
+    beyond what the file can hold."""
+    left = size - fh.tell()
+    if n > left:
         raise CheckpointTruncatedError(
-            f"expected {n} more bytes, file ended after {len(b)}"
+            f"expected {n} more bytes, file ends after {left}"
         )
-    return b
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (arrays by name, metadata).  Strict about every byte."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if len(magic) < 4:
             raise CheckpointTruncatedError("file shorter than the magic")
@@ -446,23 +470,35 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                     f"unsupported checkpoint version {magic!r}"
                 )
             raise CheckpointFormatError(f"bad magic {magic!r}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+
+        def read(n: int) -> bytes:
+            return _read_exact(fh, n, size)
+
+        def read_int(fmt: str) -> int:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
+
+        meta_len = read_int("<Q")
         try:
-            meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+            meta = json.loads(read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointFormatError(f"metadata is not valid JSON: {e}") from e
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError("metadata is not a JSON object")
+        count = read_int("<I")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank)
-            )
-            n_elems = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, n_elems * 8)
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                name = read(read_int("<I")).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointFormatError(f"tensor name is not UTF-8: {e}") from e
+            rank = read_int("<I")
+            extents = read(8 * rank)
+            shape = struct.unpack(f"<{rank}Q", extents)
+            raw = read(8 * math.prod(shape))
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as e:
+                raise CheckpointShapeError(f"tensor {name} has extents {shape}: {e}") from e
         trailing = fh.read(1)
         if trailing:
             raise CheckpointFormatError("trailing bytes after the last tensor")

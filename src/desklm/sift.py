@@ -13,7 +13,8 @@ divergence, run on a short-lived inner tape whose gradients flow only
 into the perturbation; model parameters see nothing of the search.
 Both the clean-versus-perturbed pairing and the ascent reuse identical
 dropout draws, so the divergence measures the perturbation and not the
-noise.
+noise.  A batch is perturbed as one (b, n, d) tensor; the ascent's
+normalisation, early exit and epsilon-ball projection stay per row.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def normalize_embeddings(e: Tensor) -> Tensor:
     second pass cancels the leftover length difference while keeping
     bounded gradients and the constant-row -> zero-vector behaviour.
     """
-    d = e.shape[1]
+    d = e.shape[-1]
     gain, bias = T.ones((d,)), T.zeros((d,))
     once = T.layer_norm(e, gain, bias, eps=_NORM_EPS)
     return T.layer_norm(once, gain, bias, eps=_NORM_EPS)
@@ -79,107 +80,85 @@ def symmetric_kl(p_logits: Tensor, q_logits: Tensor) -> Tensor:
     return T.sum_all(T.mul(T.sub(p, q), T.sub(lp, lq)))
 
 
-def _project_rows(delta: np.ndarray, epsilon: float) -> None:
-    """Clip each row into the epsilon ball, in place."""
-    norms = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
-    over = norms > epsilon
+def _project_rows(delta: np.ndarray, epsilon: float, active: np.ndarray) -> None:
+    """Clip each token row of the active sequences into the epsilon ball,
+    in place."""
+    norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
+    over = (norms > epsilon) & active
     if over.any():
         scale = np.where(over, epsilon / np.maximum(norms, 1e-300), 1.0)
         delta *= scale
-
-
-def _row_cases(model, batch, mode: str):
-    """Normalise both objectives into per-row closures.
-
-    Each case is (forward, count, seq_len) where forward(perturb, rng)
-    returns (nll_sum, picked_logits).
-    """
-    cases = []
-    if mode == "mlm":
-        for r in range(batch.x.shape[0]):
-            def fwd(perturb, rng, r=r):
-                nll, _, picked = model.mlm_row(
-                    batch.x[r], batch.x_tilde[r], batch.positions[r],
-                    batch.real[r], training=True, rng=rng, perturb=perturb)
-                return nll, picked
-            cases.append((fwd, len(batch.positions[r]), batch.x.shape[1]))
-    elif mode == "arlm":
-        for tokens in batch:
-            tokens = np.asarray(tokens)
-
-            def fwd(perturb, rng, tokens=tokens):
-                nll, _, picked = model.arlm_row(
-                    tokens, training=True, rng=rng, perturb=perturb)
-                return nll, picked
-            cases.append((fwd, tokens.size - 1, tokens.size))
-    else:
-        raise ConfigError(f"sift mode {mode!r} not one of ('mlm', 'arlm')")
-    return cases
 
 
 def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
               seed: int = 0, return_parts: bool = False):
     """Task loss plus lambda times the adversarial consistency term.
 
-    batch is a MaskedBatch for mode="mlm" or a list of token rows for
-    mode="arlm".  seed pins the perturbation draws and the paired
-    dropout streams.  Disabled (or lambda = 0) reduces to exactly the
+    batch is a MaskedBatch.  mode="mlm" predicts its masked slots;
+    mode="arlm" predicts next tokens of its original rows x, which are
+    left-packed, under a causal plus padding mask.  The whole batch goes
+    through one forward per pass (clean, each ascent step, perturbed);
+    the perturbation search stays per sequence: each row's ascent step
+    is normalised by its own gradient norm, a row whose gradient
+    vanishes stops moving, and every token row is clipped into its own
+    epsilon ball.  seed pins the perturbation draws and the paired
+    dropout stream.  Disabled (or lambda = 0) reduces to exactly the
     plain task loss: same ops, same rng consumption, bitwise identical.
     """
-    cases = _row_cases(model, batch, mode)
-    total_count = sum(c for _, c, _ in cases)
+    if mode == "mlm":
+        def forward(perturb, rng):
+            return model.mlm_row(batch.x, batch.x_tilde, batch.predict,
+                                 batch.real, training=True, rng=rng,
+                                 perturb=perturb)
+    elif mode == "arlm":
+        def forward(perturb, rng):
+            return model.arlm_row(batch.x, real=batch.real, training=True,
+                                  rng=rng, perturb=perturb)
+    else:
+        raise ConfigError(f"sift mode {mode!r} not one of ('mlm', 'arlm')")
 
-    def drop_rng(r: int):
+    def drop_rng():
         # fresh generator per use: clean, ascent and perturbed forwards
         # all see the same dropout masks
-        return rng_for(seed, f"sift/dropout/{r}")
+        return rng_for(seed, "sift/dropout")
 
-    plain = not cfg.enabled or cfg.lam == 0.0
-
-    task_total = None
-    kl_total = None
-    for r, (fwd, _, seq_len) in enumerate(cases):
-        nll, clean_logits = fwd(None, drop_rng(r))
-        task_total = nll if task_total is None else T.add(task_total, nll)
-        if plain:
-            continue
-
-        # Frozen copies of the clean distribution drive both the ascent
-        # and the outer divergence; gradients only ever flow through the
-        # perturbed branch.
-        clean_const = T.constant(clean_logits.data.copy())
-
-        delta0 = rng_for(seed, f"sift/init/{r}").normal(
-            0.0, 1.0, (seq_len, model.cfg.d))
-        init_norms = np.sqrt((delta0 * delta0).sum(axis=1, keepdims=True))
-        delta0 *= (cfg.epsilon / 10.0) / np.maximum(init_norms, 1e-300)
-        delta = Tensor(delta0, requires_grad=True)
-
-        for _step in range(cfg.ascent_steps):
-            with Tape() as inner:
-                _, pert_logits = fwd(delta, drop_rng(r))
-                divergence = symmetric_kl(clean_const, pert_logits)
-            inner.backward(divergence, targets=[delta])
-            g = delta.grad
-            delta.grad = None
-            gnorm = float(np.sqrt((g * g).sum()))
-            if gnorm < 1e-30:
-                break
-            delta.data += cfg.ascent_lr * g / gnorm
-            _project_rows(delta.data, cfg.epsilon)
-
-        frozen = T.constant(delta.data.copy())
-        _, pert_logits = fwd(frozen, drop_rng(r))
-        kl = symmetric_kl(clean_const, pert_logits)
-        kl_total = kl if kl_total is None else T.add(kl_total, kl)
-
-    task = T.mul(task_total, 1.0 / total_count)
-    if plain:
+    nll, count, clean_logits = forward(None, drop_rng())
+    task = T.mul(nll, 1.0 / count)
+    if not cfg.enabled or cfg.lam == 0.0:
         if return_parts:
             return task, task, None
         return task
 
-    r_adv = T.mul(kl_total, 1.0 / total_count)
+    # A frozen copy of the clean distribution drives both the ascent and
+    # the outer divergence; gradients only ever flow through the
+    # perturbed branch.
+    clean_const = T.constant(clean_logits.data.copy())
+
+    delta0 = rng_for(seed, "sift/init").normal(
+        0.0, 1.0, batch.x.shape + (model.cfg.d,))
+    init_norms = np.sqrt((delta0 * delta0).sum(axis=-1, keepdims=True))
+    delta0 *= (cfg.epsilon / 10.0) / np.maximum(init_norms, 1e-300)
+    delta = Tensor(delta0, requires_grad=True)
+
+    active = np.ones(batch.x.shape[:-1] + (1, 1), dtype=bool)  # per sequence
+    for _step in range(cfg.ascent_steps):
+        with Tape() as inner:
+            _, _, pert_logits = forward(delta, drop_rng())
+            divergence = symmetric_kl(clean_const, pert_logits)
+        inner.backward(divergence, targets=[delta])
+        g = delta.grad
+        delta.grad = None
+        gnorm = np.sqrt((g * g).sum(axis=(-2, -1), keepdims=True))
+        active &= gnorm >= 1e-30
+        if not active.any():
+            break
+        delta.data += np.where(active, cfg.ascent_lr * g / np.maximum(gnorm, 1e-300),
+                               0.0)
+        _project_rows(delta.data, cfg.epsilon, active)
+
+    frozen = T.constant(delta.data.copy())
+    _, _, pert_logits = forward(frozen, drop_rng())
+    r_adv = T.mul(symmetric_kl(clean_const, pert_logits), 1.0 / count)
     loss = T.add(task, T.mul(r_adv, cfg.lam))
     if return_parts:
         return loss, task, r_adv

@@ -6,15 +6,17 @@ storage is numpy float64.  Gradients are computed by recording every
 produced tensor on a thread-local Tape and replaying the records in
 reverse.
 
-Broadcasting is restricted on purpose.  Supported shapes per op:
+Every op works over any leading dims: the matrix ops (matmul,
+transpose) act on the last two axes, the row ops (row_sum, the
+softmaxes, layer_norm, gather_elements) on the last axis, so an (n, d)
+row and a (b, h, n, d) batch run through the same code.
 
-  * elementwise add/sub/mul of two tensors with identical shapes,
-  * tensor (+|-|*) python scalar,
-  * matrix (m, n) (+|*) row vector (n,), applied to every row.
-
-Anything else raises ShapeError.  Keeping the rules this narrow makes
-every backward formula a one-liner and removes a whole class of silent
-shape bugs.
+Broadcasting has one rule: in add, sub and mul the second operand
+broadcasts to the first operand's shape (numpy rules), and the backward
+pass sums its gradient over the broadcast axes.  A python scalar counts
+as a second operand of any shape.  matmul broadcasts the leading dims of
+both operands, so a (b, n, d) batch times a (d, e) weight is one call.
+Anything else raises ShapeError.
 
 Masking convention: additive masks use the sentinel MASK_SENTINEL
 (-1e30).  softmax_rows treats entries at or below -1e29 as masked and
@@ -25,6 +27,7 @@ no defined distribution and raises DegenerateRowError.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +75,10 @@ class Tape:
     Tapes nest; only the innermost active tape records.  A nested tape
     can be discarded after use (gradient-of-gradient is not supported,
     the outer tape never sees the inner tape's records).
+
+    The tape owns its nodes; a node refers back to its tape weakly, so
+    dropping the tape and the loss frees the whole graph at once, with
+    no reference cycle left for the cyclic collector.
     """
 
     def __init__(self) -> None:
@@ -102,7 +109,7 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._nodes:
             raise ContractError("backward on an empty tape")
-        if loss._tape is not self:
+        if _tape_of(loss) is not self:
             raise ContractError("loss was not recorded on this tape")
 
         target_ids = None if targets is None else {id(t) for t in targets}
@@ -159,7 +166,8 @@ class no_grad:
 class Tensor:
     """A dense float64 array plus optional gradient bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_tape",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.array(data, dtype=np.float64)
@@ -167,7 +175,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._bwd: Callable | None = None
-        self._tape: Tape | None = None
+        self._tape: weakref.ref | None = None
 
     # -- construction helpers ------------------------------------------
 
@@ -248,13 +256,17 @@ class Tensor:
         return sum_all(self)
 
 
+def _tape_of(t: Tensor) -> Tape | None:
+    return None if t._tape is None else t._tape()
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._bwd = bwd
-        out._tape = tape
+        out._tape = weakref.ref(tape)
         tape._nodes.append(out)
     return out
 
@@ -265,6 +277,38 @@ def _as_tensor_operand(x) -> Tensor | float | None:
     if isinstance(x, (int, float, np.floating, np.integer)):
         return float(x)
     return None
+
+
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    """The second operand must broadcast to the first operand's shape."""
+    try:
+        ok = np.broadcast_shapes(a.shape, b.shape) == a.shape
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g over the axes that broadcasting added or stretched."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g
+
+
+def _scatter_add(g: np.ndarray, off: np.ndarray, shape: tuple, block: int) -> np.ndarray:
+    """Gradient of a gather that took offsets off from every block of
+    block consecutive elements: g summed back into a zero array of shape.
+    Repeated offsets accumulate."""
+    size = int(np.prod(shape, dtype=np.int64))
+    flat = (np.arange(size // block, dtype=np.int64)[:, None] * block + off).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=size).reshape(shape)
 
 
 # -- creation ----------------------------------------------------------
@@ -286,33 +330,31 @@ def constant(data) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    """a + b for same-shape tensors, tensor + scalar, or (m,n) + (n,)."""
+    """a + b, with b a python scalar or a tensor broadcasting to a.shape."""
     b = _as_tensor_operand(b)
     if b is None:
         raise ShapeError(f"add: unsupported operand {type(b)}")
     if isinstance(b, float):
         out = Tensor._from_data(a.data + b)
         return _record(out, (a,), lambda g: [g])
-    if a.shape == b.shape:
-        out = Tensor._from_data(a.data + b.data)
-        return _record(out, (a, b), lambda g: [g, g])
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor._from_data(a.data + b.data[None, :])
-        return _record(out, (a, b), lambda g: [g, g.sum(axis=0)])
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast("add", a, b)
+    out = Tensor._from_data(a.data + b.data)
+    bshape = b.shape
+    return _record(out, (a, b), lambda g: [g, _unbroadcast(g, bshape)])
 
 
 def sub(a: Tensor, b) -> Tensor:
+    """a - b; same shape rules as add."""
     b = _as_tensor_operand(b)
     if b is None:
         raise ShapeError(f"sub: unsupported operand {type(b)}")
     if isinstance(b, float):
         out = Tensor._from_data(a.data - b)
         return _record(out, (a,), lambda g: [g])
-    if a.shape == b.shape:
-        out = Tensor._from_data(a.data - b.data)
-        return _record(out, (a, b), lambda g: [g, -g])
-    raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast("sub", a, b)
+    out = Tensor._from_data(a.data - b.data)
+    bshape = b.shape
+    return _record(out, (a, b), lambda g: [g, -_unbroadcast(g, bshape)])
 
 
 def neg(a: Tensor) -> Tensor:
@@ -329,35 +371,56 @@ def mul(a: Tensor, b) -> Tensor:
         s = b
         out = Tensor._from_data(a.data * s)
         return _record(out, (a,), lambda g: [g * s])
-    if a.shape == b.shape:
-        out = Tensor._from_data(a.data * b.data)
-        ad, bd = a.data, b.data
-        return _record(out, (a, b), lambda g: [g * bd, g * ad])
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor._from_data(a.data * b.data[None, :])
-        ad, bd = a.data, b.data
-        return _record(out, (a, b), lambda g: [g * bd[None, :], (g * ad).sum(axis=0)])
-    raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    _check_broadcast("mul", a, b)
+    out = Tensor._from_data(a.data * b.data)
+    ad, bd = a.data, b.data
+    return _record(out, (a, b), lambda g: [g * bd, _unbroadcast(g * ad, bd.shape)])
 
 
 # -- linear algebra ----------------------------------------------------
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A stack times one matrix is a single (rows, k) @ (k, n) product.
+    if b.ndim == 2 and a.ndim > 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return a @ b
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., m, k) @ (..., k, n); the leading dims broadcast."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul expects two tensors")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    try:
+        ok = a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        ok = False
+    if not ok:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor._from_data(a.data @ b.data)
+    out = Tensor._from_data(_mm(a.data, b.data))
     ad, bd = a.data, b.data
-    return _record(out, (a, b), lambda g: [g @ bd.T, ad.T @ g])
+
+    def bwd(g):
+        if bd.ndim == 2:
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(_swap(ad) @ g, bd.shape)
+        return [_unbroadcast(_mm(g, _swap(bd)), ad.shape), gb]
+
+    return _record(out, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor._from_data(np.ascontiguousarray(a.data.T))
-    return _record(out, (a,), lambda g: [np.ascontiguousarray(g.T)])
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose needs at least two axes, got shape {a.shape}")
+    out = Tensor._from_data(np.ascontiguousarray(_swap(a.data)))
+    return _record(out, (a,), lambda g: [np.ascontiguousarray(_swap(g))])
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -379,190 +442,157 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def row_sum(a: Tensor) -> Tensor:
-    """Sum over the last axis of a matrix: (m, n) -> (m,)."""
-    if a.ndim != 2:
-        raise ShapeError(f"row_sum expects a matrix, got shape {a.shape}")
-    out = Tensor._from_data(a.data.sum(axis=1))
-    n = a.shape[1]
-    return _record(out, (a,), lambda g: [np.repeat(g[:, None], n, axis=1)])
+    """Sum over the last axis: (..., n) -> (...)."""
+    if a.ndim < 1:
+        raise ShapeError(f"row_sum needs at least one axis, got shape {a.shape}")
+    out = Tensor._from_data(a.data.sum(axis=-1))
+    shape = a.shape
+    return _record(out, (a,), lambda g: [np.broadcast_to(g[..., None], shape).copy()])
 
 
-# -- gathers and slices ------------------------------------------------
+# -- gathers -----------------------------------------------------------
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Row lookup: output[i..., :] = table[indices[i...], :].
+    """Row lookup along the second-to-last axis: table[..., indices, :].
 
-    indices is an integer array of any shape; the output has that shape
-    plus the table's column axis.  Duplicate indices accumulate their
-    gradients into the same row, which is what embedding layers need.
+    table is (..., r, d) and indices an integer array of any shape; the
+    output is (..., *indices.shape, d).  Duplicate indices accumulate
+    their gradients into the same row, which is what embedding layers
+    need.
     """
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
+    if table.ndim < 2:
+        raise ShapeError(f"gather_rows expects a table of rows, got {table.shape}")
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
         raise ContractError("gather_rows indices must be integers")
-    rows = table.shape[0]
+    rows, cols = table.shape[-2:]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = idx[(idx < 0) | (idx >= rows)].flat[0]
         raise IndexBoundsError(f"gather_rows index {bad} out of range [0, {rows})")
-    idx = idx.copy()
-    out = Tensor._from_data(table.data[idx])
-    cols = table.shape[1]
+    idx = idx.astype(np.int64)
+    out = Tensor._from_data(np.take(table.data, idx, axis=-2))
     tshape = table.shape
 
     def bwd(g):
-        gt = np.zeros(tshape)
-        np.add.at(gt, idx.ravel(), g.reshape(-1, cols))
-        return [gt]
+        off = (idx.reshape(-1, 1) * cols + np.arange(cols)).ravel()
+        return [_scatter_add(g, off, tshape, rows * cols)]
 
     return _record(out, (table,), bwd)
 
 
 def gather_elements(a: Tensor, col_indices) -> Tensor:
-    """Per-row column lookup: output[i, j] = a[i, col_indices[i, j]]."""
-    if a.ndim != 2:
-        raise ShapeError(f"gather_elements expects a matrix, got {a.shape}")
+    """Take along the last axis: output[..., i, j] = a[..., i, col_indices[i, j]].
+
+    a is (..., *s, n) and col_indices (*s, j): one index array shared by
+    every leading block, so an (h, n, 2k) tensor gathered with one
+    (n, n) index matrix gives (h, n, n).
+    """
     cols = np.asarray(col_indices)
     if cols.dtype.kind not in "iu":
         raise ContractError("gather_elements indices must be integers")
-    if cols.ndim != 2 or cols.shape[0] != a.shape[0]:
+    if not 1 <= cols.ndim <= a.ndim or \
+            cols.shape[:-1] != a.shape[a.ndim - cols.ndim:-1]:
         raise ShapeError(
             f"gather_elements: index shape {cols.shape} does not pair with {a.shape}"
         )
-    n = a.shape[1]
+    n = a.shape[-1]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         bad = cols[(cols < 0) | (cols >= n)].flat[0]
         raise IndexBoundsError(f"gather_elements index {bad} out of range [0, {n})")
-    cols = cols.copy()
-    rows = np.arange(a.shape[0])[:, None]
-    out = Tensor._from_data(a.data[rows, cols])
+    # Offsets into one block of the shared dims, laid out as (*s, n).
+    rows = int(np.prod(cols.shape[:-1], dtype=np.int64))
+    block = rows * n
+    off = (np.arange(rows, dtype=np.int64)[:, None] * n
+           + cols.reshape(rows, -1).astype(np.int64)).ravel()
+    picked = np.take(a.data.reshape(-1, block), off, axis=1)
+    out = Tensor._from_data(picked.reshape(a.shape[:-1] + cols.shape[-1:]))
     ashape = a.shape
-
-    def bwd(g):
-        ga = np.zeros(ashape)
-        np.add.at(ga, (np.broadcast_to(rows, cols.shape), cols), g)
-        return [ga]
-
-    return _record(out, (a,), bwd)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols expects a matrix, got {a.shape}")
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise IndexBoundsError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-    out = Tensor._from_data(a.data[:, start:stop].copy())
-    ashape = a.shape
-
-    def bwd(g):
-        ga = np.zeros(ashape)
-        ga[:, start:stop] = g
-        return [ga]
-
-    return _record(out, (a,), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one part")
-    if any(p.ndim != 2 for p in parts):
-        raise ShapeError("concat_cols expects matrices")
-    rows = parts[0].shape[0]
-    if any(p.shape[0] != rows for p in parts):
-        raise ShapeError("concat_cols: row counts differ")
-    out = Tensor._from_data(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def bwd(g):
-        return list(np.split(g, splits, axis=1))
-
-    return _record(out, tuple(parts), bwd)
+    return _record(out, (a,), lambda g: [_scatter_add(g, off, ashape, block)])
 
 
 # -- nonlinearities ----------------------------------------------------
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with additive-mask awareness.
+    """Softmax over the last axis with additive-mask awareness.
 
     Entries at or below -1e29 are treated as masked: they receive
     probability exactly 0.0 and propagate zero gradient.  A row with all
     entries masked raises DegenerateRowError naming the row.
     """
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got {a.shape}")
+    if a.ndim < 1:
+        raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
     data = a.data
-    masked = data <= _MASK_CUTOFF
-    dead = masked.all(axis=1)
+    # A row's maximum is a live entry unless every entry is masked, and
+    # a masked entry sits at least 1e29 below it, so its exp underflows
+    # to exactly 0.0 without a separate mask.
+    m = data.max(axis=-1, keepdims=True)
+    dead = m[..., 0] <= _MASK_CUTOFF
     if dead.any():
-        row = int(np.argmax(dead))
+        row = ", ".join(str(int(i)) for i in np.argwhere(dead)[0])
         raise DegenerateRowError(f"softmax row {row} is fully masked")
-    live = np.where(masked, -np.inf, data)
-    m = live.max(axis=1, keepdims=True)
     e = np.exp(data - m)
-    e[masked] = 0.0
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     out = Tensor._from_data(y)
 
     def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return [y * (g - dot)]
 
     return _record(out, (a,), bwd)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise log softmax.  No mask handling: intended for logits."""
-    if a.ndim != 2:
-        raise ShapeError(f"log_softmax_rows expects a matrix, got {a.shape}")
-    m = a.data.max(axis=1, keepdims=True)
+    """Log softmax over the last axis.  No mask handling: intended for logits."""
+    if a.ndim < 1:
+        raise ShapeError(f"log_softmax_rows needs at least one axis, got {a.shape}")
+    m = a.data.max(axis=-1, keepdims=True)
     shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
     out = Tensor._from_data(out_data)
     soft = np.exp(out_data)
 
     def bwd(g):
-        return [g - soft * g.sum(axis=1, keepdims=True)]
+        return [g - soft * g.sum(axis=-1, keepdims=True)]
 
     return _record(out, (a,), bwd)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardisation followed by an affine map.
+    """Standardisation over the last axis followed by an affine map.
 
     Uses the population variance over the last axis.  eps >= 0; zero is
     permitted (callers feeding constant rows with eps=0 get a division
     by zero, which is on them per the precondition).
     """
-    if a.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got {a.shape}")
-    d = a.shape[1]
+    if a.ndim < 1:
+        raise ShapeError(f"layer_norm needs at least one axis, got {a.shape}")
+    d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match width {d}"
         )
     if eps < 0:
         raise ContractError("layer_norm: eps must be non-negative")
-    mu = a.data.mean(axis=1, keepdims=True)
+    mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor._from_data(xhat * gain.data[None, :] + bias.data[None, :])
+    out = Tensor._from_data(xhat * gain.data + bias.data)
     gd = gain.data
 
     def bwd(g):
-        dxhat = g * gd[None, :]
-        term = d * dxhat - dxhat.sum(axis=1, keepdims=True) - xhat * (dxhat * xhat).sum(
-            axis=1, keepdims=True
+        dxhat = g * gd
+        term = d * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(
+            axis=-1, keepdims=True
         )
         dx = inv / d * term
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
+        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbias = g.reshape(-1, d).sum(axis=0)
         return [dx, dgain, dbias]
 
     return _record(out, (a, gain, bias), bwd)
@@ -574,7 +604,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation (smooth everywhere)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = Tensor._from_data(0.5 * x * (1.0 + t))
 
@@ -600,6 +630,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 def backward(loss: Tensor, targets: Sequence[Tensor] | None = None) -> None:
     """Replay the tape that recorded loss.  See Tape.backward."""
-    if loss._tape is None:
+    tape = _tape_of(loss)
+    if tape is None:
         raise ContractError("backward: loss was not recorded on any tape")
-    loss._tape.backward(loss, targets=targets)
+    tape.backward(loss, targets=targets)

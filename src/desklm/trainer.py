@@ -12,8 +12,6 @@ import csv
 import json
 import math
 import os
-import queue
-import threading
 from collections import deque
 from dataclasses import dataclass, asdict, replace
 
@@ -163,62 +161,14 @@ def _metrics_row(step, loss, objective, windows, grad_norm, lr) -> dict:
     }
 
 
-def _strip_padding(batch) -> list[np.ndarray]:
-    return [row[real] for row, real in zip(batch.x, batch.real)]
-
-
-class _Prefetcher:
-    """Producer thread pulling batches from the stream into a bounded
-    queue.  The single producer consumes the stream in order, so the
-    handoff changes nothing about which batch arrives at which step."""
-
-    def __init__(self, stream: BatchStream, count: int, depth: int = 4) -> None:
-        self._q: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._error: BaseException | None = None
-
-        def produce():
-            try:
-                for _ in range(count):
-                    item = stream.next_batch()
-                    while not self._stop.is_set():
-                        try:
-                            self._q.put(item, timeout=0.05)
-                            break
-                        except queue.Full:
-                            continue
-                    else:
-                        return
-            except BaseException as e:  # surface in the consumer
-                self._error = e
-                self._q.put(None)
-
-        self._thread = threading.Thread(target=produce, daemon=True)
-        self._thread.start()
-
-    def get(self):
-        item = self._q.get()
-        if item is None and self._error is not None:
-            raise self._error
-        return item
-
-    def close(self) -> None:
-        self._stop.set()
-        while True:
-            try:
-                self._q.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join(timeout=5.0)
-
-
 def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
           scfg: SiftConfig | None = None, out_dir: str | None = None,
           meta_extra: dict | None = None) -> TrainResult:
     """Run the loop.  Joint mode alternates objectives: even steps take
     the masked objective, odd steps the causal one (steps count from 1).
 
-    On a non-finite loss the loop stops, keeps whatever periodic
+    On a non-finite loss, or a non-finite gradient norm under a finite
+    loss, the loop stops before the update, keeps whatever periodic
     checkpoints exist, writes metrics so far, and raises
     DivergenceError.  The final checkpoint is only written by healthy
     runs.
@@ -252,10 +202,9 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
         return path
 
     final_path = None
-    feeder = _Prefetcher(stream, tcfg.steps)
     try:
         for step in range(1, tcfg.steps + 1):
-            batch = feeder.get()
+            batch = stream.next_batch()
             if mode == "joint":
                 objective = "mlm" if step % 2 == 0 else "arlm"
             else:
@@ -263,23 +212,25 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
             step_seed = tcfg.seed * 1_000_003 + step
 
             with Tape() as tape:
-                if objective == "mlm":
-                    loss = sift_loss(batch, model, scfg, mode="mlm",
-                                     seed=step_seed)
-                else:
-                    loss = sift_loss(_strip_padding(batch), model, scfg,
-                                     mode="arlm", seed=step_seed)
+                loss = sift_loss(batch, model, scfg, mode=objective,
+                                 seed=step_seed)
             val = loss.item()
+            lr = lr_at(step, tcfg)
             if not math.isfinite(val):
-                emit(_metrics_row(step, val, objective, windows,
-                                  None, lr_at(step, tcfg)))
+                emit(_metrics_row(step, val, objective, windows, None, lr))
                 raise DivergenceError(f"non-finite loss {val!r} at step {step}")
 
             tape.backward(loss)
             grad_norm = clip_gradients(model.params, tcfg.grad_clip)
-            lr = lr_at(step, tcfg)
+            if not math.isfinite(grad_norm):
+                emit(_metrics_row(step, val, objective, windows, grad_norm, lr))
+                raise DivergenceError(
+                    f"non-finite gradient norm {grad_norm!r} at step {step}")
             opt.step(lr)
             model.zero_grad()
+            # Free this step's graph now, not when the next step rebinds
+            # the names after building its own.
+            del loss, tape
 
             windows[objective].append(val)
             emit(_metrics_row(step, val, objective, windows, grad_norm, lr))
@@ -287,7 +238,6 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
                     step % tcfg.checkpoint_interval == 0 and step < tcfg.steps:
                 save(f"step{step}", step)
     finally:
-        feeder.close()
         if metrics_fh is not None:
             metrics_fh.close()
 

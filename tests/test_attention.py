@@ -88,9 +88,8 @@ def test_kernels_match_loop_oracle(n, k, d, heads, use_c2p, use_p2c):
                                k, heads, False, False)
     for fn in (scores_naive, scores_efficient):
         got = fn(h, params, table, dm)
-        for hd in range(heads):
-            assert_close(got.combined[hd].data, expect[hd], atol=1e-10, rtol=0,
-                         label=f"{fn.__name__} head {hd}")
+        assert_close(got.combined.data, expect, atol=1e-10, rtol=0,
+                     label=fn.__name__)
 
 
 def test_share_projection_is_an_alias():
@@ -101,12 +100,11 @@ def test_share_projection_is_an_alias():
                            params.w_qc.data, params.w_kc.data, table.data,
                            2, 2, True, True)
     got = scores_efficient(h, params, table, dm)
-    for hd in range(2):
-        assert_close(got.combined[hd].data, expect[hd], atol=1e-10, rtol=0)
+    assert_close(got.combined.data, expect, atol=1e-10, rtol=0)
     # one accumulator: grads flow from both roles into the same tensor
     with Tape() as tape:
         s = scores_efficient(h, params, table, dm)
-        loss = T.sum_all(s.combined[0])
+        loss = T.sum_all(s.combined)
     tape.backward(loss)
     assert params.w_qc.grad is not None
     assert params._w_qr is None
@@ -115,17 +113,16 @@ def test_share_projection_is_an_alias():
 def test_disabled_terms_are_exactly_zero():
     params, table, h, dm = _make(7, 3, 6, 1, seed=5, use_c2p=False, use_p2c=True)
     s = scores_efficient(h, params, table, dm)
-    npt.assert_array_equal(s.c2p[0].data, np.zeros((7, 7)))
-    npt.assert_array_equal(s.combined[0].data, s.c2c[0].data + s.p2c[0].data)
+    npt.assert_array_equal(s.c2p.data, np.zeros((1, 7, 7)))
+    npt.assert_array_equal(s.combined.data, s.c2c.data + s.p2c.data)
 
 
 def test_combined_is_sum_of_parts():
     params, table, h, dm = _make(9, 4, 8, 2, seed=6)
     for fn in (scores_naive, scores_efficient):
         s = fn(h, params, table, dm)
-        for hd in range(2):
-            total = s.c2c[hd].data + s.c2p[hd].data + s.p2c[hd].data
-            npt.assert_array_equal(s.combined[hd].data, total)
+        total = s.c2c.data + s.c2p.data + s.p2c.data
+        npt.assert_array_equal(s.combined.data, total)
 
 
 def test_scale_counts_enabled_terms():
@@ -142,9 +139,9 @@ def test_swapped_delta_differs_only_in_p2c():
     params, table, h, dm = _make(10, 3, 6, 1, seed=8)
     clean = scores_efficient(h, params, table, dm)
     hurt = scores_efficient(h, params, table, dm, fault="swap-delta")
-    assert np.max(np.abs(clean.p2c[0].data - hurt.p2c[0].data)) > 1e-3
-    npt.assert_array_equal(clean.c2c[0].data, hurt.c2c[0].data)
-    npt.assert_array_equal(clean.c2p[0].data, hurt.c2p[0].data)
+    assert np.max(np.abs(clean.p2c.data - hurt.p2c.data)) > 1e-3
+    npt.assert_array_equal(clean.c2c.data, hurt.c2c.data)
+    npt.assert_array_equal(clean.c2p.data, hurt.c2p.data)
     # the faulted matrix equals the oracle with the orientation flipped
     flipped = np.zeros((10, 10))
     kr = (table.data @ params.w_kr.data)
@@ -153,7 +150,7 @@ def test_swapped_delta_differs_only_in_p2c():
     for i in range(10):
         for j in range(10):
             flipped[i, j] = kc[j] @ qr[oracle_delta(i, j, 3)]
-    assert_close(hurt.p2c[0].data, flipped, atol=1e-10, rtol=0)
+    assert_close(hurt.p2c.data[0], flipped, atol=1e-10, rtol=0)
 
 
 def test_attend_shapes_and_mask():
@@ -166,8 +163,8 @@ def test_attend_shapes_and_mask():
     mask[:, 5] = MASK_SENTINEL
     probs = []
     attend(h, params, table, dm, mask=T.constant(mask), collect=probs)
-    assert len(probs) == 2
-    for p in probs:
+    assert len(probs) == 1 and probs[0].shape == (2, 8, 8)
+    for p in probs[0]:
         npt.assert_array_equal(p[:, 5], np.zeros(8))
         npt.assert_allclose(p.sum(axis=1), np.ones(8), atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Model forward passes, decode head behaviour, checkpoint format."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from desklm import tensor as T
 from desklm.data import MaskedBatch
 from desklm.errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -152,7 +155,9 @@ def test_encode_shapes_and_single_token():
     with pytest.raises(ContractError):
         m.encode(np.arange(17))  # beyond max_len
     with pytest.raises(ContractError):
-        m.encode(np.array([[1, 2]]))
+        m.encode(np.array(5))  # a bare id is not a row
+    with pytest.raises(ContractError):
+        m.encode(np.zeros((2, 0), dtype=np.int64))  # empty rows
 
 
 def test_encode_l0_is_normalised_embedding():
@@ -273,6 +278,36 @@ def test_arlm_causality_bitwise():
     # rows 0..2 predict tokens 1..3 from prefixes untouched by the edit
     npt.assert_array_equal(la.data[:3], lb.data[:3])
     assert (la.data[3] != lb.data[3]).any() or (la.data[4] != lb.data[4]).any()
+
+
+def test_padded_arlm_batch_equals_unpadded_rows():
+    # left-packed rows under a causal plus padding mask score exactly the
+    # real next tokens of each row, as the rows would on their own
+    m = Model(tiny_cfg(mode="arlm"), seed=19)
+    rows = [np.array([2, 5, 6, 7, 8, 3]), np.array([2, 9, 3]),
+            np.array([2, 11, 12, 10, 3])]
+    n = max(r.size for r in rows)
+    ids = np.zeros((len(rows), n), dtype=np.int64)
+    real = np.zeros((len(rows), n), dtype=bool)
+    for r, row in enumerate(rows):
+        ids[r, :row.size] = row
+        real[r, :row.size] = True
+    nll, count, _ = m.arlm_row(ids, real=real)
+    parts = [m.arlm_row(row) for row in rows]
+    assert count == sum(c for _, c, _ in parts)
+    want = sum(p.item() for p, _, _ in parts) / count
+    npt.assert_allclose(nll.item() / count, want, rtol=0, atol=1e-12)
+    npt.assert_allclose(m.forward_arlm(ids, real=real).item(), want, rtol=0, atol=1e-12)
+
+
+def test_batched_encode_matches_rows():
+    m = Model(tiny_cfg(), seed=20)
+    ids = np.array([[2, 5, 6, 3, 0], [2, 7, 3, 0, 0]])
+    real = ids != 0
+    both = m.decode(m.encode(ids, real=real), real=real).data
+    for r in range(2):
+        one = m.decode(m.encode(ids[r], real=real[r]), real=real[r]).data
+        npt.assert_allclose(both[r], one, rtol=0, atol=1e-12)
 
 
 def test_arlm_loss_value_on_zero_model():
@@ -419,6 +454,54 @@ def test_checkpoint_truncation(tmp_path):
     fat.write_bytes(blob + b"!")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(fat)
+
+
+def _header(meta: bytes) -> bytes:
+    return b"DAL1" + struct.pack("<Q", len(meta)) + meta
+
+
+def test_checkpoint_huge_meta_length_is_truncation(tmp_path):
+    p = tmp_path / "meta.ckpt"
+    p.write_bytes(b"DAL1" + struct.pack("<Q", 2**40) + b"{}")
+    with pytest.raises(CheckpointTruncatedError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_huge_extents_are_truncation(tmp_path):
+    name = b"w"
+    body = (struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<I", 2) + struct.pack("<QQ", 2**31, 2**31)
+            + b"\x00" * 64)
+    p = tmp_path / "extents.ckpt"
+    p.write_bytes(_header(b"{}") + body)
+    with pytest.raises(CheckpointTruncatedError):
+        load_checkpoint(p)
+    # a huge name length is bounded the same way
+    p.write_bytes(_header(b"{}") + struct.pack("<I", 1) + struct.pack("<I", 2**31))
+    with pytest.raises(CheckpointTruncatedError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_fuzz_only_raises_checkpoint_errors(tmp_path):
+    cfg = tiny_cfg(L=1, d=4, heads=1, ffn=4, k=2, n_emd=1, vocab_size=7)
+    m = Model(cfg, seed=21)
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(path, m.params, {"config": cfg.to_dict(), "seed": 21})
+    blob = path.read_bytes()
+    rng = np.random.default_rng(22)
+    bad = tmp_path / "bad.ckpt"
+    for trial in range(300):
+        data = bytearray(blob)
+        if trial % 3 == 0:
+            data = data[: int(rng.integers(0, len(data)))]
+        else:
+            for at in rng.integers(0, len(data), int(rng.integers(1, 4))):
+                data[at] ^= int(rng.integers(1, 256))
+        bad.write_bytes(bytes(data))
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            pass
 
 
 def test_checkpoint_shape_mismatch(tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from desklm import sift as sift_mod
+from desklm import tensor as T
 from desklm.data import MaskedBatch
 from desklm.errors import ConfigError
 from desklm.model import Model, ModelConfig
@@ -134,14 +136,44 @@ def test_sift_determinism():
 
 def test_sift_arlm_mode():
     m = cfg_model()
-    rows = [np.array([2, 7, 8, 9, 3]), np.array([2, 10, 3])]
+    batch = small_batch()
     cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=1, lam=1.0)
-    loss, task, r_adv = sift_loss(rows, m, cfg, mode="arlm", seed=9,
+    loss, task, r_adv = sift_loss(batch, m, cfg, mode="arlm", seed=9,
                                   return_parts=True)
     assert np.isfinite(loss.item())
     assert r_adv.item() >= 0
     with pytest.raises(ConfigError):
-        sift_loss(rows, m, cfg, mode="span", seed=9)
+        sift_loss(batch, m, cfg, mode="span", seed=9)
+
+
+def test_sift_row_with_zero_ascent_gradient_keeps_its_delta(monkeypatch):
+    # Row 0's perturbed logits are cut off from the divergence, so its
+    # ascent gradient is exactly zero: its perturbation must stay at the
+    # initial draw while row 1's moves.
+    m = cfg_model()
+    batch = small_batch()
+    n0 = len(batch.positions[0])
+    keep = np.ones((sum(len(p) for p in batch.positions), 1))
+    keep[:n0] = 0.0
+    real_kl = sift_mod.symmetric_kl
+    monkeypatch.setattr(sift_mod, "symmetric_kl",
+                        lambda p, q: real_kl(p, T.mul(q, T.constant(keep))))
+    seen = []
+    real_row = m.mlm_row
+
+    def spy(*args, perturb=None, **kwargs):
+        seen.append(None if perturb is None else perturb.data.copy())
+        return real_row(*args, perturb=perturb, **kwargs)
+
+    monkeypatch.setattr(m, "mlm_row", spy)
+    cfg = SiftConfig(enabled=True, epsilon=1e-1, ascent_steps=2, ascent_lr=1e-2,
+                     lam=1.0)
+    sift_loss(batch, m, cfg, mode="mlm", seed=10)
+    clean, first, second, final = seen
+    assert clean is None
+    npt.assert_array_equal(final[0], first[0])
+    npt.assert_array_equal(second[0], first[0])
+    assert np.abs(final[1] - first[1]).max() > 1e-6
 
 
 def test_sift_config_validation():

@@ -1,5 +1,8 @@
 """Tensor core: forward oracles, finite-difference gradients, tape rules."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,10 +230,6 @@ def test_grad_gathers_and_slices():
     cols = np.array([[0, 5, 2], [1, 1, 3], [5, 4, 0], [2, 2, 2]])
     _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols), _probe((4, 3), 13))),
               [m])
-    _fd_check(lambda x: T.sum_all(T.mul(T.slice_cols(x, 1, 4), _probe((4, 3), 14))), [m])
-    p, q = rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 5))
-    _fd_check(lambda x, y: T.sum_all(T.mul(T.concat_cols([x, y]), _probe((3, 7), 15))),
-              [p, q])
 
 
 def test_grad_softmax_logsoftmax():
@@ -280,6 +279,112 @@ def test_grad_masked_softmax():
 
 
 # ---------------------------------------------------------------------
+# The same ops over leading dims: 3-D and 4-D inputs, broadcasting.
+# ---------------------------------------------------------------------
+
+
+def test_grad_lifted_matmul():
+    rng = np.random.default_rng(60)
+    a, b = rng.normal(0, 1, (2, 3, 4, 5)), rng.normal(0, 1, (2, 3, 5, 2))
+    _fd_check(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), _probe((2, 3, 4, 2), 60))),
+              [a, b])
+    # a stack times one broadcast weight
+    x3, w = rng.normal(0, 1, (3, 4, 5)), rng.normal(0, 1, (5, 2))
+    _fd_check(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), _probe((3, 4, 2), 61))),
+              [x3, w])
+    # per-head weights broadcast over the batch axis
+    wh = rng.normal(0, 1, (3, 5, 2))
+    _fd_check(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), _probe((2, 3, 4, 2), 62))),
+              [a, wh])
+
+
+def test_grad_lifted_shape_ops():
+    rng = np.random.default_rng(61)
+    a = rng.normal(0, 1, (2, 3, 4, 5))
+    _fd_check(lambda x: T.sum_all(T.mul(T.transpose(x), _probe((2, 3, 5, 4), 63))), [a])
+    _fd_check(lambda x: T.sum_all(T.mul(T.reshape(x, (6, 20)), _probe((6, 20), 64))), [a])
+    _fd_check(lambda x: T.sum_all(T.mul(T.row_sum(x), _probe((2, 3, 4), 65))), [a])
+    x3 = rng.normal(0, 1, (3, 4, 5))
+    _fd_check(lambda x: T.sum_all(T.mul(T.row_sum(x), _probe((3, 4), 66))), [x3])
+
+
+def test_grad_lifted_row_ops():
+    rng = np.random.default_rng(62)
+    for shape in ((3, 4, 5), (2, 2, 3, 5)):
+        a = rng.normal(0, 2, shape)
+        _fd_check(lambda x: T.sum_all(T.mul(T.softmax_rows(x), _probe(shape, 67))), [a])
+        _fd_check(lambda x: T.sum_all(T.mul(T.log_softmax_rows(x), _probe(shape, 68))),
+                  [a])
+        g, b = rng.normal(1, 0.2, (5,)), rng.normal(0, 0.2, (5,))
+        _fd_check(lambda x, gg, bb: T.sum_all(
+            T.mul(T.layer_norm(x, gg, bb, eps=1e-5), _probe(shape, 69))), [a, g, b])
+        _fd_check(lambda x: T.sum_all(T.mul(T.gelu(x), _probe(shape, 70))), [a])
+
+        def dropped(x, shape=shape):
+            return T.sum_all(T.mul(T.dropout(x, 0.3, np.random.default_rng(5)),
+                                   _probe(shape, 71)))
+
+        _fd_check(dropped, [a])
+
+
+def test_grad_lifted_gathers():
+    rng = np.random.default_rng(63)
+    table = rng.normal(0, 1, (2, 5, 3))       # a stack of tables
+    idx = np.array([[4, 0], [4, 4], [1, 2]])  # duplicates on purpose
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_rows(x, idx), _probe((2, 3, 2, 3), 72))),
+              [table])
+    flat = rng.normal(0, 1, (6, 3))
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_rows(x, idx), _probe((3, 2, 3), 73))),
+              [flat])
+    # one (n, n) index matrix shared by every leading block
+    m = rng.normal(0, 1, (2, 3, 4, 6))
+    cols = rng.integers(0, 6, (4, 4))
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols),
+                                        _probe((2, 3, 4, 4), 74))), [m])
+    m3 = rng.normal(0, 1, (3, 4, 6))
+    cols3 = rng.integers(0, 6, (3, 4, 2))
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols3),
+                                        _probe((3, 4, 2), 75))), [m3])
+
+
+def test_gather_elements_matches_take_along_axis():
+    rng = np.random.default_rng(64)
+    m = rng.normal(0, 1, (2, 3, 4, 6))
+    cols = rng.integers(0, 6, (4, 5))
+    got = T.gather_elements(Tensor(m), cols).data
+    want = np.take_along_axis(m, np.broadcast_to(cols, (2, 3, 4, 5)), axis=-1)
+    npt.assert_array_equal(got, want)
+
+
+def test_grad_broadcast_add_sub_mul():
+    rng = np.random.default_rng(65)
+    a = rng.normal(0, 1, (2, 3, 4, 4))
+    for bshape in ((4,), (4, 4), (2, 1, 4, 4), (3, 1, 1), (1, 4, 1)):
+        b = rng.normal(0, 1, bshape)
+        for op in (T.add, T.sub, T.mul):
+            _fd_check(lambda x, y, op=op: T.sum_all(T.mul(op(x, y), _probe(a.shape, 76))),
+                      [a, b])
+
+
+def test_broadcast_is_one_way():
+    a = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        T.add(Tensor(np.zeros((4,))), a)  # the first operand never stretches
+    with pytest.raises(ShapeError):
+        T.mul(Tensor(np.zeros((1, 4))), a)
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+
+
+def test_fully_masked_row_named_in_a_stack():
+    x = np.zeros((2, 3, 4))
+    x[1, 2] = MASK_SENTINEL
+    with pytest.raises(DegenerateRowError) as err:
+        T.softmax_rows(Tensor(x))
+    assert "1, 2" in str(err.value)
+
+
+# ---------------------------------------------------------------------
 # Exactness and tape behaviour.
 # ---------------------------------------------------------------------
 
@@ -301,6 +406,23 @@ def test_backward_accumulates_across_calls():
     first = x.grad.copy()
     tape.backward(loss)
     npt.assert_array_equal(x.grad, 2 * first)
+
+
+def test_dropping_tape_and_loss_frees_the_graph():
+    # no reference cycle between the tape and its nodes: plain reference
+    # counting frees an intermediate once the tape and the loss are gone
+    gc.disable()
+    try:
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        with Tape() as tape:
+            mid = T.mul(x, 3.0)
+            loss = T.sum_all(mid)
+        tape.backward(loss)
+        ref = weakref.ref(mid)
+        del mid, loss, tape
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_targets_filter():
@@ -402,8 +524,6 @@ def test_index_bounds_errors():
     m = Tensor(np.zeros((2, 3)))
     with pytest.raises(IndexBoundsError):
         T.gather_elements(m, np.array([[0, 3], [1, 1]]))
-    with pytest.raises(IndexBoundsError):
-        T.slice_cols(m, 1, 5)
 
 
 def test_duplicate_gather_rows_accumulate():

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from desklm import trainer as trainer_mod
 from desklm.data import BatchStream, build_vocab, encode_corpus
 from desklm.errors import ConfigError, DivergenceError, IngestionError
 from desklm.model import Model, ModelConfig, load_checkpoint
@@ -279,6 +280,35 @@ def test_divergence_raises_and_keeps_partial_output(tmp_path):
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 1
     assert math.isnan(json.loads(lines[0])["loss"])
+    assert not (tmp_path / "checkpoint_final.ckpt").exists()
+
+
+def test_non_finite_gradient_stops_before_the_update(tmp_path, monkeypatch):
+    # a finite loss whose gradient turns NaN at step 2: the run must stop
+    # before AdamW writes NaN into the weights
+    model, stream, tcfg, _ = tiny_setup(steps=4, checkpoint_interval=1)
+    real_clip = trainer_mod.clip_gradients
+    calls = []
+
+    def poisoned(params, max_norm):
+        calls.append(1)
+        if len(calls) == 2:
+            params["out_bias"].grad[0] = np.nan
+            snapshot.update({n: p.data.copy() for n, p in params.items()})
+        return real_clip(params, max_norm)
+
+    snapshot = {}
+    monkeypatch.setattr(trainer_mod, "clip_gradients", poisoned)
+    with pytest.raises(DivergenceError, match="gradient norm"):
+        train(model, stream, tcfg, out_dir=str(tmp_path))
+    for name, p in model.params.items():
+        npt.assert_array_equal(p.data, snapshot[name], err_msg=name)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    last = json.loads(lines[1])
+    assert math.isfinite(last["loss"]) and math.isnan(last["grad_norm"])
+    assert (tmp_path / "checkpoint_step1.ckpt").exists()
+    assert not (tmp_path / "checkpoint_step2.ckpt").exists()
     assert not (tmp_path / "checkpoint_final.ckpt").exists()
 
 
