@@ -8,7 +8,8 @@ effective_config.json; rerunning any command from that echoed file with
 the same seed reproduces metrics and checkpoints byte for byte.
 
 Exit codes are a stable contract: 0 success, 1 property failure,
-2 usage or configuration error, 3 runtime failure.
+2 usage or configuration error, 3 runtime failure (including any
+unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -298,6 +300,11 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except (ContractError, DeskLMError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception:
+        # an unexpected failure is still a runtime failure: Python's own
+        # exit status 1 would read as EXIT_PROPERTY
+        traceback.print_exc()
         return EXIT_RUNTIME
 
 

@@ -424,7 +424,9 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
 
     Tensors are written sorted by name with explicit rank and extents,
     little-endian float64.  Everything is deterministic, so saving the
-    same state twice yields byte-identical files.
+    same state twice yields byte-identical files.  The bytes go to a
+    temporary file beside path that then replaces path, so a failed
+    write leaves any previous checkpoint at path intact.
     """
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -441,8 +443,15 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
         for extent in t.shape:
             buf.write(struct.pack("<Q", extent))
         buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, size: int) -> bytes:

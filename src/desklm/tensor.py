@@ -22,10 +22,19 @@ Masking convention: additive masks use the sentinel MASK_SENTINEL
 (-1e30).  softmax_rows treats entries at or below -1e29 as masked and
 gives them probability exactly 0.0.  A row with every entry masked has
 no defined distribution and raises DegenerateRowError.
+
+Allocator policy: a training step builds and frees tens of MB of arrays.
+glibc's dynamic trim threshold hands that freed memory back to the
+kernel after every step, so the next step faults fresh pages in again.
+On glibc, importing this module raises the mmap threshold to 32 MiB and
+the trim threshold to 1 GiB (process-wide mallopt), so freed arrays are
+reused in-process.  Resident memory then stays at its high-water mark.
+No computed number depends on this.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from typing import Callable, Sequence
@@ -44,6 +53,36 @@ MASK_SENTINEL = -1.0e30
 # gap between the sentinel and the cutoff absorbs finite scores added on
 # top of the sentinel: |score| stays far below 1e29 in practice.
 _MASK_CUTOFF = -1.0e29
+
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed arrays for reuse instead of unmapping them.
+
+    Both thresholds are set: fixing the trim threshold alone also fixes
+    the mmap threshold at its 128 KiB default, and every larger array
+    would then be mmapped and faulted in afresh.  A 0 return (value
+    refused) leaves glibc's defaults, which is harmless.  Other libcs
+    are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_memory()
 
 _local = threading.local()
 
@@ -97,13 +136,15 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: "Tensor", targets: Sequence["Tensor"] | None = None) -> None:
-        """Accumulate d loss / d t into t.grad for reachable tensors.
+        """Accumulate d loss / d t into t.grad for leaves and explicit targets.
 
-        loss must be a scalar (size-1) tensor recorded on this tape.  If
-        targets is given, only those tensors receive a .grad; everything
-        else still participates in the chain rule but keeps grad None.
-        Leaf gradients accumulate across calls; call zero_grad between
-        steps.
+        loss must be a scalar (size-1) tensor recorded on this tape.
+        Without targets, every leaf (a tensor this tape did not record:
+        parameters, perturbations) receives a .grad and the recorded
+        intermediates keep grad None.  With targets, only the named
+        tensors receive a .grad, leaf or intermediate; everything else
+        still participates in the chain rule.  Gradients accumulate
+        across calls; call zero_grad between steps.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -117,10 +158,8 @@ class Tape:
         holders: dict[int, Tensor] = {id(loss): loss}
 
         def deposit(t: "Tensor", g: np.ndarray) -> None:
-            if not t.requires_grad:
-                return
-            if target_ids is not None and id(t) not in target_ids:
-                return
+            # The copy matters: one array can reach two leaves (add hands
+            # g to both operands), and clip_gradients scales .grad in place.
             if t.grad is None:
                 t.grad = g.copy()
             else:
@@ -131,7 +170,8 @@ class Tape:
             if g is None:
                 continue
             holders.pop(id(node), None)
-            deposit(node, g)
+            if target_ids is not None and id(node) in target_ids:
+                deposit(node, g)
             if node._bwd is None:
                 continue
             parent_grads = node._bwd(g)
@@ -149,7 +189,8 @@ class Tape:
         # outside any op (parameters, perturbations) and therefore never
         # appear in the node list.
         for key, g in grads.items():
-            deposit(holders[key], g)
+            if target_ids is None or key in target_ids:
+                deposit(holders[key], g)
 
 
 class no_grad:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from desklm import cli
 from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus
 from desklm.errors import ConfigError
@@ -346,3 +347,14 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_unexpected_exception_is_runtime_failure(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_audit", boom)
+    assert main(["audit", "--config", "toy"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: unexpected" in err

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from desklm import model as model_mod
 from desklm import tensor as T
 from desklm.data import MaskedBatch
 from desklm.errors import (
@@ -423,6 +424,39 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "again.ckpt"
     save_checkpoint(path2, m2.params, meta2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Model(cfg, seed=15).params, {"config": cfg.to_dict()})
+    before = path.read_bytes()
+    real_open = open
+
+    class HalfWriter:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(model_mod, "open",
+                        lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, Model(cfg, seed=16).params,
+                        {"config": cfg.to_dict()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_magic_errors(tmp_path):

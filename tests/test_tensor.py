@@ -435,6 +435,31 @@ def test_backward_targets_filter():
     assert y.grad is None
 
 
+def test_backward_fills_leaves_not_intermediates():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    y = Tensor([[3.0, -1.0]], requires_grad=True)
+    with Tape() as tape:
+        mid = T.add(x, y)
+        loss = T.sum_all(T.mul(mid, mid))
+    tape.backward(loss)
+    assert mid.grad is None and loss.grad is None
+    npt.assert_array_equal(x.grad, 2 * mid.data)
+    npt.assert_array_equal(y.grad, 2 * mid.data)
+    # add hands one gradient array to both leaves; each owns a copy
+    x.grad *= 0.5
+    npt.assert_array_equal(y.grad, 2 * mid.data)
+
+
+def test_backward_target_intermediate_gets_grad():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    with Tape() as tape:
+        mid = T.mul(x, 3.0)
+        loss = T.sum_all(T.mul(mid, mid))
+    tape.backward(loss, targets=[mid])
+    npt.assert_array_equal(mid.grad, 2 * mid.data)
+    assert x.grad is None
+
+
 def test_no_grad_records_nothing():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:

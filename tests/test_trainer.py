@@ -2,17 +2,19 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from desklm import trainer as trainer_mod
-from desklm.data import BatchStream, build_vocab, encode_corpus
+from desklm.data import BatchStream, build_vocab, encode_corpus, load_corpus
 from desklm.errors import ConfigError, DivergenceError, IngestionError
 from desklm.model import Model, ModelConfig, load_checkpoint
-from desklm.sift import SiftConfig
-from desklm.tensor import Tensor
+from desklm.runconfig import bundled_corpus_path, load_run_config
+from desklm.sift import SiftConfig, sift_loss
+from desklm.tensor import Tape, Tensor
 from desklm.trainer import (AdamW, TrainConfig, clip_gradients, evaluate_ppl,
                             lr_at, run_ablation_suite, train)
 
@@ -310,6 +312,48 @@ def test_non_finite_gradient_stops_before_the_update(tmp_path, monkeypatch):
     assert (tmp_path / "checkpoint_step1.ckpt").exists()
     assert not (tmp_path / "checkpoint_step2.ckpt").exists()
     assert not (tmp_path / "checkpoint_final.ckpt").exists()
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def test_repeated_step_reuses_freed_memory():
+    # A toy-preset step builds and frees ~74 MB of arrays.  With glibc's
+    # default thresholds that memory went back to the kernel after every
+    # step and the next step faulted ~18,900 fresh pages in again.
+    if not _on_glibc():
+        pytest.skip("the allocator policy is set on glibc only")
+    import resource
+
+    run_cfg = load_run_config("toy", [], 1)
+    lines = load_corpus(bundled_corpus_path())
+    vocab = build_vocab(lines, cap=run_cfg.data.vocab_cap)
+    tcfg = run_cfg.trainer
+    model = Model(run_cfg.build_model_config(len(vocab)), seed=1)
+    stream = BatchStream(encode_corpus(lines, vocab), n=tcfg.seq_len,
+                         batch_size=tcfg.batch_size, vocab_size=len(vocab),
+                         seed=1)
+    batch = stream.next_batch()
+    opt = AdamW(model.params, tcfg)
+
+    def step():
+        with Tape() as tape:
+            loss = sift_loss(batch, model, run_cfg.sift, mode="mlm", seed=1)
+        tape.backward(loss)
+        clip_gradients(model.params, tcfg.grad_clip)
+        opt.step(1e-4)
+        model.zero_grad()
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"a warm step took {faults} minor page faults"
 
 
 def test_sift_disabled_equals_lambda_zero():
