@@ -1,4 +1,4 @@
-"""Disentangled content/position attention, two interchangeable kernels.
+"""Disentangled content/position attention: an efficient kernel and its oracle.
 
 Each token is represented by a content vector; relative positions get a
 separate shared embedding table P with 2k rows.  The pre-softmax score
@@ -23,7 +23,7 @@ Inputs are (..., n, d): one row or a batch of rows.  Heads are never
 looped over: the width splits into (heads, head_size) by reshape and
 transpose, and every score tensor is (..., heads, n, n).
 
-Two kernels produce the same scores:
+Two kernels produce the same scores; attend always runs the efficient one:
 
   * scores_naive materialises, for every query/key pair, the gathered
     relative embedding rows: an (n*n, d) intermediate per term, split
@@ -117,12 +117,10 @@ class AttentionScores:
     """Unscaled score components, each (..., heads, n, n).  A disabled
     term is passed as None and stored as zeros."""
 
-    heads: int
     c2c: Tensor
     c2p: Tensor | None
     p2c: Tensor | None
     combined: Tensor
-    scale: float
 
     def __post_init__(self):
         if self.c2p is None:
@@ -231,10 +229,11 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
     if need_pos:
         _meter_release(meter, kr)
         _meter_release(meter, qr)
-    return AttentionScores(heads, c2c, c2p, p2c, total, params.scale)
+    return AttentionScores(c2c, c2p, p2c, total)
 
 
-def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
+def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
+                     dm: DeltaMatrix,
                      query: Tensor | None = None, meter=None,
                      fault: str | None = None) -> AttentionScores:
     """Gather-based kernel: O(k d) extra space, no (n^2, d) intermediate.
@@ -292,35 +291,27 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor, dm: Delt
     if need_pos:
         _meter_release(meter, kr)
         _meter_release(meter, qr)
-    return AttentionScores(heads, c2c, c2p, p2c, total, params.scale)
+    return AttentionScores(c2c, c2p, p2c, total)
 
 
-_KERNELS = {"naive": scores_naive, "efficient": scores_efficient}
-
-
-def attend(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
+def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMatrix,
            mask: Tensor | None = None, query: Tensor | None = None,
            dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-           kernel: str = "efficient", collect: list | None = None,
-           fault: str | None = None) -> Tensor:
-    """Full multi-head attention: scores, mask, softmax, value mix.
+           collect: list | None = None) -> Tensor:
+    """Full multi-head attention: efficient scores, mask, softmax, value mix.
 
-    h is (..., n, d).  mask, when given, is a (..., n, n) additive
-    tensor using the -1e30 sentinel for blocked pairs; every head gets
-    the same mask.  collect, when given, receives one (..., heads, n, n)
-    numpy array of post-softmax probabilities.
+    h is (..., n, d).  table is read only when a position term is
+    enabled, so it may be None when both are off.  mask, when given, is
+    a (..., n, n) additive tensor using the -1e30 sentinel for blocked
+    pairs; every head gets the same mask.  collect, when given, receives
+    one (..., heads, n, n) numpy array of post-softmax probabilities.
     """
-    if kernel not in _KERNELS:
-        raise ConfigError(f"unknown kernel {kernel!r}")
     if dropout_p > 0.0 and rng is None:
         raise ConfigError("dropout needs an rng")
-    if kernel == "naive" and fault is not None:
-        raise ConfigError("fault injection only applies to the efficient kernel")
 
-    extra = {"fault": fault} if kernel == "efficient" else {}
-    scores = _KERNELS[kernel](h, params, table, dm, query=query, **extra)
+    scores = scores_efficient(h, params, table, dm, query=query)
 
-    logits = T.mul(scores.combined, scores.scale)
+    logits = T.mul(scores.combined, params.scale)
     if mask is not None:
         *lead, n, m = mask.shape
         logits = T.add(logits, T.reshape(mask, (*lead, 1, n, m)))

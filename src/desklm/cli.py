@@ -28,8 +28,8 @@ from .attention import extra_param_count
 from .data import BatchStream, CLS, SEP, Vocab, build_vocab, encode_corpus, \
     load_corpus, tokenize
 from .equivalence import run_allocation_audit, run_equivalence_suite
-from .errors import CheckpointError, ConfigError, ContractError, \
-    DeskLMError, DivergenceError, IngestionError
+from .errors import CheckpointError, CheckpointFormatError, ConfigError, \
+    DeskLMError, IngestionError
 from .model import Model, count_params, load_model
 from .relpos import max_reach
 from .runconfig import RunConfig, bundled_corpus_path, \
@@ -141,7 +141,10 @@ def _model_from_eval_config(run_cfg: RunConfig):
     model, meta = load_model(run_cfg.eval.checkpoint)
     if "vocab" not in meta:
         raise ConfigError("checkpoint metadata lacks a vocabulary")
-    vocab = Vocab(list(meta["vocab"]))
+    tokens = meta["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointFormatError("checkpoint vocabulary is not a list of strings")
+    vocab = Vocab(tokens)
     if len(vocab) != model.cfg.vocab_size:
         raise ConfigError(
             f"checkpoint vocabulary size {len(vocab)} does not match "
@@ -295,10 +298,7 @@ def main(argv=None) -> int:
     except (ConfigError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ContractError, DeskLMError) as e:
+    except DeskLMError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

@@ -98,6 +98,8 @@ def load_corpus(path) -> list[str]:
             lines = [line.strip() for line in fh]
     except OSError as e:
         raise IngestionError(f"cannot read corpus {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"corpus {path} is not UTF-8 text: {e}") from e
     lines = [ln for ln in lines if ln]
     if not lines:
         raise IngestionError(f"corpus {path} is empty")

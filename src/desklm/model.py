@@ -86,6 +86,8 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.ablations, dict):
             self.ablations = AblationFlags(**self.ablations)
+        if not isinstance(self.ablations, AblationFlags):
+            raise ConfigError(f"ablations must be an object, got {self.ablations!r}")
         if self.vocab_size < 2:
             # The data pipeline needs room past its reserved ids and
             # checks that itself; the model only needs a distribution.
@@ -212,7 +214,6 @@ class Model:
                  params: dict[str, Tensor] | None = None) -> None:
         self.cfg = cfg
         self.seed = seed
-        self._zero_table = None
         self.params = init_params(cfg, seed) if params is None else params
         expected = param_shapes(cfg)
         got = {k: v.shape for k, v in self.params.items()}
@@ -253,21 +254,14 @@ class Model:
             **kwargs,
         )
 
-    def _pos_table(self) -> Tensor:
-        if self.cfg.uses_position_terms:
-            return self.params["pos_table"]
-        # Both position terms ablated: the kernels never touch the table,
-        # but the call signature still wants an array of the right shape.
-        if self._zero_table is None:
-            self._zero_table = T.constant(np.zeros((2 * self.cfg.k, self.cfg.d)))
-        return self._zero_table
-
     def _block(self, prefix: str, query: Tensor, content: Tensor, dm, mask,
                training: bool, rng, collect: dict | None = None) -> Tensor:
         p = self.params
         drop = self.cfg.dropout if training else 0.0
         probs: list | None = [] if collect is not None else None
-        a = attend(content, self._attn_params(prefix), self._pos_table(), dm,
+        # No pos_table when both position terms are ablated; attend
+        # then never reads it.
+        a = attend(content, self._attn_params(prefix), p.get("pos_table"), dm,
                    mask=mask, query=query, dropout_p=drop, rng=rng,
                    collect=probs)
         if collect is not None:
@@ -324,8 +318,7 @@ class Model:
         return h
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
-               causal: bool = False, training: bool = False, rng=None,
-               collect: dict | None = None) -> Tensor:
+               causal: bool = False, training: bool = False, rng=None) -> Tensor:
         """Hidden states (..., n, d) to logits (..., n, vocab)."""
         cfg = self.cfg
         n = h.shape[-2]
@@ -336,11 +329,9 @@ class Model:
             x = T.add(h, abs_rows)
             for j in range(cfg.n_emd):
                 prefix = "dec0" if cfg.emd_shared else f"dec{j}"
-                x = self._block(prefix, x, h, dm, mask, training, rng,
-                                collect=collect)
+                x = self._block(prefix, x, h, dm, mask, training, rng)
         else:
-            x = self._block("dec0", h, h, dm, mask, training, rng,
-                            collect=collect)
+            x = self._block("dec0", h, h, dm, mask, training, rng)
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))
         return T.add(logits, self.params["out_bias"])
 
@@ -356,7 +347,7 @@ class Model:
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
                 real: np.ndarray, training: bool = False, rng=None,
-                perturb: Tensor | None = None, collect: dict | None = None):
+                perturb: Tensor | None = None):
         """Masked-prediction pieces for one row (n,) or a batch (b, n).
 
         predict is True at the slots to predict.  Returns (nll_sum,
@@ -368,9 +359,9 @@ class Model:
         if picks.size == 0:
             raise ContractError("mlm_row needs at least one masked position")
         h = self.encode(x_tilde, real=real, causal=False, training=training,
-                        rng=rng, perturb=perturb, collect=collect)
+                        rng=rng, perturb=perturb)
         logits = self.decode(h, real=real, causal=False, training=training,
-                             rng=rng, collect=collect)
+                             rng=rng)
         targets = np.asarray(x, dtype=np.int64).reshape(-1)[picks]
         return self._picked_nll(logits, picks, targets)
 
@@ -384,7 +375,7 @@ class Model:
 
     def arlm_row(self, tokens: np.ndarray, real: np.ndarray | None = None,
                  training: bool = False, rng=None,
-                 perturb: Tensor | None = None, collect: dict | None = None):
+                 perturb: Tensor | None = None):
         """Causal next-token pieces: (nll_sum, count, next_token_logits).
 
         tokens is one row (n,) or a batch (b, n).  Padded rows must be
@@ -394,9 +385,9 @@ class Model:
         if ids.ndim < 1 or ids.shape[-1] < 2:
             raise ContractError("causal prediction needs at least two tokens")
         h = self.encode(ids, real=real, causal=True, training=training,
-                        rng=rng, perturb=perturb, collect=collect)
+                        rng=rng, perturb=perturb)
         logits = self.decode(h, real=real, causal=True, training=training,
-                             rng=rng, collect=collect)
+                             rng=rng)
         # position i predicts token i + 1 of the same row
         predict = np.zeros(ids.shape, dtype=bool)
         predict[..., :-1] = True if real is None else np.asarray(real, dtype=bool)[..., 1:]
@@ -517,9 +508,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 def load_model(path) -> tuple[Model, dict]:
     """Rebuild a Model from a checkpoint written by save_checkpoint."""
     arrays, meta = load_checkpoint(path)
-    if "config" not in meta:
-        raise CheckpointFormatError("metadata lacks a config block")
-    cfg = ModelConfig(**meta["config"])
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointFormatError("metadata lacks a config object")
+    try:
+        cfg = ModelConfig(**meta["config"])
+        seed = int(meta.get("seed", 0))
+    except (TypeError, ValueError) as e:
+        raise CheckpointFormatError(f"malformed checkpoint metadata: {e}") from e
     expected = param_shapes(cfg)
     for name, shape in expected.items():
         if name not in arrays:
@@ -532,5 +527,5 @@ def load_model(path) -> tuple[Model, dict]:
     if extra:
         raise CheckpointShapeError(f"checkpoint has unexpected tensors {sorted(extra)}")
     params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
-    model = Model(cfg, seed=int(meta.get("seed", 0)), params=params)
+    model = Model(cfg, seed=seed, params=params)
     return model, meta

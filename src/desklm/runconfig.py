@@ -184,7 +184,9 @@ def load_run_config(config: str | None, sets: list[str] | None = None,
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -3,8 +3,9 @@
 The surface is deliberately small: exactly the operations the attention
 kernels, the transformer blocks and the losses need, nothing more.  All
 storage is numpy float64.  Gradients are computed by recording every
-produced tensor on a thread-local Tape and replaying the records in
-reverse.
+produced tensor on the innermost active Tape and replaying the records
+in reverse.  The stack of active tapes is one module-level list: the
+package is single-threaded and starts no thread of its own.
 
 Every op works over any leading dims: the matrix ops (matmul,
 transpose) act on the last two axes, the row ops (row_sum, the
@@ -35,7 +36,6 @@ No computed number depends on this.
 from __future__ import annotations
 
 import os
-import threading
 import weakref
 from typing import Callable, Sequence
 
@@ -84,21 +84,13 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_local, "tape_stack", None)
-    if stack is None:
-        stack = []
-        _local.tape_stack = stack
-    return stack
+# Active tapes, innermost last; no_grad pushes None.
+_tape_stack: list = []
 
 
 def _active_tape():
-    stack = _tape_stack()
-    if stack and isinstance(stack[-1], Tape):
-        return stack[-1]
+    if _tape_stack and isinstance(_tape_stack[-1], Tape):
+        return _tape_stack[-1]
     return None
 
 
@@ -124,11 +116,11 @@ class Tape:
         self._nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        top = _tape_stack().pop()
+        top = _tape_stack.pop()
         if top is not self:
             raise ContractError("tape stack corrupted: exited out of order")
 
@@ -144,7 +136,7 @@ class Tape:
         intermediates keep grad None.  With targets, only the named
         tensors receive a .grad, leaf or intermediate; everything else
         still participates in the chain rule.  Gradients accumulate
-        across calls; call zero_grad between steps.
+        across calls; reset .grad to None between steps.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -197,11 +189,11 @@ class no_grad:
     """Context manager that suspends recording entirely."""
 
     def __enter__(self) -> "no_grad":
-        _tape_stack().append(None)
+        _tape_stack.append(None)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _tape_stack.pop()
 
 
 class Tensor:
@@ -250,51 +242,9 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
 
 def _tape_of(t: Tensor) -> Tape | None:
@@ -312,12 +262,13 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
-def _as_tensor_operand(x) -> Tensor | float | None:
+def _operand(op: str, x) -> Tensor | float:
+    """x as a tensor or a python float; ShapeError naming x's type otherwise."""
     if isinstance(x, Tensor):
         return x
     if isinstance(x, (int, float, np.floating, np.integer)):
         return float(x)
-    return None
+    raise ShapeError(f"{op}: unsupported operand {type(x)}")
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -372,9 +323,7 @@ def constant(data) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     """a + b, with b a python scalar or a tensor broadcasting to a.shape."""
-    b = _as_tensor_operand(b)
-    if b is None:
-        raise ShapeError(f"add: unsupported operand {type(b)}")
+    b = _operand("add", b)
     if isinstance(b, float):
         out = Tensor._from_data(a.data + b)
         return _record(out, (a,), lambda g: [g])
@@ -386,9 +335,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b) -> Tensor:
     """a - b; same shape rules as add."""
-    b = _as_tensor_operand(b)
-    if b is None:
-        raise ShapeError(f"sub: unsupported operand {type(b)}")
+    b = _operand("sub", b)
     if isinstance(b, float):
         out = Tensor._from_data(a.data - b)
         return _record(out, (a,), lambda g: [g])
@@ -405,9 +352,7 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     """Hadamard product; same shape rules as add."""
-    b = _as_tensor_operand(b)
-    if b is None:
-        raise ShapeError(f"mul: unsupported operand {type(b)}")
+    b = _operand("mul", b)
     if isinstance(b, float):
         s = b
         out = Tensor._from_data(a.data * s)
@@ -668,10 +613,3 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     out = Tensor._from_data(a.data * keep * scale)
     return _record(out, (a,), lambda g: [g * keep * scale])
 
-
-def backward(loss: Tensor, targets: Sequence[Tensor] | None = None) -> None:
-    """Replay the tape that recorded loss.  See Tape.backward."""
-    tape = _tape_of(loss)
-    if tape is None:
-        raise ContractError("backward: loss was not recorded on any tape")
-    tape.backward(loss, targets=targets)

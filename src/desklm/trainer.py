@@ -136,7 +136,6 @@ class TrainResult:
     final_loss_avg: float
     batch_digest: str
     checkpoint_path: str | None
-    diverged_at: int | None = None
 
 
 def _window_avg(window: deque) -> float | None:

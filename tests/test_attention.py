@@ -216,8 +216,6 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         scores_efficient(h, params, table, dm, fault="nonsense")
     with pytest.raises(ConfigError):
-        attend(h, params, table, dm, kernel="blas")
-    with pytest.raises(ConfigError):
         attend(h, params, table, dm, dropout_p=0.5)  # no rng
     with pytest.raises(ConfigError):
         AttentionParams(heads=3, w_qc=params.w_qc, w_kc=params.w_kc,

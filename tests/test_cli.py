@@ -10,11 +10,12 @@ import pytest
 from desklm import cli
 from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus
-from desklm.errors import ConfigError
-from desklm.model import Model, ModelConfig, save_checkpoint
-from desklm.runconfig import (RunConfig, apply_override, bundled_corpus_path,
-                              effective_config_text, load_run_config,
-                              parse_override, preset_path)
+from desklm.errors import CheckpointFormatError, ConfigError
+from desklm.model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from desklm.runconfig import (EvalConfig, RunConfig, apply_override,
+                              bundled_corpus_path, effective_config_text,
+                              load_run_config, parse_override, preset_path)
+from desklm.tensor import Tensor
 
 PRETRAIN_FAST = ["--set", "trainer.steps=3", "--set", "trainer.warmup_steps=1",
                  "--set", "trainer.batch_size=2", "--set", "trainer.seq_len=16"]
@@ -247,6 +248,52 @@ def test_eval_without_checkpoint_is_config_error(capsys):
     rc = main(["eval", "--config", "toy"])
     assert rc == 2
     assert "eval.checkpoint" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_config_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert main(["audit", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in _one_line_error(capsys)
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"model": "\xff"}')
+    assert main(["audit", "--config", str(path)]) == 2
+    assert "not valid JSON" in _one_line_error(capsys)
+
+
+def test_corpus_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_bytes(b"the cat \xff sat\n")
+    rc = main(["pretrain", "--config", "toy", *PRETRAIN_FAST,
+               "--set", f"data.corpus={corpus}", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "data.corpus" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda meta: meta["config"].update(bogus=1),
+    lambda meta: meta.update(config=[1, 2]),
+    lambda meta: meta.update(seed="x"),
+    lambda meta: meta.update(vocab=7),
+], ids=["config-unknown-key", "config-not-object", "seed-not-int", "vocab-not-list"])
+def test_malformed_checkpoint_metadata_is_format_error(tmp_path, capsys, spoil):
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    arrays, meta = load_checkpoint(ckpt)
+    spoil(meta)
+    save_checkpoint(ckpt, {k: Tensor(a) for k, a in arrays.items()}, meta)
+    rc = main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+               "--set", f"eval.corpus={corpus}"])
+    assert rc == 2
+    _one_line_error(capsys)
+    with pytest.raises(CheckpointFormatError):
+        cli._model_from_eval_config(RunConfig(eval=EvalConfig(checkpoint=ckpt)))
 
 
 def test_eval_is_repeatable(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tokenizer, vocabulary, corruption and batching."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -230,6 +232,16 @@ def test_masked_batch_validation():
                     x_tilde=np.zeros((2, 4), dtype=np.int64),
                     positions=[[]],
                     real=np.ones((2, 4), dtype=bool))
+
+
+def test_bundled_corpus_is_what_the_generator_writes():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "gen_corpus", root / "tools" / "gen_corpus.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    bundled = (root / "src" / "desklm" / "corpus" / "tiny.txt").read_bytes()
+    assert gen.generate().encode("utf-8") == bundled
 
 
 def test_digest_update_covers_everything():

@@ -81,6 +81,12 @@ def test_config_validation():
     assert cfg.ablations.emd is False and cfg.ablations.p2c is False
 
 
+def test_config_rejects_non_object_ablations():
+    # a checkpoint's config block reaches ModelConfig unchecked
+    with pytest.raises(ConfigError):
+        tiny_cfg(ablations=5)
+
+
 def test_param_shapes_and_count():
     cfg = tiny_cfg()
     shapes = param_shapes(cfg)
@@ -403,6 +409,22 @@ def test_end_to_end_gradients_small():
         num = numeric_grad(f, p.data, h=1e-5)
         grad = np.zeros_like(p.data) if p.grad is None else p.grad
         assert_close(grad, num, atol=1e-6, rtol=1e-4, label=name)
+
+
+def test_content_only_attention_trains():
+    # Both position terms off: no pos_table, attention is c2c alone.
+    cfg = tiny_cfg(ablations={"c2p": False, "p2c": False})
+    m = Model(cfg, seed=15)
+    assert "pos_table" not in m.params
+    batch = one_row_batch([2, 7, 8, 9, 3, 0], [2, 4, 8, 4, 3, 0], [1, 3],
+                          real=[True] * 5 + [False])
+    with Tape() as tape:
+        loss = m.forward_mlm(batch)
+    tape.backward(loss)
+    assert np.isfinite(loss.item())
+    for name, p in sorted(m.params.items()):
+        assert p.grad is not None, name
+        assert np.all(np.isfinite(p.grad)), name
 
 
 # ---------------------------------------------------------------------

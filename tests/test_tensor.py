@@ -539,6 +539,13 @@ def test_shape_errors():
         T.layer_norm(a, T.ones((2,)), T.zeros((3,)))
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_unsupported_operand_names_its_type(op):
+    with pytest.raises(ShapeError) as err:
+        op(Tensor(np.zeros((2, 3))), "x")
+    assert "<class 'str'>" in str(err.value)
+
+
 def test_index_bounds_errors():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexBoundsError) as err:
