@@ -57,10 +57,11 @@ from .tensor import Tensor
 class AttentionParams:
     """Projection weights for one disentangled attention layer.
 
-    w_qr is the position-query projection.  Under share_projection it is
-    an alias of w_qc (same Tensor object, single gradient accumulator),
-    trading a little accuracy for 2 L d^2 fewer parameters; w_kr
-    likewise aliases w_kc.
+    w_qr and w_kr are the position-query and position-key projections,
+    required when a position term is enabled.  Passing w_qc and w_kc
+    themselves shares the projections (same Tensor objects, one gradient
+    accumulator each), trading a little accuracy for 2 L d^2 fewer
+    parameters.
     """
 
     heads: int
@@ -70,25 +71,20 @@ class AttentionParams:
     w_o: Tensor
     enable_c2p: bool = True
     enable_p2c: bool = True
-    share_projection: bool = False
-    _w_qr: Tensor | None = None
-    _w_kr: Tensor | None = None
+    w_qr: Tensor | None = None
+    w_kr: Tensor | None = None
 
     def __post_init__(self):
         d = self.w_qc.shape[0]
-        for name in ("w_qc", "w_kc", "w_vc", "w_o"):
+        for name in ("w_qc", "w_kc", "w_vc", "w_o", "w_qr", "w_kr"):
             w = getattr(self, name)
-            if w.shape != (d, d):
+            if w is not None and w.shape != (d, d):
                 raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
         if self.heads < 1 or d % self.heads != 0:
             raise ConfigError(f"width {d} not divisible into {self.heads} heads")
-        if self.share_projection:
-            if self._w_qr is not None or self._w_kr is not None:
-                raise ConfigError("share_projection forbids separate w_qr/w_kr")
-        else:
-            needs_pos = self.enable_c2p or self.enable_p2c
-            if needs_pos and (self._w_qr is None or self._w_kr is None):
-                raise ConfigError("unshared position terms need w_qr and w_kr")
+        if (self.enable_c2p or self.enable_p2c) and \
+                (self.w_qr is None or self.w_kr is None):
+            raise ConfigError("position terms need w_qr and w_kr")
 
     @property
     def d(self) -> int:
@@ -97,14 +93,6 @@ class AttentionParams:
     @property
     def head_size(self) -> int:
         return self.d // self.heads
-
-    @property
-    def w_qr(self) -> Tensor:
-        return self.w_qc if self.share_projection else self._w_qr
-
-    @property
-    def w_kr(self) -> Tensor:
-        return self.w_kc if self.share_projection else self._w_kr
 
     @property
     def scale(self) -> float:
@@ -318,8 +306,7 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
     probs = T.softmax_rows(logits)
     if collect is not None:
         collect.append(probs.data.copy())
-    if dropout_p > 0.0:
-        probs = T.dropout(probs, dropout_p, rng)
+    probs = T.dropout(probs, dropout_p, rng)
     mixed = T.matmul(probs, _heads(T.matmul(h, params.w_vc), params.heads))
     return T.matmul(_merge_heads(mixed), params.w_o)
 

@@ -70,16 +70,15 @@ def _make_params(d: int, heads: int, seed: int, share: bool,
         return Tensor(truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d)),
                       requires_grad=True)
 
-    kwargs = dict(
-        heads=heads,
-        w_qc=w("w_qc"), w_kc=w("w_kc"), w_vc=w("w_vc"), w_o=w("w_o"),
-        enable_c2p=enable_c2p, enable_p2c=enable_p2c,
-        share_projection=share,
-    )
+    # As in the model, shared or unused position projections are the content ones.
+    w_qc, w_kc = w("w_qc"), w("w_kc")
+    w_qr, w_kr = w_qc, w_kc
     if not share and (enable_c2p or enable_p2c):
-        kwargs["_w_qr"] = w("w_qr")
-        kwargs["_w_kr"] = w("w_kr")
-    return AttentionParams(**kwargs)
+        w_qr, w_kr = w("w_qr"), w("w_kr")
+    return AttentionParams(
+        heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w("w_vc"), w_o=w("w_o"),
+        enable_c2p=enable_c2p, enable_p2c=enable_p2c, w_qr=w_qr, w_kr=w_kr,
+    )
 
 
 @dataclass
@@ -125,9 +124,9 @@ def _grad_map(params: AttentionParams, table: Tensor) -> dict[str, np.ndarray]:
     tensors = {
         "w_qc": params.w_qc, "w_kc": params.w_kc, "table": table,
     }
-    if not params.share_projection and params._w_qr is not None:
-        tensors["w_qr"] = params._w_qr
-        tensors["w_kr"] = params._w_kr
+    if params.w_qr is not params.w_qc:
+        tensors["w_qr"] = params.w_qr
+        tensors["w_kr"] = params.w_kr
     out = {}
     for name, t in tensors.items():
         out[name] = None if t.grad is None else t.grad.copy()

@@ -226,32 +226,29 @@ class Model:
                 f"parameter set mismatch: missing={missing} extra={extra} "
                 f"wrong_shape={wrong}"
             )
+        # param_shapes order whatever the source: the gradient norm sums in it
+        self.params = {name: self.params[name] for name in expected}
 
     # -- plumbing -------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def _attn_params(self, prefix: str) -> AttentionParams:
-        cfg = self.cfg
-        kwargs = {}
-        if cfg.uses_position_terms and not cfg.share_projection:
-            kwargs["_w_qr"] = self.params[f"{prefix}_att_wqr"]
-            kwargs["_w_kr"] = self.params[f"{prefix}_att_wkr"]
+        # no position projections (shared or unused): the content ones stand in
+        p = self.params
+        w_qc, w_kc = p[f"{prefix}_att_wqc"], p[f"{prefix}_att_wkc"]
         return AttentionParams(
-            heads=cfg.heads,
-            w_qc=self.params[f"{prefix}_att_wqc"],
-            w_kc=self.params[f"{prefix}_att_wkc"],
-            w_vc=self.params[f"{prefix}_att_wvc"],
-            w_o=self.params[f"{prefix}_att_wo"],
-            enable_c2p=cfg.ablations.c2p,
-            enable_p2c=cfg.ablations.p2c,
-            share_projection=cfg.share_projection,
-            **kwargs,
+            heads=self.cfg.heads,
+            w_qc=w_qc,
+            w_kc=w_kc,
+            w_vc=p[f"{prefix}_att_wvc"],
+            w_o=p[f"{prefix}_att_wo"],
+            enable_c2p=self.cfg.ablations.c2p,
+            enable_p2c=self.cfg.ablations.p2c,
+            w_qr=p.get(f"{prefix}_att_wqr", w_qc),
+            w_kr=p.get(f"{prefix}_att_wkr", w_kc),
         )
 
     def _block(self, prefix: str, query: Tensor, content: Tensor, dm, mask,
@@ -266,13 +263,11 @@ class Model:
                    collect=probs)
         if collect is not None:
             collect[prefix] = probs[0]
-        if drop > 0.0:
-            a = T.dropout(a, drop, rng)
+        a = T.dropout(a, drop, rng)
         x = T.layer_norm(T.add(query, a), p[f"{prefix}_ln1_g"], p[f"{prefix}_ln1_b"])
         hidden = T.gelu(T.add(T.matmul(x, p[f"{prefix}_ffn_w1"]), p[f"{prefix}_ffn_b1"]))
         f = T.add(T.matmul(hidden, p[f"{prefix}_ffn_w2"]), p[f"{prefix}_ffn_b2"])
-        if drop > 0.0:
-            f = T.dropout(f, drop, rng)
+        f = T.dropout(f, drop, rng)
         return T.layer_norm(T.add(x, f), p[f"{prefix}_ln2_g"], p[f"{prefix}_ln2_b"])
 
     # -- forward passes ---------------------------------------------------
@@ -307,9 +302,7 @@ class Model:
                     f"perturbation shape {perturb.shape} != {h.shape}"
                 )
             h = T.add(h, perturb)
-        drop = self.cfg.dropout if training else 0.0
-        if drop > 0.0:
-            h = T.dropout(h, drop, rng)
+        h = T.dropout(h, self.cfg.dropout if training else 0.0, rng)
         dm = build_delta_matrix(n, self.cfg.k)
         mask = build_mask(n, real, causal)
         for i in range(self.cfg.L):
@@ -324,25 +317,31 @@ class Model:
         n = h.shape[-2]
         dm = build_delta_matrix(n, cfg.k)
         mask = build_mask(n, real, causal)
+        x = h
         if cfg.ablations.emd:
-            abs_rows = T.gather_rows(self.params["dec_abs"], np.arange(n))
-            x = T.add(h, abs_rows)
-            for j in range(cfg.n_emd):
-                prefix = "dec0" if cfg.emd_shared else f"dec{j}"
-                x = self._block(prefix, x, h, dm, mask, training, rng)
-        else:
-            x = self._block("dec0", h, h, dm, mask, training, rng)
+            x = T.add(h, T.gather_rows(self.params["dec_abs"], np.arange(n)))
+        for j in range(cfg.n_emd if cfg.ablations.emd else 1):
+            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, training, rng)
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))
         return T.add(logits, self.params["out_bias"])
 
-    def _picked_nll(self, logits: Tensor, picks: np.ndarray, targets: np.ndarray):
-        """(nll_sum, count, picked_logits) over the flat positions picks
-        of the (..., n, vocab) logits; targets holds one id per pick."""
+    def _nll(self, ids: np.ndarray, targets: np.ndarray, predict: np.ndarray,
+             real: np.ndarray | None, causal: bool, training: bool, rng,
+             perturb: Tensor | None):
+        """The loss core of both objectives: encode and decode ids, then
+        score targets (shaped like ids) at the True slots of predict.
+        Returns what mlm_row documents."""
+        picks = np.flatnonzero(predict)
+        if picks.size == 0:
+            raise ContractError("no slot to predict: the predict mask is all False")
+        h = self.encode(ids, real=real, causal=causal, training=training,
+                        rng=rng, perturb=perturb)
+        logits = self.decode(h, real=real, causal=causal, training=training,
+                             rng=rng)
         vocab = self.cfg.vocab_size
-        flat = T.reshape(logits, (logits.size // vocab, vocab))
-        picked = T.gather_rows(flat, picks)
-        logp = T.log_softmax_rows(picked)
-        chosen = T.gather_elements(logp, targets[:, None])
+        picked = T.gather_rows(T.reshape(logits, (logits.size // vocab, vocab)), picks)
+        wanted = np.asarray(targets, dtype=np.int64).reshape(-1)[picks]
+        chosen = T.gather_elements(T.log_softmax_rows(picked), wanted[:, None])
         return T.neg(T.sum_all(chosen)), picks.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
@@ -355,15 +354,7 @@ class Model:
         logit rows at the predicted slots in row-major order; the
         consistency regulariser needs them as tensors.
         """
-        picks = np.flatnonzero(predict)
-        if picks.size == 0:
-            raise ContractError("mlm_row needs at least one masked position")
-        h = self.encode(x_tilde, real=real, causal=False, training=training,
-                        rng=rng, perturb=perturb)
-        logits = self.decode(h, real=real, causal=False, training=training,
-                             rng=rng)
-        targets = np.asarray(x, dtype=np.int64).reshape(-1)[picks]
-        return self._picked_nll(logits, picks, targets)
+        return self._nll(x_tilde, x, predict, real, False, training, rng, perturb)
 
     def forward_mlm(self, batch, training: bool = False, rng=None,
                     perturb: Tensor | None = None) -> Tensor:
@@ -384,23 +375,13 @@ class Model:
         ids = np.asarray(tokens, dtype=np.int64)
         if ids.ndim < 1 or ids.shape[-1] < 2:
             raise ContractError("causal prediction needs at least two tokens")
-        h = self.encode(ids, real=real, causal=True, training=training,
-                        rng=rng, perturb=perturb)
-        logits = self.decode(h, real=real, causal=True, training=training,
-                             rng=rng)
-        # position i predicts token i + 1 of the same row
-        predict = np.zeros(ids.shape, dtype=bool)
-        predict[..., :-1] = True if real is None else np.asarray(real, dtype=bool)[..., 1:]
-        picks = np.flatnonzero(predict)
-        return self._picked_nll(logits, picks, ids.reshape(-1)[picks + 1])
-
-    def forward_arlm(self, tokens, real: np.ndarray | None = None,
-                     training: bool = False, rng=None,
-                     perturb: Tensor | None = None) -> Tensor:
-        """Mean next-token negative log likelihood over the rows."""
-        nll, c, _ = self.arlm_row(tokens, real=real, training=training,
-                                  rng=rng, perturb=perturb)
-        return T.mul(nll, 1.0 / c)
+        # Slot i predicts token i + 1 if real; the rolled last column is never
+        # picked.  A wrong-shaped real mask reaches encode, which rejects it.
+        predict = np.roll(np.ones(ids.shape, dtype=bool) if real is None
+                          else np.asarray(real, dtype=bool), -1, axis=-1)
+        predict[..., -1] = False
+        return self._nll(ids, np.roll(ids, -1, axis=-1), predict, real, True,
+                         training, rng, perturb)
 
 
 # ---------------------------------------------------------------------
@@ -515,17 +496,5 @@ def load_model(path) -> tuple[Model, dict]:
         seed = int(meta.get("seed", 0))
     except (TypeError, ValueError) as e:
         raise CheckpointFormatError(f"malformed checkpoint metadata: {e}") from e
-    expected = param_shapes(cfg)
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise CheckpointShapeError(f"checkpoint is missing tensor {name}")
-        if arrays[name].shape != shape:
-            raise CheckpointShapeError(
-                f"tensor {name} has shape {arrays[name].shape}, expected {shape}"
-            )
-    extra = set(arrays) - set(expected)
-    if extra:
-        raise CheckpointShapeError(f"checkpoint has unexpected tensors {sorted(extra)}")
-    params = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
-    model = Model(cfg, seed=seed, params=params)
-    return model, meta
+    params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    return Model(cfg, seed=seed, params=params), meta

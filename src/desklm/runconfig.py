@@ -118,7 +118,11 @@ class RunConfig:
     def build_model_config(self, vocab_size: int) -> ModelConfig:
         args = dict(self.model)
         args["vocab_size"] = vocab_size
-        return ModelConfig(**args)
+        cfg = ModelConfig(**args)
+        if self.trainer.seq_len > cfg.max_len:
+            raise ConfigError(f"trainer.seq_len {self.trainer.seq_len} exceeds "
+                              f"model.max_len {cfg.max_len}")
+        return cfg
 
     def audit_model_config(self) -> ModelConfig:
         if "vocab_size" not in self.model:

@@ -68,6 +68,10 @@ class TrainConfig:
             raise ConfigError(f"lr_decay {self.lr_decay!r} is not supported")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
+        if not 0.0 < self.mask_rate < 1.0:
+            raise ConfigError(f"mask_rate {self.mask_rate} outside (0, 1)")
+        if self.span_max < 1:
+            raise ConfigError(f"span_max {self.span_max} must be >= 1")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

@@ -60,12 +60,12 @@ def _make(n, k, d, heads, seed, share=False, use_c2p=True, use_p2c=True):
     rng = np.random.default_rng(seed)
     w = lambda: Tensor(rng.normal(0, 0.3, (d, d)), requires_grad=True)
     w_qc, w_kc, w_vc, w_o = w(), w(), w(), w()
-    kwargs = {}
+    w_qr, w_kr = w_qc, w_kc
     if not share and (use_c2p or use_p2c):
-        kwargs = {"_w_qr": w(), "_w_kr": w()}
+        w_qr, w_kr = w(), w()
     params = AttentionParams(
         heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w_vc, w_o=w_o,
-        enable_c2p=use_c2p, enable_p2c=use_p2c, share_projection=share, **kwargs,
+        enable_c2p=use_c2p, enable_p2c=use_p2c, w_qr=w_qr, w_kr=w_kr,
     )
     table = Tensor(rng.normal(0, 0.3, (2 * k, d)), requires_grad=True)
     h = Tensor(rng.normal(0, 1, (n, d)))
@@ -107,7 +107,10 @@ def test_share_projection_is_an_alias():
         loss = T.sum_all(s.combined)
     tape.backward(loss)
     assert params.w_qc.grad is not None
-    assert params._w_qr is None
+    # a position term with no position projection at all is refused
+    with pytest.raises(ConfigError):
+        AttentionParams(heads=2, w_qc=params.w_qc, w_kc=params.w_kc,
+                        w_vc=params.w_vc, w_o=params.w_o)
 
 
 def test_disabled_terms_are_exactly_zero():

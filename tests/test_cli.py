@@ -181,6 +181,22 @@ def test_pretrain_unknown_key_is_config_error(tmp_path, capsys):
     assert "trainer.stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,needle", [
+    ("trainer.seq_len=100", "max_len"),
+    ("trainer.mask_rate=1.5", "mask_rate"),
+    ("trainer.span_max=0", "span_max"),
+])
+def test_pretrain_bad_trainer_value_fails_before_training(tmp_path, capsys,
+                                                          override, needle):
+    # rejected while the config is resolved, not at step 1
+    out = tmp_path / "x"
+    rc = main(["pretrain", "--config", "toy", "--set", override,
+               "--out", str(out)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_pretrain_ablation_override_lands_in_echo(tmp_path):
     out = tmp_path / "run"
     rc = main(["pretrain", "--config", "toy", *PRETRAIN_FAST,

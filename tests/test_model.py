@@ -304,7 +304,6 @@ def test_padded_arlm_batch_equals_unpadded_rows():
     assert count == sum(c for _, c, _ in parts)
     want = sum(p.item() for p, _, _ in parts) / count
     npt.assert_allclose(nll.item() / count, want, rtol=0, atol=1e-12)
-    npt.assert_allclose(m.forward_arlm(ids, real=real).item(), want, rtol=0, atol=1e-12)
 
 
 def test_batched_encode_matches_rows():
@@ -319,10 +318,51 @@ def test_batched_encode_matches_rows():
 
 def test_arlm_loss_value_on_zero_model():
     m = zero_model(tiny_cfg(mode="arlm"))
-    loss = m.forward_arlm(np.array([2, 5, 6, 3]))
-    npt.assert_allclose(loss.item(), np.log(13), atol=1e-12)
+    nll, count, _ = m.arlm_row(np.array([2, 5, 6, 3]))
+    npt.assert_allclose(nll.item() / count, np.log(13), atol=1e-12)
     with pytest.raises(ContractError):
-        m.forward_arlm(np.array([2]))
+        m.arlm_row(np.array([2]))
+
+
+def test_nothing_to_predict_is_contract_error():
+    # one loss core owns the empty case for both objectives
+    m = Model(tiny_cfg(mode="arlm"), seed=24)
+    ids = np.array([[2, 0, 0], [2, 0, 0]])
+    with pytest.raises(ContractError):
+        m.arlm_row(ids, real=ids != 0)  # no real next token in any row
+    with pytest.raises(ContractError):
+        m.mlm_row(ids, ids, np.zeros(ids.shape, dtype=bool), ids != 0)
+
+
+def test_shared_projection_is_the_content_projection():
+    shared = Model(tiny_cfg(share_projection=True), seed=25)
+    assert not any(k.endswith(("_att_wqr", "_att_wkr")) for k in shared.params)
+    # an unshared model whose position projections equal the content ones
+    cfg = tiny_cfg()
+    unshared = Model(cfg, params={
+        name: Tensor(shared.params[name.replace("_wqr", "_wqc")
+                                   .replace("_wkr", "_wkc")].data.copy(),
+                     requires_grad=True)
+        for name in param_shapes(cfg)})
+    batch = MaskedBatch(
+        x=np.array([[2, 7, 8, 9, 3], [2, 10, 11, 3, 0]]),
+        x_tilde=np.array([[2, 4, 8, 4, 3], [2, 10, 4, 3, 0]]),
+        positions=[[1, 3], [2]],
+        real=np.array([[True] * 5, [True] * 4 + [False]]),
+    )
+    losses = {}
+    for name, m in (("shared", shared), ("unshared", unshared)):
+        with Tape() as tape:
+            losses[name] = m.forward_mlm(batch)
+        tape.backward(losses[name])
+    npt.assert_array_equal(losses["shared"].data, losses["unshared"].data)
+    for prefix in ("enc0", "enc1", "dec0"):
+        for c, r in (("wqc", "wqr"), ("wkc", "wkr")):
+            u = unshared.params
+            npt.assert_allclose(
+                shared.params[f"{prefix}_att_{c}"].grad,
+                u[f"{prefix}_att_{c}"].grad + u[f"{prefix}_att_{r}"].grad,
+                rtol=0, atol=1e-12, err_msg=f"{prefix}_att_{c}")
 
 
 # ---------------------------------------------------------------------
@@ -581,3 +621,14 @@ def test_checkpoint_missing_tensor(tmp_path):
     with pytest.raises(CheckpointShapeError) as err:
         load_model(path)
     assert "out_bias" in str(err.value)
+
+
+def test_checkpoint_extra_tensor(tmp_path):
+    # unshared position projections under a config that shares them
+    m = Model(tiny_cfg(), seed=26)
+    path = tmp_path / "extra.ckpt"
+    save_checkpoint(path, m.params,
+                    {"config": tiny_cfg(share_projection=True).to_dict()})
+    with pytest.raises(CheckpointShapeError) as err:
+        load_model(path)
+    assert "enc0_att_wqr" in str(err.value)

@@ -89,6 +89,9 @@ def test_lr_schedule_without_warmup():
     dict(grad_clip=0.0),
     dict(checkpoint_interval=-1),
     dict(lr_decay="cosine"),
+    dict(mask_rate=1.5),
+    dict(mask_rate=0.0),
+    dict(span_max=0),
 ])
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
@@ -397,8 +400,8 @@ def test_evaluate_ppl_matches_row_forwards():
     total = 0.0
     count = 0
     for row in rows:
-        mean = model.forward_arlm(row).item()
-        total += mean * (row.size - 1)
+        nll, _, _ = model.arlm_row(row)
+        total += nll.item()
         count += row.size - 1
     assert evaluate_ppl(model, rows) == pytest.approx(
         math.exp(total / count), rel=1e-12)
