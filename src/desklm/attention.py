@@ -21,7 +21,9 @@ row-softmaxed.
 
 Inputs are (..., n, d): one row or a batch of rows.  Heads are never
 looped over: the width splits into (heads, head_size) by reshape and
-transpose, and every score tensor is (..., heads, n, n).
+transpose, and every score tensor is (..., heads, n, n).  The efficient
+kernel can also score m query rows at given slots against all n keys,
+as (..., heads, m, n): the mask decoder's queries at predicted slots.
 
 Two kernels produce the same scores; attend always runs the efficient one:
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, IndexBoundsError, ShapeError
 from .relpos import DeltaMatrix
 from .tensor import Tensor
 
@@ -57,11 +59,11 @@ from .tensor import Tensor
 class AttentionParams:
     """Projection weights for one disentangled attention layer.
 
-    w_qr and w_kr are the position-query and position-key projections,
-    required when a position term is enabled.  Passing w_qc and w_kc
-    themselves shares the projections (same Tensor objects, one gradient
-    accumulator each), trading a little accuracy for 2 L d^2 fewer
-    parameters.
+    w_kr is the position-key projection, required when c2p is enabled;
+    w_qr the position-query projection, required when p2c is enabled.
+    Passing w_qc and w_kc themselves shares the projections (same Tensor
+    objects, one gradient accumulator each), trading a little accuracy
+    for 2 L d^2 fewer parameters.
     """
 
     heads: int
@@ -82,9 +84,10 @@ class AttentionParams:
                 raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
         if self.heads < 1 or d % self.heads != 0:
             raise ConfigError(f"width {d} not divisible into {self.heads} heads")
-        if (self.enable_c2p or self.enable_p2c) and \
-                (self.w_qr is None or self.w_kr is None):
-            raise ConfigError("position terms need w_qr and w_kr")
+        if self.enable_c2p and self.w_kr is None:
+            raise ConfigError("the c2p term needs w_kr")
+        if self.enable_p2c and self.w_qr is None:
+            raise ConfigError("the p2c term needs w_qr")
 
     @property
     def d(self) -> int:
@@ -102,19 +105,13 @@ class AttentionParams:
 
 @dataclass
 class AttentionScores:
-    """Unscaled score components, each (..., heads, n, n).  A disabled
-    term is passed as None and stored as zeros."""
+    """Unscaled score components, each (..., heads, m, n); a disabled
+    term is None."""
 
     c2c: Tensor
     c2p: Tensor | None
     p2c: Tensor | None
     combined: Tensor
-
-    def __post_init__(self):
-        if self.c2p is None:
-            self.c2p = T.zeros(self.c2c.shape)
-        if self.p2c is None:
-            self.p2c = T.zeros(self.c2c.shape)
 
 
 def _heads_t(m: Tensor, heads: int) -> Tensor:
@@ -145,13 +142,20 @@ def _meter_release(meter, t: Tensor) -> None:
 
 
 def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
-                  query: Tensor | None) -> Tensor:
+                  query: Tensor | None, positions=None) -> Tensor:
     q_in = h if query is None else query
     if h.ndim < 2 or h.shape[-1] != params.d:
         raise ShapeError(f"content input must be (..., n, {params.d}), got {h.shape}")
-    if q_in.shape != h.shape:
-        raise ShapeError(f"query input must match the content shape {h.shape}, "
-                         f"got {q_in.shape}")
+    if positions is None:
+        if q_in.shape != h.shape:
+            raise ShapeError(f"query input must match the content shape {h.shape}, "
+                             f"got {q_in.shape}")
+    elif np.shape(positions) != q_in.shape[:-1] or \
+            q_in.shape[:-2] + q_in.shape[-1:] != h.shape[:-2] + h.shape[-1:]:
+        raise ShapeError(f"query {q_in.shape} at positions {np.shape(positions)} "
+                         f"does not pair with content {h.shape}")
+    elif np.size(positions) and not 0 <= np.min(positions) <= np.max(positions) < h.shape[-2]:
+        raise IndexBoundsError(f"query positions outside [0, {h.shape[-2]})")
     if dm.n != h.shape[-2]:
         raise ShapeError(f"delta matrix is for n={dm.n}, content has n={h.shape[-2]}")
     if (params.enable_c2p or params.enable_p2c) and table.shape != (2 * dm.k, params.d):
@@ -190,15 +194,10 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
     rep = np.repeat(np.arange(n), n)         # query index for each (i, j) pair
     tile = np.tile(np.arange(n), n)          # key index for each (i, j) pair
 
-    need_pos = params.enable_c2p or params.enable_p2c
-    if need_pos:
-        kr = T.matmul(table, params.w_kr)
-        qr = T.matmul(table, params.w_qr)
-        _meter_alloc(meter, kr)
-        _meter_alloc(meter, qr)
-
     c2p = p2c = None
     if params.enable_c2p:
+        kr = T.matmul(table, params.w_kr)
+        _meter_alloc(meter, kr)
         # Row for pair (i, j) holds K_r[delta(i, j)]: an (n*n, d) object.
         kr_pairs = T.gather_rows(kr, flat_ij)
         _meter_alloc(meter, kr_pairs)
@@ -207,6 +206,8 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         total = T.add(total, c2p)
 
     if params.enable_p2c:
+        qr = T.matmul(table, params.w_qr)
+        _meter_alloc(meter, qr)
         # Row for pair (i, j) holds Q_r[delta(j, i)]: orientation flipped.
         qr_pairs = T.gather_rows(qr, flat_ji)
         _meter_alloc(meter, qr_pairs)
@@ -214,8 +215,9 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         _meter_release(meter, qr_pairs)
         total = T.add(total, p2c)
 
-    if need_pos:
+    if params.enable_c2p:
         _meter_release(meter, kr)
+    if params.enable_p2c:
         _meter_release(meter, qr)
     return AttentionScores(c2c, c2p, p2c, total)
 
@@ -223,30 +225,26 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
                      dm: DeltaMatrix,
                      query: Tensor | None = None, meter=None,
-                     fault: str | None = None) -> AttentionScores:
+                     fault: str | None = None, positions=None) -> AttentionScores:
     """Gather-based kernel: O(k d) extra space, no (n^2, d) intermediate.
 
-    All heads are scored in one (..., heads, n, .) pass.  fault="swap-delta"
-    deliberately gathers the p2c term with the forward-oriented
-    distances.  It exists so the equivalence suite can prove it would
-    catch the classic orientation bug; never set it in real use.
+    All heads are scored in one (..., heads, n, .) pass.  positions,
+    when given, is the (..., m) integer array of the slots of h that the
+    m rows of query stand at; the scores are then (..., heads, m, n).
+    fault="swap-delta" deliberately gathers the p2c term with the
+    forward-oriented distances.  It exists so the equivalence suite can
+    prove it would catch the classic orientation bug; never set it in
+    real use.
     """
     if fault not in (None, "swap-delta"):
         raise ConfigError(f"unknown fault {fault!r}")
-    q_in = _check_inputs(h, params, table, dm, query)
+    q_in = _check_inputs(h, params, table, dm, query, positions)
     heads = params.heads
 
-    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, n, hs)
+    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
     kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
     c2c = T.matmul(qc_h, kc_t)
     total = c2c
-
-    need_pos = params.enable_c2p or params.enable_p2c
-    if need_pos:
-        kr = T.matmul(table, params.w_kr)
-        qr = T.matmul(table, params.w_qr)
-        _meter_alloc(meter, kr)
-        _meter_alloc(meter, qr)
 
     # gather_elements(prod, cols)[..., a, b] = prod[..., a, cols[a, b]].
     # For p2c we need G[j, i] = prod[j, delta(j, i)] = prod[j, dm[j, i]],
@@ -255,11 +253,19 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     # prod[j, delta(i, j)]: the orientation bug.
     dm_fwd = dm.values
     dm_rev = dm.values if fault is None else dm.values.T
+    if positions is not None:
+        # Query rows at positions only: c2p reads the rows of delta at
+        # positions, p2c reads delta(j, positions) for every key j.  Each
+        # block of rows has its own index, shared by the heads.
+        dm_fwd = dm_fwd[positions][..., None, :, :]                    # (..., 1, m, n)
+        dm_rev = np.moveaxis(dm_rev[:, positions], 0, -2)[..., None, :, :]  # (..., 1, n, m)
 
     c2p = p2c = None
     if params.enable_c2p:
-        # All n * 2k query/position-key products of every head, then
+        # All m * 2k query/position-key products of every head, then
         # pick column delta(i, j) in row i.
+        kr = T.matmul(table, params.w_kr)
+        _meter_alloc(meter, kr)
         prod = T.matmul(qc_h, _heads_t(kr, heads))
         _meter_alloc(meter, prod)
         c2p = T.gather_elements(prod, dm_fwd)
@@ -270,14 +276,17 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         # Row j of the product holds K_c[j] . Q_r[*]; entry (j, i) of
         # the gathered matrix is K_c[j] . Q_r[delta(j, i)], and the
         # transpose places it at (i, j).
+        qr = T.matmul(table, params.w_qr)
+        _meter_alloc(meter, qr)
         prod = T.matmul(T.transpose(kc_t), _heads_t(qr, heads))
         _meter_alloc(meter, prod)
         p2c = T.transpose(T.gather_elements(prod, dm_rev))
         _meter_release(meter, prod)
         total = T.add(total, p2c)
 
-    if need_pos:
+    if params.enable_c2p:
         _meter_release(meter, kr)
+    if params.enable_p2c:
         _meter_release(meter, qr)
     return AttentionScores(c2c, c2p, p2c, total)
 
@@ -285,19 +294,23 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
 def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMatrix,
            mask: Tensor | None = None, query: Tensor | None = None,
            dropout_p: float = 0.0, rng: np.random.Generator | None = None,
-           collect: list | None = None) -> Tensor:
+           collect: list | None = None, positions=None) -> Tensor:
     """Full multi-head attention: efficient scores, mask, softmax, value mix.
 
     h is (..., n, d).  table is read only when a position term is
-    enabled, so it may be None when both are off.  mask, when given, is
-    a (..., n, n) additive tensor using the -1e30 sentinel for blocked
-    pairs; every head gets the same mask.  collect, when given, receives
-    one (..., heads, n, n) numpy array of post-softmax probabilities.
+    enabled, so it may be None when both are off.  query, when given,
+    replaces h as the query stream; with positions (see
+    scores_efficient) it may hold only m of the n rows, and the output
+    is then (..., m, d).  mask, when given, is a (..., n, n) additive
+    tensor using the -1e30 sentinel for blocked pairs, or (..., 1, n)
+    when it blocks whole columns; every head and, for a one-row mask,
+    every query gets the same mask.  collect, when given, receives one
+    (..., heads, m, n) numpy array of post-softmax probabilities.
     """
     if dropout_p > 0.0 and rng is None:
         raise ConfigError("dropout needs an rng")
 
-    scores = scores_efficient(h, params, table, dm, query=query)
+    scores = scores_efficient(h, params, table, dm, query=query, positions=positions)
 
     logits = T.mul(scores.combined, params.scale)
     if mask is not None:

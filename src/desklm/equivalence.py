@@ -70,7 +70,8 @@ def _make_params(d: int, heads: int, seed: int, share: bool,
         return Tensor(truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d)),
                       requires_grad=True)
 
-    # As in the model, shared or unused position projections are the content ones.
+    # Shared projections are the content ones, as in the model; an unused
+    # one is still drawn and simply gets no gradient.
     w_qc, w_kc = w("w_qc"), w("w_kc")
     w_qr, w_kr = w_qc, w_kc
     if not share and (enable_c2p or enable_p2c):

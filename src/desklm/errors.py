@@ -2,8 +2,15 @@
 
 Every error raised on purpose derives from DeskLMError so callers (and the
 CLI exit-code mapping) can tell deliberate contract failures apart from
-plain bugs.
+plain bugs.  check_field_types lives here too: every config dataclass
+calls it, and this module imports nothing of the package.
 """
+
+import dataclasses
+import functools
+import numbers
+import types
+import typing
 
 
 class DeskLMError(Exception):
@@ -12,6 +19,36 @@ class DeskLMError(Exception):
 
 class ConfigError(DeskLMError):
     """A configuration value is missing, malformed, or out of range."""
+
+
+def _has_type(value, hint) -> bool:
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if hint is int:  # a bool is an int to Python, never to a config
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if hint is float:  # a config file may well say 1 for 1.0
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls) -> tuple:
+    # get_type_hints evaluates the annotation strings: once per class
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.type, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def check_field_types(obj) -> None:
+    """ConfigError unless every field of the dataclass instance obj holds
+    a value of its annotated type: int, float (an int also passes),
+    bool, str, a class, or a union of these with None."""
+    for name, written, hint in _field_hints(type(obj)):
+        value = getattr(obj, name)
+        if not _has_type(value, hint):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be "
+                              f"{written}, got {value!r}")
 
 
 class ContractError(DeskLMError):

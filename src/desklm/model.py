@@ -49,6 +49,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    check_field_types,
 )
 from .relpos import build_delta_matrix
 from .seeding import rng_for, truncated_normal
@@ -64,6 +65,9 @@ class AblationFlags:
     emd: bool = True
     c2p: bool = True
     p2c: bool = True
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass
@@ -86,8 +90,7 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.ablations, dict):
             self.ablations = AblationFlags(**self.ablations)
-        if not isinstance(self.ablations, AblationFlags):
-            raise ConfigError(f"ablations must be an object, got {self.ablations!r}")
+        check_field_types(self)
         if self.vocab_size < 2:
             # The data pipeline needs room past its reserved ids and
             # checks that itself; the model only needs a distribution.
@@ -131,8 +134,10 @@ def _block_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple]:
         f"{prefix}_att_wvc": (d, d),
         f"{prefix}_att_wo": (d, d),
     }
-    if cfg.uses_position_terms and not cfg.share_projection:
+    # Each position projection exists only for the term that reads it.
+    if cfg.ablations.p2c and not cfg.share_projection:
         shapes[f"{prefix}_att_wqr"] = (d, d)
+    if cfg.ablations.c2p and not cfg.share_projection:
         shapes[f"{prefix}_att_wkr"] = (d, d)
     shapes.update({
         f"{prefix}_ln1_g": (d,),
@@ -188,8 +193,9 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
 
 
 def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
-    """(..., n, n) additive mask, one per row of real, or None when
-    nothing is blocked.
+    """Additive mask, one per row of real, or None when nothing is
+    blocked: (..., n, n) when causal, else (..., 1, n), one row that
+    serves every query.
 
     Padding blocks columns only: a PAD position may still attend out,
     so its own softmax row stays well defined, but nothing real ever
@@ -198,7 +204,7 @@ def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
     if real is None and not causal:
         return None
     blocked = np.triu(np.ones((n, n), dtype=bool), k=1) if causal \
-        else np.zeros((n, n), dtype=bool)
+        else np.zeros((1, n), dtype=bool)
     if real is not None:
         real = np.asarray(real, dtype=bool)
         if real.shape[-1:] != (n,):
@@ -236,9 +242,10 @@ class Model:
             p.grad = None
 
     def _attn_params(self, prefix: str) -> AttentionParams:
-        # no position projections (shared or unused): the content ones stand in
+        # shared position projections are the content ones; unused ones are None
         p = self.params
         w_qc, w_kc = p[f"{prefix}_att_wqc"], p[f"{prefix}_att_wkc"]
+        shared = self.cfg.share_projection
         return AttentionParams(
             heads=self.cfg.heads,
             w_qc=w_qc,
@@ -247,12 +254,13 @@ class Model:
             w_o=p[f"{prefix}_att_wo"],
             enable_c2p=self.cfg.ablations.c2p,
             enable_p2c=self.cfg.ablations.p2c,
-            w_qr=p.get(f"{prefix}_att_wqr", w_qc),
-            w_kr=p.get(f"{prefix}_att_wkr", w_kc),
+            w_qr=w_qc if shared else p.get(f"{prefix}_att_wqr"),
+            w_kr=w_kc if shared else p.get(f"{prefix}_att_wkr"),
         )
 
     def _block(self, prefix: str, query: Tensor, content: Tensor, dm, mask,
-               training: bool, rng, collect: dict | None = None) -> Tensor:
+               training: bool, rng, collect: dict | None = None,
+               positions=None) -> Tensor:
         p = self.params
         drop = self.cfg.dropout if training else 0.0
         probs: list | None = [] if collect is not None else None
@@ -260,7 +268,7 @@ class Model:
         # then never reads it.
         a = attend(content, self._attn_params(prefix), p.get("pos_table"), dm,
                    mask=mask, query=query, dropout_p=drop, rng=rng,
-                   collect=probs)
+                   collect=probs, positions=positions)
         if collect is not None:
             collect[prefix] = probs[0]
         a = T.dropout(a, drop, rng)
@@ -275,10 +283,11 @@ class Model:
     def encode(self, ids: np.ndarray, real: np.ndarray | None = None,
                causal: bool = False, training: bool = False, rng=None,
                perturb: Tensor | None = None,
-               collect: dict | None = None) -> Tensor:
+               collect: dict | None = None, mask: Tensor | None = None) -> Tensor:
         """Token ids (..., n) to hidden states (..., n, d).
 
         real, when given, has the shape of ids and is False at PAD.
+        mask, when given, replaces build_mask(n, real, causal).
         perturb, when given, is added to the normalised embeddings and
         has the shape of the output.  collect receives, per block
         prefix, the (..., heads, n, n) attention probabilities.
@@ -304,24 +313,55 @@ class Model:
             h = T.add(h, perturb)
         h = T.dropout(h, self.cfg.dropout if training else 0.0, rng)
         dm = build_delta_matrix(n, self.cfg.k)
-        mask = build_mask(n, real, causal)
+        if mask is None:
+            mask = build_mask(n, real, causal)
         for i in range(self.cfg.L):
             h = self._block(f"enc{i}", h, h, dm, mask, training, rng,
                             collect=collect)
         return h
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
-               causal: bool = False, training: bool = False, rng=None) -> Tensor:
-        """Hidden states (..., n, d) to logits (..., n, vocab)."""
+               causal: bool = False, training: bool = False, rng=None,
+               mask: Tensor | None = None,
+               predict: np.ndarray | None = None) -> Tensor:
+        """Hidden states (..., n, d) to logits (..., n, vocab).
+
+        mask, when given, replaces build_mask(n, real, causal).  predict,
+        when given, is a bool array (..., n): only the logits at its True
+        slots are returned, as (count, vocab) rows in row-major order.
+        The head's keys and values stay h, so a query row depends only
+        on its own slot and h; without causal, the head then runs at the
+        predicted slots alone.
+        """
         cfg = self.cfg
-        n = h.shape[-2]
+        *lead, n, d = h.shape
         dm = build_delta_matrix(n, cfg.k)
-        mask = build_mask(n, real, causal)
-        x = h
+        if mask is None:
+            mask = build_mask(n, real, causal)
+        x, rows, picks = h, None, None
+        if predict is not None:
+            predict = np.asarray(predict, dtype=bool)
+            if predict.shape != h.shape[:-1]:
+                raise ContractError(f"predict shape {predict.shape} does not match "
+                                    f"the rows of {h.shape}")
+            picks = np.flatnonzero(predict)
+            if not causal:
+                # Each row's predicted slots, left-packed to the longest
+                # count; the tail of a shorter row repeats some valid slot
+                # and is dropped before the projection.
+                counts = predict.sum(axis=-1)
+                rows = np.argsort(~predict, axis=-1, kind="stable")[..., :int(counts.max())]
+                picks = np.flatnonzero(np.arange(rows.shape[-1]) < counts[..., None])
+                first = np.arange(0, h.size // d, n).reshape(lead)  # flat slot 0 of each row
+                x = T.gather_rows(T.reshape(h, (h.size // d, d)), first[..., None] + rows)
         if cfg.ablations.emd:
-            x = T.add(h, T.gather_rows(self.params["dec_abs"], np.arange(n)))
+            x = T.add(x, T.gather_rows(self.params["dec_abs"],
+                                       np.arange(n) if rows is None else rows))
         for j in range(cfg.n_emd if cfg.ablations.emd else 1):
-            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, training, rng)
+            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, training,
+                            rng, positions=rows)
+        if picks is not None:
+            x = T.gather_rows(T.reshape(x, (x.size // d, d)), picks)
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))
         return T.add(logits, self.params["out_bias"])
 
@@ -331,18 +371,37 @@ class Model:
         """The loss core of both objectives: encode and decode ids, then
         score targets (shaped like ids) at the True slots of predict.
         Returns what mlm_row documents."""
-        picks = np.flatnonzero(predict)
-        if picks.size == 0:
+        ids = np.asarray(ids, dtype=np.int64)
+        predict = np.asarray(predict, dtype=bool)
+        if not predict.any():
             raise ContractError("no slot to predict: the predict mask is all False")
-        h = self.encode(ids, real=real, causal=causal, training=training,
-                        rng=rng, perturb=perturb)
-        logits = self.decode(h, real=real, causal=causal, training=training,
-                             rng=rng)
-        vocab = self.cfg.vocab_size
-        picked = T.gather_rows(T.reshape(logits, (logits.size // vocab, vocab)), picks)
-        wanted = np.asarray(targets, dtype=np.int64).reshape(-1)[picks]
+        targets = np.asarray(targets, dtype=np.int64)
+        if real is not None:
+            real = np.asarray(real, dtype=bool)
+            if real.shape[-1:] != ids.shape[-1:]:
+                raise ContractError(f"real mask shape {real.shape} does not end in "
+                                    f"({ids.shape[-1]},)")
+            # Rows are left-packed, so every column past the longest real
+            # row is PAD, which nothing real attends into: drop them.
+            n = int(real.sum(axis=-1).max())
+            if predict[..., n:].any():
+                raise ContractError("a predicted slot lies past the last real token")
+            if n < ids.shape[-1]:
+                if perturb is not None:
+                    if perturb.shape[:-1] != ids.shape:
+                        raise ContractError(f"perturbation shape {perturb.shape} "
+                                            f"does not fit ids {ids.shape}")
+                    # a gather, so the gradient still reaches every column
+                    perturb = T.gather_rows(perturb, np.arange(n))
+                ids, targets = ids[..., :n], targets[..., :n]
+                predict, real = predict[..., :n], real[..., :n]
+        mask = build_mask(ids.shape[-1], real, causal)
+        h = self.encode(ids, training=training, rng=rng, perturb=perturb, mask=mask)
+        picked = self.decode(h, causal=causal, training=training, rng=rng,
+                             mask=mask, predict=predict)
+        wanted = targets.reshape(-1)[np.flatnonzero(predict)]
         chosen = T.gather_elements(T.log_softmax_rows(picked), wanted[:, None])
-        return T.neg(T.sum_all(chosen)), picks.size, picked
+        return T.neg(T.sum_all(chosen)), wanted.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
                 real: np.ndarray, training: bool = False, rng=None,
@@ -376,7 +435,7 @@ class Model:
         if ids.ndim < 1 or ids.shape[-1] < 2:
             raise ContractError("causal prediction needs at least two tokens")
         # Slot i predicts token i + 1 if real; the rolled last column is never
-        # picked.  A wrong-shaped real mask reaches encode, which rejects it.
+        # picked.  A wrong-shaped real mask reaches _nll, which rejects it.
         predict = np.roll(np.ones(ids.shape, dtype=bool) if real is None
                           else np.asarray(real, dtype=bool), -1, axis=-1)
         predict[..., -1] = False

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .seeding import rng_for
 from .tensor import Tape, Tensor
 
@@ -42,6 +42,7 @@ class SiftConfig:
     lam: float = 1.0  # weight of the consistency term ("lambda" in configs)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if self.ascent_steps < 0:

@@ -470,23 +470,35 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 def gather_elements(a: Tensor, col_indices) -> Tensor:
     """Take along the last axis: output[..., i, j] = a[..., i, col_indices[i, j]].
 
-    a is (..., *s, n) and col_indices (*s, j): one index array shared by
+    a is (..., *s, n).  col_indices (*s, j) is one index array shared by
     every leading block, so an (h, n, 2k) tensor gathered with one
-    (n, n) index matrix gives (h, n, n).
+    (n, n) index matrix gives (h, n, n).  An index with a's rank whose
+    leading dims broadcast against a's gives each leading block its own
+    index, as np.take_along_axis does: a (b, h, m, 2k) tensor gathered
+    with a (b, 1, m, n) index gives (b, h, m, n).
     """
     cols = np.asarray(col_indices)
     if cols.dtype.kind not in "iu":
         raise ContractError("gather_elements indices must be integers")
-    if not 1 <= cols.ndim <= a.ndim or \
-            cols.shape[:-1] != a.shape[a.ndim - cols.ndim:-1]:
-        raise ShapeError(
-            f"gather_elements: index shape {cols.shape} does not pair with {a.shape}"
-        )
+    shared = 1 <= cols.ndim <= a.ndim and \
+        cols.shape[:-1] == a.shape[a.ndim - cols.ndim:-1]
+    if not shared:
+        try:
+            per_block = cols.ndim == a.ndim and \
+                np.broadcast_shapes(a.shape[:-1], cols.shape[:-1]) == a.shape[:-1]
+        except ValueError:
+            per_block = False
+        if not per_block:
+            raise ShapeError(
+                f"gather_elements: index shape {cols.shape} does not pair with {a.shape}"
+            )
+        cols = np.broadcast_to(cols, a.shape[:-1] + cols.shape[-1:])
     n = a.shape[-1]
     if cols.size and (cols.min() < 0 or cols.max() >= n):
         bad = cols[(cols < 0) | (cols >= n)].flat[0]
         raise IndexBoundsError(f"gather_elements index {bad} out of range [0, {n})")
-    # Offsets into one block of the shared dims, laid out as (*s, n).
+    # Offsets into one block of the shared dims, laid out as (*s, n); a
+    # per-block index spans all of a as one block.
     rows = int(np.prod(cols.shape[:-1], dtype=np.int64))
     block = rows * n
     off = (np.arange(rows, dtype=np.int64)[:, None] * n

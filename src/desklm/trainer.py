@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import BatchStream
-from .errors import ConfigError, DivergenceError, IngestionError
+from .errors import ConfigError, DivergenceError, IngestionError, check_field_types
 from .model import Model, ModelConfig, save_checkpoint
 from .sift import SiftConfig, sift_loss
 from .tensor import Tape
@@ -46,6 +46,7 @@ class TrainConfig:
     span_max: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.batch_size < 1:

@@ -197,6 +197,21 @@ def test_pretrain_bad_trainer_value_fails_before_training(tmp_path, capsys,
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("override,needle", [
+    ("model.d=32.0", "ModelConfig.d"),
+    ("trainer.batch_size=true", "TrainConfig.batch_size"),
+    ("model.ablations.c2p=no", "AblationFlags.c2p"),
+])
+def test_pretrain_mistyped_value_is_config_error(tmp_path, capsys, override,
+                                                 needle):
+    out = tmp_path / "x"
+    rc = main(["pretrain", "--config", "toy", "--set", override,
+               "--out", str(out)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_pretrain_ablation_override_lands_in_echo(tmp_path):
     out = tmp_path / "run"
     rc = main(["pretrain", "--config", "toy", *PRETRAIN_FAST,

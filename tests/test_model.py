@@ -87,6 +87,16 @@ def test_config_rejects_non_object_ablations():
         tiny_cfg(ablations=5)
 
 
+def test_config_checks_field_types():
+    with pytest.raises(ConfigError):
+        tiny_cfg(d=8.0)
+    with pytest.raises(ConfigError):
+        tiny_cfg(emd_shared=1)
+    with pytest.raises(ConfigError):
+        tiny_cfg(ablations={"c2p": "no"})
+    assert tiny_cfg(dropout=0).dropout == 0  # an int is a float
+
+
 def test_param_shapes_and_count():
     cfg = tiny_cfg()
     shapes = param_shapes(cfg)
@@ -363,6 +373,98 @@ def test_shared_projection_is_the_content_projection():
                 shared.params[f"{prefix}_att_{c}"].grad,
                 u[f"{prefix}_att_{c}"].grad + u[f"{prefix}_att_{r}"].grad,
                 rtol=0, atol=1e-12, err_msg=f"{prefix}_att_{c}")
+
+
+@pytest.mark.parametrize("off", ["c2p", "p2c"])
+def test_one_term_ablation_has_no_dead_projection(off):
+    # a projection exists only for the term that reads it, so every
+    # parameter gets a gradient from both objectives
+    m = Model(tiny_cfg(ablations={off: False}), seed=26)
+    dead = "_att_wkr" if off == "c2p" else "_att_wqr"
+    assert not any(k.endswith(dead) for k in m.params)
+    ids = np.array([[2, 7, 8, 9, 3], [2, 10, 11, 3, 0]])
+    real = ids != 0
+    predict = np.zeros(ids.shape, dtype=bool)
+    predict[0, [1, 3]] = predict[1, 2] = True
+    for loss_of in (lambda: m.arlm_row(ids, real=real),
+                    lambda: m.mlm_row(ids, np.where(predict, 4, ids), predict, real)):
+        m.zero_grad()
+        with Tape() as tape:
+            nll, _, _ = loss_of()
+        tape.backward(nll)
+        for name, p in m.params.items():
+            assert p.grad is not None, name
+
+
+def _padded_mlm_batch(seed, rows=4, n=12, pad=0):
+    """Left-packed rows of varied length with one to three predicted
+    slots each, plus pad extra all-PAD columns."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, n + pad), dtype=np.int64)
+    predict = np.zeros(x.shape, dtype=bool)
+    for r in range(rows):
+        length = int(rng.integers(4, n + 1))
+        x[r, :length] = np.concatenate(([2], rng.integers(5, 13, length - 2), [3]))
+        picked = rng.choice(np.arange(1, length - 1), int(rng.integers(1, 4)),
+                            replace=False)
+        predict[r, picked] = True
+    return x, np.where(predict, 4, x), predict, x != 0
+
+
+@pytest.mark.parametrize("over", [
+    {}, {"ablations": {"emd": False}}, {"emd_shared": False},
+    {"ablations": {"c2p": False}}, {"ablations": {"p2c": False}},
+    {"share_projection": True},
+], ids=["default", "no-emd", "unshared-emd", "no-c2p", "no-p2c", "shared-proj"])
+def test_restricted_head_equals_full_head(over):
+    # the masked objective runs the head at predicted slots only; the
+    # full head's rows at those slots are the same numbers
+    m = Model(tiny_cfg(**over), seed=27)
+    for seed in range(3):
+        x, xt, predict, real = _padded_mlm_batch(seed)
+        full = m.decode(m.encode(xt, real=real), real=real).data
+        want = full.reshape(-1, full.shape[-1])[np.flatnonzero(predict)]
+        _, count, picked = m.mlm_row(x, xt, predict, real)
+        assert count == predict.sum()
+        npt.assert_allclose(picked.data, want, rtol=0, atol=1e-12)
+
+
+def _untrimmed_nll(m, ids, targets, predict, real, causal):
+    """The loss from full-width encode and decode, nothing trimmed."""
+    logits = m.decode(m.encode(ids, real=real, causal=causal), real=real,
+                      causal=causal).data
+    picks = np.flatnonzero(predict)
+    rows = logits.reshape(-1, logits.shape[-1])[picks]
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return -logp[np.arange(picks.size), targets.reshape(-1)[picks]].sum()
+
+
+def test_trailing_pad_columns_do_not_change_the_loss():
+    m = Model(tiny_cfg(), seed=28)
+    x, xt, predict, real = _padded_mlm_batch(4)
+    wx, wxt, wpredict, wreal = _padded_mlm_batch(4, pad=3)
+    narrow, _, _ = m.mlm_row(x, xt, predict, real)
+    wide, _, _ = m.mlm_row(wx, wxt, wpredict, wreal)
+    npt.assert_allclose(wide.item(), narrow.item(), rtol=0, atol=1e-12)
+    npt.assert_allclose(wide.item(), _untrimmed_nll(m, wxt, wx, wpredict, wreal, False),
+                        rtol=0, atol=1e-12)
+    narrow, _, _ = m.arlm_row(x, real=real)
+    wide, _, _ = m.arlm_row(wx, real=wreal)
+    npt.assert_allclose(wide.item(), narrow.item(), rtol=0, atol=1e-12)
+    next_real = np.roll(wreal, -1, axis=-1)
+    next_real[:, -1] = False
+    npt.assert_allclose(wide.item(), _untrimmed_nll(m, wx, np.roll(wx, -1, axis=-1),
+                                                    next_real, wreal, True),
+                        rtol=0, atol=1e-12)
+    # a full-width perturbation still gets its gradient through the trim
+    delta = Tensor(np.zeros(wx.shape + (8,)), requires_grad=True)
+    with Tape() as tape:
+        nll, _, _ = m.mlm_row(wx, wxt, wpredict, wreal, perturb=delta)
+    tape.backward(nll, targets=[delta])
+    assert delta.grad.shape == delta.shape
+    assert np.abs(delta.grad[:, :real.sum(-1).max()]).max() > 0
+    npt.assert_array_equal(delta.grad[:, real.sum(-1).max():], 0.0)
 
 
 # ---------------------------------------------------------------------

@@ -356,6 +356,20 @@ def test_gather_elements_matches_take_along_axis():
     npt.assert_array_equal(got, want)
 
 
+def test_gather_elements_per_block_index():
+    # one index per leading block, broadcast over the heads axis, as the
+    # mask decoder gathers delta rows at each row's own query slots
+    rng = np.random.default_rng(66)
+    m = rng.normal(0, 1, (2, 3, 4, 6))
+    cols = rng.integers(0, 6, (2, 1, 4, 5))
+    got = T.gather_elements(Tensor(m), cols).data
+    npt.assert_array_equal(got, np.take_along_axis(m, cols, axis=-1))
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols),
+                                        _probe((2, 3, 4, 5), 76))), [m])
+    with pytest.raises(ShapeError):
+        T.gather_elements(Tensor(m), rng.integers(0, 6, (3, 1, 4, 5)))
+
+
 def test_grad_broadcast_add_sub_mul():
     rng = np.random.default_rng(65)
     a = rng.normal(0, 1, (2, 3, 4, 4))
