@@ -17,7 +17,8 @@ hook in the equivalence suite simulates.
 
 Scores are scaled by 1 / sqrt(tau * head_size) where tau counts the
 enabled terms (3 when both position terms are on), then masked and
-row-softmaxed.
+row-softmaxed; attend hands the scale and the mask to softmax_rows,
+which does all three in one op and never exponentiates a masked entry.
 
 Inputs are (..., n, d): one row or a batch of rows.  Heads are never
 looped over: the width splits into (heads, head_size) by reshape and
@@ -35,9 +36,10 @@ Two kernels produce the same scores; attend always runs the efficient one:
   * scores_efficient never builds an (n*n, d) object.  For the c2p term
     it computes Q_c K_r^T once for every head, an (..., heads, n, 2k)
     tensor, and gathers element [i, delta[i, j]].  For p2c it computes
-    K_c Q_r^T, gathers element [j, delta[j, i]] and swaps the last two
-    axes.  Peak extra storage is O(k d) for the projected tables plus
-    one (heads, n, 2k) reuse buffer per row.
+    K_c Q_r^T and gathers element [j, delta[j, i]] straight into place
+    (i, j).  Both gathers read flat offsets into each (n, 2k) block,
+    derived from delta on every call.  Peak extra storage is O(k d) for
+    the projected tables plus one (heads, n, 2k) reuse buffer per row.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -165,6 +167,27 @@ def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
     return q_in
 
 
+def _c2p_offsets(dm: DeltaMatrix, positions=None) -> np.ndarray:
+    """Flat offsets of c2p into each (..., rows, 2k) product block: row
+    i's column delta(i, j) at (i, j), with i the query's slot.  With
+    positions, one (..., 1, m, n) table per block of rows, shared by
+    the heads."""
+    vals = dm.values if positions is None else dm.values[positions]
+    rows = np.arange(vals.shape[-2], dtype=np.int64)[:, None] * (2 * dm.k)
+    off = vals + rows
+    return off if positions is None else off[..., None, :, :]
+
+
+def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None) -> np.ndarray:
+    """Flat offsets of p2c into each (..., n, 2k) product block: row j's
+    column delta(j, i) at (i, j), so the gather lands in (i, j) layout.
+    With positions, the rows of that table at the query slots.  The
+    swap-delta fault reads column delta(i, j) instead."""
+    vals = dm.values.T if fault is None else dm.values
+    off = vals + np.arange(dm.n, dtype=np.int64) * (2 * dm.k)
+    return off if positions is None else off[positions][..., None, :, :]
+
+
 def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
                  query: Tensor | None = None, meter=None) -> AttentionScores:
     """Reference kernel: per-pair gathered embeddings, O(n^2 d) space.
@@ -246,20 +269,6 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     c2c = T.matmul(qc_h, kc_t)
     total = c2c
 
-    # gather_elements(prod, cols)[..., a, b] = prod[..., a, cols[a, b]].
-    # For p2c we need G[j, i] = prod[j, delta(j, i)] = prod[j, dm[j, i]],
-    # so the gather uses dm itself and the transpose happens afterwards.
-    # The swap-delta fault gathers with dm transposed, which lands on
-    # prod[j, delta(i, j)]: the orientation bug.
-    dm_fwd = dm.values
-    dm_rev = dm.values if fault is None else dm.values.T
-    if positions is not None:
-        # Query rows at positions only: c2p reads the rows of delta at
-        # positions, p2c reads delta(j, positions) for every key j.  Each
-        # block of rows has its own index, shared by the heads.
-        dm_fwd = dm_fwd[positions][..., None, :, :]                    # (..., 1, m, n)
-        dm_rev = np.moveaxis(dm_rev[:, positions], 0, -2)[..., None, :, :]  # (..., 1, n, m)
-
     c2p = p2c = None
     if params.enable_c2p:
         # All m * 2k query/position-key products of every head, then
@@ -268,19 +277,18 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         _meter_alloc(meter, kr)
         prod = T.matmul(qc_h, _heads_t(kr, heads))
         _meter_alloc(meter, prod)
-        c2p = T.gather_elements(prod, dm_fwd)
+        c2p = T.gather_flat(prod, _c2p_offsets(dm, positions))
         _meter_release(meter, prod)
         total = T.add(total, c2p)
 
     if params.enable_p2c:
-        # Row j of the product holds K_c[j] . Q_r[*]; entry (j, i) of
-        # the gathered matrix is K_c[j] . Q_r[delta(j, i)], and the
-        # transpose places it at (i, j).
+        # Row j of the product holds K_c[j] . Q_r[*]; the offsets place
+        # K_c[j] . Q_r[delta(j, i)] straight at (i, j).
         qr = T.matmul(table, params.w_qr)
         _meter_alloc(meter, qr)
         prod = T.matmul(T.transpose(kc_t), _heads_t(qr, heads))
         _meter_alloc(meter, prod)
-        p2c = T.transpose(T.gather_elements(prod, dm_rev))
+        p2c = T.gather_flat(prod, _p2c_offsets(dm, positions, fault))
         _meter_release(meter, prod)
         total = T.add(total, p2c)
 
@@ -312,11 +320,9 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
 
     scores = scores_efficient(h, params, table, dm, query=query, positions=positions)
 
-    logits = T.mul(scores.combined, params.scale)
-    if mask is not None:
-        *lead, n, m = mask.shape
-        logits = T.add(logits, T.reshape(mask, (*lead, 1, n, m)))
-    probs = T.softmax_rows(logits)
+    # every head reads the same mask: a head axis as a view, not a copy
+    head_mask = None if mask is None else mask.data[..., None, :, :]
+    probs = T.softmax_rows(scores.combined, params.scale, head_mask)
     if collect is not None:
         collect.append(probs.data.copy())
     probs = T.dropout(probs, dropout_p, rng)
@@ -325,16 +331,24 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
 
 
 def extra_param_count(config) -> int:
-    """Parameters added by the position pathway, from config dimensions.
+    """Parameters the position pathway adds to the L encoder layers, from
+    config dimensions; the mask decoder's blocks are not counted.
 
     Needs config.L (layers), config.d (width), config.k (window
-    half-width) and config.share_projection.  The position table itself
-    contributes 2 k d; unshared projections add 2 d^2 per layer.
+    half-width) and config.share_projection.  config.ablations, when
+    present, says which position terms are on; without it both are.
+    With either term on, the position table contributes 2 k d and each
+    enabled term's unshared projection d^2 per layer.  With both off
+    there is no table and no projection.
     """
     L, d, k = int(config.L), int(config.d), int(config.k)
     if min(L, d, k) < 1:
         raise ConfigError("extra_param_count needs positive L, d, k")
+    ablations = getattr(config, "ablations", None)
+    terms = 2 if ablations is None else int(ablations.c2p) + int(ablations.p2c)
+    if terms == 0:
+        return 0
     table = 2 * k * d
     if getattr(config, "share_projection", False):
         return table
-    return 2 * L * d * d + table
+    return terms * L * d * d + table

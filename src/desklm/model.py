@@ -49,6 +49,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    IndexBoundsError,
     check_field_types,
 )
 from .relpos import build_delta_matrix
@@ -400,7 +401,12 @@ class Model:
         picked = self.decode(h, causal=causal, training=training, rng=rng,
                              mask=mask, predict=predict)
         wanted = targets.reshape(-1)[np.flatnonzero(predict)]
-        chosen = T.gather_elements(T.log_softmax_rows(picked), wanted[:, None])
+        vocab = picked.shape[-1]
+        if wanted.size and not 0 <= wanted.min() <= wanted.max() < vocab:
+            raise IndexBoundsError(f"target id outside [0, {vocab})")
+        # row r's target is at flat offset r * vocab + wanted[r]
+        offsets = np.arange(wanted.size, dtype=np.int64) * vocab + wanted
+        chosen = T.gather_flat(T.log_softmax_rows(picked), offsets[:, None])
         return T.neg(T.sum_all(chosen)), wanted.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,

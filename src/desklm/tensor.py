@@ -9,20 +9,25 @@ package is single-threaded and starts no thread of its own.
 
 Every op works over any leading dims: the matrix ops (matmul,
 transpose) act on the last two axes, the row ops (row_sum, the
-softmaxes, layer_norm, gather_elements) on the last axis, so an (n, d)
-row and a (b, h, n, d) batch run through the same code.
+softmaxes, layer_norm) on the last axis, and gather_flat on each
+trailing (r, c) block, so an (n, d) row and a (b, h, n, d) batch run
+through the same code.
 
 Broadcasting has one rule: in add, sub and mul the second operand
 broadcasts to the first operand's shape (numpy rules), and the backward
 pass sums its gradient over the broadcast axes.  A python scalar counts
 as a second operand of any shape.  matmul broadcasts the leading dims of
 both operands, so a (b, n, d) batch times a (d, e) weight is one call.
-Anything else raises ShapeError.
+Anything else raises ShapeError.  An operand that does not require a
+gradient when the op is recorded gets none in the backward.
 
 Masking convention: additive masks use the sentinel MASK_SENTINEL
-(-1e30).  softmax_rows treats entries at or below -1e29 as masked and
-gives them probability exactly 0.0.  A row with every entry masked has
-no defined distribution and raises DegenerateRowError.
+(-1e30).  softmax_rows(a, scale, mask) takes the scale and the mask
+itself, as a constant that broadcasts to a's shape, and computes
+softmax(a * scale + mask) in one op.  It treats entries at or below
+-1e29 as masked and gives them probability exactly 0.0; given a mask,
+it never exponentiates them.  A row with every entry masked has no defined
+distribution and raises DegenerateRowError.
 
 Allocator policy: a training step builds and frees tens of MB of arrays.
 glibc's dynamic trim threshold hands that freed memory back to the
@@ -329,8 +334,9 @@ def add(a: Tensor, b) -> Tensor:
         return _record(out, (a,), lambda g: [g])
     _check_broadcast("add", a, b)
     out = Tensor._from_data(a.data + b.data)
-    bshape = b.shape
-    return _record(out, (a, b), lambda g: [g, _unbroadcast(g, bshape)])
+    ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
+    return _record(out, (a, b), lambda g: [g if ga else None,
+                                           _unbroadcast(g, bshape) if gb else None])
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -341,8 +347,9 @@ def sub(a: Tensor, b) -> Tensor:
         return _record(out, (a,), lambda g: [g])
     _check_broadcast("sub", a, b)
     out = Tensor._from_data(a.data - b.data)
-    bshape = b.shape
-    return _record(out, (a, b), lambda g: [g, -_unbroadcast(g, bshape)])
+    ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
+    return _record(out, (a, b), lambda g: [g if ga else None,
+                                           -_unbroadcast(g, bshape) if gb else None])
 
 
 def neg(a: Tensor) -> Tensor:
@@ -360,7 +367,9 @@ def mul(a: Tensor, b) -> Tensor:
     _check_broadcast("mul", a, b)
     out = Tensor._from_data(a.data * b.data)
     ad, bd = a.data, b.data
-    return _record(out, (a, b), lambda g: [g * bd, _unbroadcast(g * ad, bd.shape)])
+    ga, gb = a.requires_grad, b.requires_grad
+    return _record(out, (a, b), lambda g: [g * bd if ga else None,
+                                           _unbroadcast(g * ad, bd.shape) if gb else None])
 
 
 # -- linear algebra ----------------------------------------------------
@@ -467,77 +476,98 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), bwd)
 
 
-def gather_elements(a: Tensor, col_indices) -> Tensor:
-    """Take along the last axis: output[..., i, j] = a[..., i, col_indices[i, j]].
+def gather_flat(a: Tensor, offsets) -> Tensor:
+    """Take from each trailing block at flat offsets:
+    output[..., i, j] = a[..., :, :].ravel()[offsets[..., i, j]].
 
-    a is (..., *s, n).  col_indices (*s, j) is one index array shared by
-    every leading block, so an (h, n, 2k) tensor gathered with one
-    (n, n) index matrix gives (h, n, n).  An index with a's rank whose
-    leading dims broadcast against a's gives each leading block its own
-    index, as np.take_along_axis does: a (b, h, m, 2k) tensor gathered
-    with a (b, 1, m, n) index gives (b, h, m, n).
+    a is (..., r, c) and offsets an integer (..., m, n) array with
+    entries in [0, r * c); the output is (..., m, n) with a's leading
+    dims.  Offsets whose leading dims are all 1 (or absent) are one
+    table shared by every block, so an (h, n, 2k) tensor gathered with
+    one (n, n) table gives (h, n, n).  Otherwise their leading dims
+    broadcast against a's and each block reads its own table: a
+    (b, h, m, 2k) tensor gathered with (b, 1, m, n) offsets gives
+    (b, h, m, n).  Repeated offsets accumulate their gradients.
     """
-    cols = np.asarray(col_indices)
-    if cols.dtype.kind not in "iu":
-        raise ContractError("gather_elements indices must be integers")
-    shared = 1 <= cols.ndim <= a.ndim and \
-        cols.shape[:-1] == a.shape[a.ndim - cols.ndim:-1]
-    if not shared:
-        try:
-            per_block = cols.ndim == a.ndim and \
-                np.broadcast_shapes(a.shape[:-1], cols.shape[:-1]) == a.shape[:-1]
-        except ValueError:
-            per_block = False
-        if not per_block:
-            raise ShapeError(
-                f"gather_elements: index shape {cols.shape} does not pair with {a.shape}"
-            )
-        cols = np.broadcast_to(cols, a.shape[:-1] + cols.shape[-1:])
-    n = a.shape[-1]
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        bad = cols[(cols < 0) | (cols >= n)].flat[0]
-        raise IndexBoundsError(f"gather_elements index {bad} out of range [0, {n})")
-    # Offsets into one block of the shared dims, laid out as (*s, n); a
-    # per-block index spans all of a as one block.
-    rows = int(np.prod(cols.shape[:-1], dtype=np.int64))
-    block = rows * n
-    off = (np.arange(rows, dtype=np.int64)[:, None] * n
-           + cols.reshape(rows, -1).astype(np.int64)).ravel()
-    picked = np.take(a.data.reshape(-1, block), off, axis=1)
-    out = Tensor._from_data(picked.reshape(a.shape[:-1] + cols.shape[-1:]))
+    off = np.asarray(offsets)
+    if off.dtype.kind not in "iu":
+        raise ContractError("gather_flat offsets must be integers")
+    if a.ndim < 2 or off.ndim < 2:
+        raise ShapeError(f"gather_flat needs a (..., r, c) tensor and (..., m, n) offsets, "
+                         f"got {a.shape} and {off.shape}")
+    lead = a.shape[:-2]
+    try:
+        ok = np.broadcast_shapes(lead, off.shape[:-2]) == lead
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ShapeError(f"gather_flat: offsets {off.shape} do not pair with {a.shape}")
+    block = a.shape[-2] * a.shape[-1]
+    if off.size and (off.min() < 0 or off.max() >= block):
+        bad = off[(off < 0) | (off >= block)].flat[0]
+        raise IndexBoundsError(f"gather_flat offset {bad} out of range [0, {block})")
+    off = off.astype(np.int64, copy=False)
+    if any(s != 1 for s in off.shape[:-2]):
+        # a table per block: offsets into a taken as one block
+        blocks = np.arange(int(np.prod(lead, dtype=np.int64)), dtype=np.int64)
+        off, block = blocks.reshape(lead + (1, 1)) * block + off, a.size
+    flat = off.reshape(-1)
+    picked = np.take(a.data.reshape(-1, block), flat, axis=1)
+    out = Tensor._from_data(picked.reshape(lead + off.shape[-2:]))
     ashape = a.shape
-    return _record(out, (a,), lambda g: [_scatter_add(g, off, ashape, block)])
+    return _record(out, (a,), lambda g: [_scatter_add(g, flat, ashape, block)])
 
 
 # -- nonlinearities ----------------------------------------------------
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis with additive-mask awareness.
+def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
+    """Softmax of a * scale + mask over the last axis, as one op.
 
-    Entries at or below -1e29 are treated as masked: they receive
-    probability exactly 0.0 and propagate zero gradient.  A row with all
-    entries masked raises DegenerateRowError naming the row.
+    mask, when given, is a constant additive numpy array that
+    broadcasts to a's shape; it is not a tape parent and gets no
+    gradient.  Entries of a * scale + mask at or below -1e29 are
+    treated as masked: they receive probability exactly 0.0 and
+    propagate zero gradient, and with a mask they are never
+    exponentiated.  A row with all entries masked raises
+    DegenerateRowError naming the row.
     """
     if a.ndim < 1:
         raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
-    data = a.data
-    # A row's maximum is a live entry unless every entry is masked, and
-    # a masked entry sits at least 1e29 below it, so its exp underflows
-    # to exactly 0.0 without a separate mask.
-    m = data.max(axis=-1, keepdims=True)
+    if mask is not None:
+        try:
+            ok = np.broadcast_shapes(a.shape, np.shape(mask)) == a.shape
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ShapeError(f"softmax_rows: mask {np.shape(mask)} does not "
+                             f"broadcast to {a.shape}")
+    x = a.data * scale
+    if mask is not None:
+        x += mask
+    m = x.max(axis=-1, keepdims=True)
     dead = m[..., 0] <= _MASK_CUTOFF
     if dead.any():
         row = ", ".join(str(int(i)) for i in np.argwhere(dead)[0])
         raise DegenerateRowError(f"softmax row {row} is fully masked")
-    e = np.exp(data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    live = None if mask is None else x > _MASK_CUTOFF
+    x -= m
+    if live is None:
+        # exp everywhere: a sentinel in a still underflows to exactly
+        # 0.0, and an unmasked exp is faster when few entries are masked
+        y = np.exp(x, out=x)
+    else:
+        # Masked entries keep the zero fill: their exp would underflow
+        # to 0.0 anyway, down numpy's slow path.
+        y = np.zeros_like(x)
+        np.exp(x, out=y, where=live)
+    y /= y.sum(axis=-1, keepdims=True)
 
     out = Tensor._from_data(y)
 
     def bwd(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return [y * (g - dot)]
+        return [y * (g - dot) * scale]
 
     return _record(out, (a,), bwd)
 
@@ -551,10 +581,9 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
     out = Tensor._from_data(out_data)
-    soft = np.exp(out_data)
 
     def bwd(g):
-        return [g - soft * g.sum(axis=-1, keepdims=True)]
+        return [g - np.exp(out_data) * g.sum(axis=-1, keepdims=True)]
 
     return _record(out, (a,), bwd)
 
@@ -620,8 +649,10 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ContractError(f"dropout rate {p} outside [0, 1)")
     if p == 0.0:
         return a
+    # keep * scale in one array: with keep 0 or 1, a * (keep * scale)
+    # equals (a * keep) * scale bit for bit, signed zeros included.
     keep = (rng.random(a.shape) >= p).astype(np.float64)
-    scale = 1.0 / (1.0 - p)
-    out = Tensor._from_data(a.data * keep * scale)
-    return _record(out, (a,), lambda g: [g * keep * scale])
+    keep *= 1.0 / (1.0 - p)
+    out = Tensor._from_data(a.data * keep)
+    return _record(out, (a,), lambda g: [g * keep])
 

@@ -9,6 +9,8 @@ import pytest
 from desklm import tensor as T
 from desklm.attention import (
     AttentionParams,
+    _c2p_offsets,
+    _p2c_offsets,
     attend,
     extra_param_count,
     scores_efficient,
@@ -21,10 +23,11 @@ from desklm.equivalence import (
     run_equivalence_suite,
 )
 from desklm.errors import ConfigError, DegenerateRowError, ShapeError
+from desklm.model import ModelConfig, param_shapes
 from desklm.relpos import build_delta_matrix
 from desklm.tensor import MASK_SENTINEL, Tape, Tensor
 
-from helpers import assert_close
+from helpers import assert_close, numeric_grad
 
 
 def oracle_delta(i, j, k):
@@ -172,6 +175,66 @@ def test_attend_shapes_and_mask():
         npt.assert_allclose(p.sum(axis=1), np.ones(8), atol=1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(12, 4), (5, 8), (1, 2)])
+def test_flat_offsets_match_delta_gathers(n, k):
+    rng = np.random.default_rng(n)
+    dm = build_delta_matrix(n, k)
+    prod = rng.normal(0, 1, (2, 3, n, 2 * k))
+    full = np.broadcast_to(dm.values, prod.shape[:-1] + (n,))
+    swapped = np.broadcast_to(dm.values.T, full.shape)
+    take = lambda cols: np.take_along_axis(prod, cols, axis=-1)
+    gather = lambda off: T.gather_flat(Tensor(prod), off).data
+    npt.assert_array_equal(gather(_c2p_offsets(dm)), take(full))
+    npt.assert_array_equal(gather(_p2c_offsets(dm)), np.swapaxes(take(full), -1, -2))
+    npt.assert_array_equal(gather(_p2c_offsets(dm, fault="swap-delta")),
+                           np.swapaxes(take(swapped), -1, -2))
+    # query rows at positions: c2p reads the delta rows there, p2c reads
+    # delta(j, positions) for every key j
+    pos = rng.integers(0, n, (2, 4))
+    rows = rng.normal(0, 1, (2, 3, 4, 2 * k))
+    npt.assert_array_equal(T.gather_flat(Tensor(rows), _c2p_offsets(dm, pos)).data,
+                           np.take_along_axis(rows, dm.values[pos][:, None], axis=-1))
+    for fault, vals in ((None, dm.values), ("swap-delta", dm.values.T)):
+        cols = np.moveaxis(vals[:, pos], 0, -2)[:, None]       # (2, 1, n, 4)
+        npt.assert_array_equal(gather(_p2c_offsets(dm, pos, fault)),
+                               np.swapaxes(take(cols), -1, -2))
+
+
+def test_flat_offset_gathers_pass_gradcheck():
+    dm = build_delta_matrix(7, 2)
+    pos = np.array([[6, 0, 3], [2, 2, 5]])
+    probe = np.random.default_rng(3).normal(0, 1, (2, 2, 7, 7))
+    for off, shape in ((_p2c_offsets(dm), (2, 2, 7, 4)),
+                       (_c2p_offsets(dm, pos), (2, 2, 3, 4)),
+                       (_p2c_offsets(dm, pos), (2, 2, 7, 4))):
+        x0 = np.random.default_rng(4).normal(0, 1, shape)
+        pr = T.constant(probe[..., :off.shape[-2], :])
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.gather_flat(x, off), pr))
+        tape.backward(loss)
+        want = numeric_grad(
+            lambda: T.sum_all(T.mul(T.gather_flat(Tensor(x0), off), pr)).item(), x0)
+        assert_close(x.grad, want, atol=1e-6, rtol=1e-4)
+
+
+def test_attend_probs_match_unfused_chain():
+    # scale and mask inside the softmax: the same bits as scale, then add
+    # the mask with a head axis, then softmax
+    params, table, _, dm = _make(6, 2, 8, 2, seed=14)
+    h = Tensor(np.random.default_rng(15).normal(0, 1, (3, 6, 8)))
+    real = np.ones((3, 6), dtype=bool)
+    real[1, 4:] = False
+    for mask in (np.triu(np.full((6, 6), MASK_SENTINEL), k=1),
+                 np.where(real, 0.0, MASK_SENTINEL)[:, None, :]):
+        mask = np.broadcast_to(mask, (3,) + mask.shape[-2:])
+        probs = []
+        attend(h, params, table, dm, mask=T.constant(mask), collect=probs)
+        logits = T.mul(scores_efficient(h, params, table, dm).combined, params.scale)
+        want = T.softmax_rows(T.add(logits, T.constant(mask[:, None])))
+        assert np.array_equal(probs[0], want.data)
+
+
 def test_attend_fully_masked_row_raises():
     params, table, h, dm = _make(4, 2, 4, 1, seed=10)
     mask = np.full((4, 4), MASK_SENTINEL)
@@ -235,6 +298,19 @@ def test_extra_param_count_frozen_values():
     assert extra_param_count(Cfg(24, 1024, 512, True)) == 1_048_576
     assert extra_param_count(Cfg(12, 768, 512, True)) == 786_432
     assert extra_param_count(Cfg(2, 8, 4, False)) == 2 * 2 * 64 + 64
+
+
+@pytest.mark.parametrize("c2p, p2c, share", list(itertools.product(
+    (True, False), (True, False), (True, False))))
+def test_extra_param_count_matches_the_encoder_parameters(c2p, p2c, share):
+    # pos_table plus the encoder layers' position projections, as built
+    cfg = ModelConfig(vocab_size=10, L=3, d=8, heads=2, k=4, share_projection=share,
+                      ablations={"c2p": c2p, "p2c": p2c})
+    shapes = param_shapes(cfg)
+    want = sum(int(np.prod(shape)) for name, shape in shapes.items()
+               if name == "pos_table"
+               or (name.startswith("enc") and name.endswith(("_wqr", "_wkr"))))
+    assert extra_param_count(cfg) == want
 
 
 # ---------------------------------------------------------------------

@@ -357,6 +357,20 @@ def test_audit_prints_pinned_values(capsys):
     assert out["extra_position_params"] == str(2 * 512 * 768)
 
 
+def test_audit_counts_only_the_enabled_position_terms(capsys):
+    # base: L=12, d=768, k=512; one projection per layer for one term
+    for term in ("c2p", "p2c"):
+        assert main(["audit", "--config", "base",
+                     "--set", f"model.ablations.{term}=false"]) == 0
+        out = dict(line.split("=", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        assert out["extra_position_params"] == str(12 * 768 * 768 + 2 * 512 * 768)
+    assert main(["audit", "--config", "base", "--set", "model.ablations.c2p=false",
+                 "--set", "model.ablations.p2c=false"]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert out["extra_position_params"] == "0"
+
+
 def test_dump_attention_matrices(tmp_path, capsys):
     ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
     out = tmp_path / "dump"

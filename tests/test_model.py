@@ -17,6 +17,7 @@ from desklm.errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    IndexBoundsError,
 )
 from desklm.model import (
     Model,
@@ -342,6 +343,20 @@ def test_nothing_to_predict_is_contract_error():
         m.arlm_row(ids, real=ids != 0)  # no real next token in any row
     with pytest.raises(ContractError):
         m.mlm_row(ids, ids, np.zeros(ids.shape, dtype=bool), ids != 0)
+
+
+def test_target_outside_the_vocabulary_is_index_error():
+    # the target pick reads flat offsets into the whole logit block, so
+    # an id past the vocabulary would land in the next row unchecked
+    m = Model(tiny_cfg(), seed=24)
+    ids = np.array([[2, 5, 6, 3], [2, 7, 8, 3]])
+    predict = np.zeros(ids.shape, dtype=bool)
+    predict[:, 1] = True
+    for bad_id in (13, -1):
+        targets = ids.copy()
+        targets[0, 1] = bad_id
+        with pytest.raises(IndexBoundsError):
+            m.mlm_row(targets, ids, predict, ids != 0)
 
 
 def test_shared_projection_is_the_content_projection():

@@ -116,10 +116,15 @@ def test_gather_rows_identity():
     npt.assert_array_equal(out.data, table.data)
 
 
-def test_gather_elements_forward():
+def _row_offsets(cols, width):
+    """Flat offsets of column cols[..., i, j] of row i in an (r, width) block."""
+    return np.arange(cols.shape[-2])[:, None] * width + cols
+
+
+def test_gather_flat_forward():
     x = Tensor([[10.0, 11.0, 12.0], [20.0, 21.0, 22.0]])
     idx = np.array([[2, 0], [1, 1]])
-    out = T.gather_elements(x, idx)
+    out = T.gather_flat(x, _row_offsets(idx, 3))
     npt.assert_array_equal(out.data, [[12.0, 10.0], [21.0, 21.0]])
 
 
@@ -153,6 +158,109 @@ def test_fully_masked_row_raises():
     with pytest.raises(DegenerateRowError) as err:
         T.softmax_rows(x)
     assert "1" in str(err.value)
+
+
+def _softmax_and_grad(build, a, probe):
+    """Forward values and d sum(y * probe) / d a of y = build(a)."""
+    x = Tensor(a, requires_grad=True)
+    with Tape() as tape:
+        y = build(x)
+        loss = T.sum_all(T.mul(y, T.constant(probe)))
+    tape.backward(loss)
+    return y.data, x.grad
+
+
+def _fused_cases():
+    rng = np.random.default_rng(40)
+    causal = np.where(np.triu(np.ones((6, 6), dtype=bool), k=1), MASK_SENTINEL, 0.0)
+    cols = np.zeros((2, 1, 1, 6))
+    cols[0, ..., 4:] = MASK_SENTINEL
+    cols[1, ..., 1] = MASK_SENTINEL
+    single = np.zeros((6, 6))
+    single[2, 1:] = MASK_SENTINEL        # row 2 has one live entry
+    return [(rng.normal(0, 3, (2, 3, 6, 6)), 0.25, m) for m in (causal, cols, single)] \
+        + [(rng.normal(0, 3, (2, 3, 6, 6)), 0.25, None),
+           (rng.normal(0, 3, (3, 6)), 1.0, None)]
+
+
+@pytest.mark.parametrize("a, scale, mask", _fused_cases())
+def test_fused_softmax_matches_unfused_chain(a, scale, mask):
+    probe = np.random.default_rng(41).normal(0, 1, a.shape)
+
+    def unfused(x):
+        logits = T.mul(x, scale)
+        if mask is not None:
+            logits = T.add(logits, T.constant(mask))
+        return T.softmax_rows(logits)
+
+    y, g = _softmax_and_grad(lambda x: T.softmax_rows(x, scale, mask), a, probe)
+    y_ref, g_ref = _softmax_and_grad(unfused, a, probe)
+    assert np.array_equal(y, y_ref) and np.array_equal(g, g_ref)
+    # the exp-everything formula: a masked entry's exp underflows to 0.0
+    logits = a * scale + (0.0 if mask is None else mask)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.array_equal(y, e / e.sum(axis=-1, keepdims=True))
+
+
+def test_fused_softmax_masked_entries_and_degenerate_row():
+    a = np.random.default_rng(42).normal(0, 1, (2, 4, 4))
+    mask = np.zeros((4, 4))
+    mask[0, 1:] = MASK_SENTINEL
+    mask[2, 3] = MASK_SENTINEL
+    y, g = _softmax_and_grad(lambda x: T.softmax_rows(x, 0.5, mask), a,
+                             np.random.default_rng(43).normal(0, 1, a.shape))
+    blocked = np.broadcast_to(mask < 0, a.shape)
+    assert (y[blocked] == 0.0).all() and (g[blocked] == 0.0).all()
+    assert (y[:, 0, 0] == 1.0).all()
+    mask[3] = MASK_SENTINEL
+    with pytest.raises(DegenerateRowError) as err:
+        T.softmax_rows(Tensor(a), 0.5, mask)
+    assert "0, 3" in str(err.value)
+
+
+def test_fused_softmax_mask_is_not_a_tape_parent():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    mask = np.array([[0.0, MASK_SENTINEL, 0.0]])
+    with Tape() as tape:
+        y = T.softmax_rows(x, 2.0, mask)
+    assert len(tape) == 1 and y._parents == (x,)
+    npt.assert_array_equal(y.data, [[0.5, 0.0, 0.5]] * 2)
+    with pytest.raises(ShapeError):
+        T.softmax_rows(x, 2.0, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_constant_operand_gets_no_gradient(op):
+    rng = np.random.default_rng(44)
+    a, b = rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (3, 4))
+    g = rng.normal(0, 1, (2, 3, 4))
+    with Tape():
+        left = op(Tensor(a, requires_grad=True), T.constant(b))
+        right = op(T.constant(a), Tensor(b, requires_grad=True))
+    ga, none_b = left._bwd(g)
+    none_a, gb = right._bwd(g)
+    assert none_a is None and none_b is None
+    want_a = g * b if op is T.mul else g
+    want_b = {T.add: g.sum(axis=0), T.sub: -g.sum(axis=0),
+              T.mul: (g * a).sum(axis=0)}[op]
+    assert np.array_equal(ga, want_a) and np.array_equal(gb, want_b)
+
+
+def test_dropout_matches_two_multiplies():
+    # a * (keep * scale) against (a * keep) * scale, signed zeros included
+    a = np.random.default_rng(45).normal(0, 1, (8, 8))
+    a[0, :4] = [-0.0, 0.0, -1.0, 1e300]
+    g = np.random.default_rng(46).normal(0, 1, (8, 8))
+    x = Tensor(a, requires_grad=True)
+    with Tape() as tape:
+        y = T.dropout(x, 0.3, np.random.default_rng(47))
+    keep = (np.random.default_rng(47).random(a.shape) >= 0.3).astype(np.float64)
+    scale = 1.0 / (1.0 - 0.3)
+    want = a * keep * scale
+    assert np.array_equal(y.data, want)
+    assert np.array_equal(np.signbit(y.data), np.signbit(want))
+    (gx,) = y._bwd(g)
+    assert np.array_equal(gx, g * keep * scale) and len(tape) == 1
 
 
 # ---------------------------------------------------------------------
@@ -228,8 +336,8 @@ def test_grad_gathers_and_slices():
               [table])
     m = rng.normal(0, 1, (4, 6))
     cols = np.array([[0, 5, 2], [1, 1, 3], [5, 4, 0], [2, 2, 2]])
-    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols), _probe((4, 3), 13))),
-              [m])
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_flat(x, _row_offsets(cols, 6)),
+                                        _probe((4, 3), 13))), [m])
 
 
 def test_grad_softmax_logsoftmax():
@@ -339,35 +447,61 @@ def test_grad_lifted_gathers():
     # one (n, n) index matrix shared by every leading block
     m = rng.normal(0, 1, (2, 3, 4, 6))
     cols = rng.integers(0, 6, (4, 4))
-    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols),
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_flat(x, _row_offsets(cols, 6)),
                                         _probe((2, 3, 4, 4), 74))), [m])
     m3 = rng.normal(0, 1, (3, 4, 6))
     cols3 = rng.integers(0, 6, (3, 4, 2))
-    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols3),
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_flat(x, _row_offsets(cols3, 6)),
                                         _probe((3, 4, 2), 75))), [m3])
 
 
-def test_gather_elements_matches_take_along_axis():
+def test_gather_flat_matches_take_along_axis():
     rng = np.random.default_rng(64)
     m = rng.normal(0, 1, (2, 3, 4, 6))
     cols = rng.integers(0, 6, (4, 5))
-    got = T.gather_elements(Tensor(m), cols).data
+    got = T.gather_flat(Tensor(m), _row_offsets(cols, 6)).data
     want = np.take_along_axis(m, np.broadcast_to(cols, (2, 3, 4, 5)), axis=-1)
     npt.assert_array_equal(got, want)
 
 
-def test_gather_elements_per_block_index():
-    # one index per leading block, broadcast over the heads axis, as the
-    # mask decoder gathers delta rows at each row's own query slots
+def test_gather_flat_per_block_offsets():
+    # one offset table per leading block, broadcast over the heads axis,
+    # as the mask decoder gathers delta rows at each row's own query slots
     rng = np.random.default_rng(66)
     m = rng.normal(0, 1, (2, 3, 4, 6))
     cols = rng.integers(0, 6, (2, 1, 4, 5))
-    got = T.gather_elements(Tensor(m), cols).data
+    got = T.gather_flat(Tensor(m), _row_offsets(cols, 6)).data
     npt.assert_array_equal(got, np.take_along_axis(m, cols, axis=-1))
-    _fd_check(lambda x: T.sum_all(T.mul(T.gather_elements(x, cols),
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_flat(x, _row_offsets(cols, 6)),
                                         _probe((2, 3, 4, 5), 76))), [m])
     with pytest.raises(ShapeError):
-        T.gather_elements(Tensor(m), rng.integers(0, 6, (3, 1, 4, 5)))
+        T.gather_flat(Tensor(m), _row_offsets(rng.integers(0, 6, (3, 1, 4, 5)), 6))
+
+
+def test_gather_flat_reads_across_rows():
+    # an offset may land in any row of its block: the p2c layout
+    rng = np.random.default_rng(67)
+    m = rng.normal(0, 1, (2, 3, 4))
+    off = rng.integers(0, 12, (5, 3))
+    got = T.gather_flat(Tensor(m), off).data
+    npt.assert_array_equal(got, m.reshape(2, 12)[:, off])
+    _fd_check(lambda x: T.sum_all(T.mul(T.gather_flat(x, off), _probe((2, 5, 3), 77))),
+              [m])
+
+
+def test_gather_flat_rejects_bad_offsets():
+    m = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(IndexBoundsError) as err:
+        T.gather_flat(m, np.array([[0, 12]]))
+    assert "12" in str(err.value)
+    with pytest.raises(IndexBoundsError):
+        T.gather_flat(m, np.array([[-1, 0]]))
+    with pytest.raises(ContractError):
+        T.gather_flat(m, np.array([[0.0, 1.0]]))
+    with pytest.raises(ShapeError):
+        T.gather_flat(m, np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        T.gather_flat(Tensor(np.zeros(4)), np.array([[0, 1]]))
 
 
 def test_grad_broadcast_add_sub_mul():
@@ -569,7 +703,7 @@ def test_index_bounds_errors():
         T.gather_rows(table, np.array([-1]))
     m = Tensor(np.zeros((2, 3)))
     with pytest.raises(IndexBoundsError):
-        T.gather_elements(m, np.array([[0, 3], [1, 1]]))
+        T.gather_flat(m, np.array([[0, 6], [1, 1]]))
 
 
 def test_duplicate_gather_rows_accumulate():
