@@ -9,8 +9,10 @@ distribution with and without the perturbation.
 The regulariser is the symmetric KL between the clean and perturbed
 output distributions at the predicted positions.  The perturbation is
 found by a few steps of projected gradient ascent on that same
-divergence, run on a short-lived inner tape whose gradients flow only
-into the perturbation; model parameters see nothing of the search.
+divergence, run on a short-lived inner tape on which the model
+parameters count as constants: its backward computes the
+perturbation's gradient and nothing else, and the tape is freed before
+the next forward.
 Both the clean-versus-perturbed pairing and the ascent reuse identical
 dropout draws, so the divergence measures the perturbation and not the
 noise.  A batch is perturbed as one (b, n, d) tensor; the ascent's
@@ -91,6 +93,31 @@ def _project_rows(delta: np.ndarray, epsilon: float, active: np.ndarray) -> None
         delta *= scale
 
 
+def _ascent_grad(forward, rng, clean: Tensor, delta: Tensor, params) -> np.ndarray:
+    """The gradient of symmetric_kl(clean, perturbed logits) in delta,
+    for one ascent step.
+
+    forward(delta, rng) runs on a fresh tape on which params count as
+    constants, so the backward computes no weight gradient.  The tape
+    and everything it recorded are freed when this returns; only
+    delta's gradient survives.
+    """
+    params = list(params)
+    flags = [p.requires_grad for p in params]
+    try:
+        for p in params:
+            p.requires_grad = False
+        with Tape() as inner:
+            _, _, pert_logits = forward(delta, rng)
+            divergence = symmetric_kl(clean, pert_logits)
+        inner.backward(divergence, targets=[delta])
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+    g, delta.grad = delta.grad, None
+    return g
+
+
 def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
               seed: int = 0, return_parts: bool = False):
     """Task loss plus lambda times the adversarial consistency term.
@@ -133,7 +160,8 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     # A frozen copy of the clean distribution drives both the ascent and
     # the outer divergence; gradients only ever flow through the
     # perturbed branch.
-    clean_const = T.constant(clean_logits.data.copy())
+    clean_const = T.constant(clean_logits.data)
+    del clean_logits
 
     delta0 = rng_for(seed, "sift/init").normal(
         0.0, 1.0, batch.x.shape + (model.cfg.d,))
@@ -143,12 +171,7 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
 
     active = np.ones(batch.x.shape[:-1] + (1, 1), dtype=bool)  # per sequence
     for _step in range(cfg.ascent_steps):
-        with Tape() as inner:
-            _, _, pert_logits = forward(delta, drop_rng())
-            divergence = symmetric_kl(clean_const, pert_logits)
-        inner.backward(divergence, targets=[delta])
-        g = delta.grad
-        delta.grad = None
+        g = _ascent_grad(forward, drop_rng(), clean_const, delta, model.params.values())
         gnorm = np.sqrt((g * g).sum(axis=(-2, -1), keepdims=True))
         active &= gnorm >= 1e-30
         if not active.any():
@@ -157,7 +180,7 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
                                0.0)
         _project_rows(delta.data, cfg.epsilon, active)
 
-    frozen = T.constant(delta.data.copy())
+    frozen = T.constant(delta.data)
     _, _, pert_logits = forward(frozen, drop_rng())
     r_adv = T.mul(symmetric_kl(clean_const, pert_logits), 1.0 / count)
     loss = T.add(task, T.mul(r_adv, cfg.lam))

@@ -1,5 +1,8 @@
 """Perturbation-consistency regulariser: normalisation, R_adv, pathways."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -174,6 +177,62 @@ def test_sift_row_with_zero_ascent_gradient_keeps_its_delta(monkeypatch):
     npt.assert_array_equal(final[0], first[0])
     npt.assert_array_equal(second[0], first[0])
     assert np.abs(final[1] - first[1]).max() > 1e-6
+
+
+def test_ascent_graph_is_freed_before_the_next_forward(monkeypatch):
+    m = cfg_model()
+    batch = small_batch()
+    tapes = []  # (weak reference, owner token) of every ascent tape
+
+    class SpyTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append((weakref.ref(self), self._token))
+
+    monkeypatch.setattr(sift_mod, "Tape", SpyTape)
+    live = []  # at each forward: earlier ascent tapes alive, their nodes alive
+    real_row = m.mlm_row
+
+    def spy(*args, **kwargs):
+        # an ascent forward runs inside its own, still empty, tape
+        done = [(ref, tok) for ref, tok in tapes if ref() is not T._active_tape()]
+        nodes = sum(1 for o in gc.get_objects()
+                    if type(o) is T._Node and any(o.owner is tok for _, tok in done))
+        live.append((sum(ref() is not None for ref, _ in done), nodes))
+        return real_row(*args, **kwargs)
+
+    monkeypatch.setattr(m, "mlm_row", spy)
+    cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=2, lam=1.0)
+    with Tape():
+        sift_loss(batch, m, cfg, mode="mlm", seed=11)
+    # clean, two ascent steps, perturbed: nothing of an earlier ascent
+    # survives into the next forward
+    assert len(tapes) == 2 and live == [(0, 0)] * 4
+
+
+def test_ascent_holds_parameters_constant(monkeypatch):
+    m = cfg_model()
+    batch = small_batch()
+    flags = []
+    real_row = m.mlm_row
+
+    def spy(*args, **kwargs):
+        flags.append({p.requires_grad for p in m.params.values()})
+        return real_row(*args, **kwargs)
+
+    monkeypatch.setattr(m, "mlm_row", spy)
+    cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=2, lam=1.0)
+    sift_loss(batch, m, cfg, mode="mlm", seed=12)
+    assert flags == [{True}, {False}, {False}, {True}]
+    assert all(p.grad is None for p in m.params.values())
+
+    def broken(p, q):
+        raise FloatingPointError("ascent failed")
+
+    monkeypatch.setattr(sift_mod, "symmetric_kl", broken)
+    with pytest.raises(FloatingPointError):
+        sift_loss(batch, m, cfg, mode="mlm", seed=12)
+    assert all(p.requires_grad for p in m.params.values())
 
 
 def test_sift_config_validation():

@@ -246,6 +246,35 @@ def test_constant_operand_gets_no_gradient(op):
     assert np.array_equal(ga, want_a) and np.array_equal(gb, want_b)
 
 
+def test_matmul_and_layer_norm_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(48)
+    a, w = rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (4, 5))
+    gain, bias = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
+    g, gln = rng.normal(0, 1, (2, 3, 5)), rng.normal(0, 1, a.shape)
+    x = Tensor(a, requires_grad=True)
+    with Tape():
+        h = T.add(x, 1.0)
+        ref = weakref.ref(h.data)
+        left = T.matmul(h, T.constant(w))
+        # a's gradient reads only w: h's array is not kept
+        del h
+        assert ref() is None
+        right = T.matmul(T.constant(a), Tensor(w, requires_grad=True))
+        both = T.matmul(Tensor(a, requires_grad=True), Tensor(w, requires_grad=True))
+        ln_const = T.layer_norm(x, T.constant(gain), T.constant(bias))
+        ln_all = T.layer_norm(x, Tensor(gain, requires_grad=True),
+                              Tensor(bias, requires_grad=True))
+    ga, none_w = left._bwd(g)
+    none_a, gw = right._bwd(g)
+    want_a, want_w = both._bwd(g)
+    assert none_a is None and none_w is None
+    assert np.array_equal(ga, want_a) and np.array_equal(gw, want_w)
+    dx, none_gain, none_bias = ln_const._bwd(gln)
+    want_dx, dgain, dbias = ln_all._bwd(gln)
+    assert none_gain is None and none_bias is None
+    assert np.array_equal(dx, want_dx) and dgain is not None and dbias is not None
+
+
 def test_dropout_matches_two_multiplies():
     # a * (keep * scale) against (a * keep) * scale, signed zeros included
     a = np.random.default_rng(45).normal(0, 1, (8, 8))
@@ -573,6 +602,25 @@ def test_dropping_tape_and_loss_frees_the_graph():
         gc.enable()
 
 
+def test_unread_op_output_is_freed_before_backward():
+    # add's backward reads nothing and softmax_rows' reads only its own
+    # output, so the sum goes as soon as its name does
+    rng = np.random.default_rng(60)
+    a, b, w = (rng.normal(0, 1, (3, 5)) for _ in range(3))
+    x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        s = T.add(x, y)
+        ref = weakref.ref(s.data)
+        p = T.softmax_rows(s, 0.5)
+        del s
+        assert ref() is None
+        loss = T.sum_all(T.mul(p, T.constant(w)))
+    tape.backward(loss)
+    want = p.data * (w - (w * p.data).sum(axis=-1, keepdims=True)) * 0.5
+    npt.assert_array_equal(x.grad, want)
+    npt.assert_array_equal(y.grad, want)
+
+
 def test_backward_targets_filter():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = Tensor([[3.0, 4.0]], requires_grad=True)
@@ -634,7 +682,26 @@ def test_nested_tape_isolation():
     npt.assert_array_equal(inner_grad, [[5.0]])
     npt.assert_array_equal(x.grad, [[3.0]])
     # the inner tape's nodes never leaked onto the outer tape
-    assert all(n is not b for n in outer._nodes)
+    assert all(n is not b._node for n in outer._nodes)
+
+
+def test_inner_tape_treats_an_outer_intermediate_as_a_leaf():
+    x = Tensor([[2.0, -1.0]], requires_grad=True)
+    with Tape() as outer:
+        b = T.mul(x, 3.0)
+        with Tape() as inner:
+            inner_loss = T.sum_all(T.mul(b, b))
+        inner.backward(inner_loss)
+        outer_loss = T.sum_all(b)
+    # b was recorded on the outer tape: the inner tape stops at it
+    assert len(inner) == 2 and x.grad is None
+    npt.assert_array_equal(b.grad, 2 * b.data)
+    inner.backward(inner_loss, targets=[b])
+    npt.assert_array_equal(b.grad, 4 * b.data)
+    b.grad = None
+    outer.backward(outer_loss)
+    npt.assert_array_equal(x.grad, [[3.0, 3.0]])
+    assert b.grad is None
 
 
 def test_backward_preconditions():
