@@ -300,7 +300,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
 
 
 def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMatrix,
-           mask: Tensor | None = None, query: Tensor | None = None,
+           mask: np.ndarray | None = None, query: Tensor | None = None,
            dropout_p: float = 0.0, rng: np.random.Generator | None = None,
            collect: list | None = None, positions=None) -> Tensor:
     """Full multi-head attention: efficient scores, mask, softmax, value mix.
@@ -309,10 +309,10 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
     enabled, so it may be None when both are off.  query, when given,
     replaces h as the query stream; with positions (see
     scores_efficient) it may hold only m of the n rows, and the output
-    is then (..., m, d).  mask, when given, is a (..., n, n) additive
-    tensor using the -1e30 sentinel for blocked pairs, or (..., 1, n)
-    when it blocks whole columns; every head and, for a one-row mask,
-    every query gets the same mask.  collect, when given, receives one
+    is then (..., m, d).  mask, when given, is a (..., n, n) bool
+    array, True at blocked pairs, or (..., 1, n) when it blocks whole
+    columns; every head and, for a one-row mask, every query gets the
+    same mask.  collect, when given, receives one
     (..., heads, m, n) numpy array of post-softmax probabilities.
     """
     if dropout_p > 0.0 and rng is None:
@@ -321,7 +321,7 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
     scores = scores_efficient(h, params, table, dm, query=query, positions=positions)
 
     # every head reads the same mask: a head axis as a view, not a copy
-    head_mask = None if mask is None else mask.data[..., None, :, :]
+    head_mask = None if mask is None else mask[..., None, :, :]
     probs = T.softmax_rows(scores.combined, params.scale, head_mask)
     if collect is not None:
         collect.append(probs.data.copy())

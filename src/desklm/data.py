@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class Vocab:
 
     def decode(self, ids: list[int]) -> list[str]:
         return [self.id_to_token(i) for i in ids]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.tokens:
-                fh.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
 def build_vocab(lines, cap: int) -> Vocab:
@@ -206,29 +196,29 @@ def pack(token_ids: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class MaskedBatch:
-    """One training batch: original rows, corrupted rows, mask positions."""
+    """One training batch: original rows, corrupted rows, masked slots."""
 
     x: np.ndarray                       # (b, n) int64, original ids
     x_tilde: np.ndarray                 # (b, n) int64, corrupted ids
-    positions: list[list[int]]          # per row, sorted masked positions
+    positions: InitVar[list[list[int]]]  # per row, sorted; kept as predict
     real: np.ndarray                    # (b, n) bool, True at non-PAD
     predict: np.ndarray = field(init=False, repr=False)  # (b, n) bool, at positions
 
-    def __post_init__(self):
+    def __post_init__(self, positions):
         if self.x.shape != self.x_tilde.shape or self.x.shape != self.real.shape:
             raise ConfigError("batch arrays disagree on shape")
-        if len(self.positions) != self.x.shape[0]:
+        if len(positions) != self.x.shape[0]:
             raise ConfigError("positions list does not match batch size")
         self.predict = np.zeros(self.x.shape, dtype=bool)
-        for r, pos in enumerate(self.positions):
+        for r, pos in enumerate(positions):
             self.predict[r, pos] = True
 
     def digest_update(self, h) -> None:
         h.update(self.x.tobytes())
         h.update(self.x_tilde.tobytes())
         h.update(self.real.tobytes())
-        for row in self.positions:
-            h.update(np.asarray(row, dtype=np.int64).tobytes())
+        # each row's sorted positions in turn, as int64
+        h.update(np.nonzero(self.predict)[1].astype(np.int64).tobytes())
 
 
 def make_batch(rows: list[list[int]], n: int, rng: np.random.Generator,

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .relpos import build_delta_matrix
 from .seeding import rng_for, truncated_normal
-from .tensor import MASK_SENTINEL, Tensor
+from .tensor import Tensor
 
 MODES = ("mlm", "arlm", "joint")
 
@@ -193,10 +193,10 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
-    """Additive mask, one per row of real, or None when nothing is
-    blocked: (..., n, n) when causal, else (..., 1, n), one row that
-    serves every query.
+def build_mask(n: int, real: np.ndarray | None, causal: bool) -> np.ndarray | None:
+    """Bool mask, True at blocked pairs, one per row of real, or None
+    when nothing is blocked: (..., n, n) when causal, else (..., 1, n),
+    one row that serves every query.
 
     Padding blocks columns only: a PAD position may still attend out,
     so its own softmax row stays well defined, but nothing real ever
@@ -211,7 +211,7 @@ def build_mask(n: int, real: np.ndarray | None, causal: bool) -> Tensor | None:
         if real.shape[-1:] != (n,):
             raise ContractError(f"real mask shape {real.shape} does not end in ({n},)")
         blocked = blocked | ~real[..., None, :]
-    return T.constant(np.where(blocked, MASK_SENTINEL, 0.0))
+    return blocked
 
 
 class Model:
@@ -284,7 +284,7 @@ class Model:
     def encode(self, ids: np.ndarray, real: np.ndarray | None = None,
                causal: bool = False, training: bool = False, rng=None,
                perturb: Tensor | None = None,
-               collect: dict | None = None, mask: Tensor | None = None) -> Tensor:
+               collect: dict | None = None, mask: np.ndarray | None = None) -> Tensor:
         """Token ids (..., n) to hidden states (..., n, d).
 
         real, when given, has the shape of ids and is False at PAD.
@@ -323,7 +323,7 @@ class Model:
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
                causal: bool = False, training: bool = False, rng=None,
-               mask: Tensor | None = None,
+               mask: np.ndarray | None = None,
                predict: np.ndarray | None = None) -> Tensor:
         """Hidden states (..., n, d) to logits (..., n, vocab).
 

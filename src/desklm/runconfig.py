@@ -23,7 +23,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .model import ModelConfig
 from .sift import SiftConfig
 from .trainer import TrainConfig
@@ -37,6 +37,7 @@ class DataConfig:
     vocab_cap: int = 512
 
     def __post_init__(self):
+        check_field_types(self)
         if self.vocab_cap <= 5:
             raise ConfigError("data.vocab_cap must exceed the reserved ids")
 
@@ -48,6 +49,7 @@ class EvalConfig:
     max_rows: int | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_rows is not None and self.max_rows < 1:
             raise ConfigError("eval.max_rows must be >= 1 when set")
 

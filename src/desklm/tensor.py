@@ -24,13 +24,12 @@ Anything else raises ShapeError.  An operand that does not require a
 gradient when the op is recorded gets none in the backward, and an op
 keeps no array that only that gradient would read.
 
-Masking convention: additive masks use the sentinel MASK_SENTINEL
-(-1e30).  softmax_rows(a, scale, mask) takes the scale and the mask
-itself, as a constant that broadcasts to a's shape, and computes
-softmax(a * scale + mask) in one op.  It treats entries at or below
--1e29 as masked and gives them probability exactly 0.0; given a mask,
-it never exponentiates them.  A row with every entry masked has no defined
-distribution and raises DegenerateRowError.
+Masking convention: a mask is a bool numpy array, True at blocked
+entries.  softmax_rows(a, scale, mask) takes the scale and the mask
+itself, broadcasting to a's shape, and computes the softmax of a * scale
+over the entries the mask leaves open, in one op.  Blocked entries get
+probability exactly 0.0 and are never exponentiated.  A row with every
+entry blocked has no defined distribution and raises DegenerateRowError.
 
 Allocator policy: a training step builds and frees tens of MB of arrays.
 glibc's dynamic trim threshold hands that freed memory back to the
@@ -54,12 +53,6 @@ from .errors import (
     IndexBoundsError,
     ShapeError,
 )
-
-MASK_SENTINEL = -1.0e30
-# Anything at or below this is treated as "masked" by softmax_rows.  The
-# gap between the sentinel and the cutoff absorbs finite scores added on
-# top of the sentinel: |score| stays far below 1e29 in practice.
-_MASK_CUTOFF = -1.0e29
 
 # mallopt parameter numbers from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
@@ -263,16 +256,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def _parents(self) -> tuple:
-        """The recorded op's parents: nodes of the same tape, or leaf
-        tensors.  Empty for a tensor no tape recorded."""
-        return () if self._node is None else self._node.parents
-
-    @property
-    def _bwd(self) -> Callable | None:
-        return None if self._node is None else self._node.bwd
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -569,45 +552,42 @@ def gather_flat(a: Tensor, offsets) -> Tensor:
 
 
 def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
-    """Softmax of a * scale + mask over the last axis, as one op.
+    """Softmax of a * scale over the last axis, as one op.
 
-    mask, when given, is a constant additive numpy array that
-    broadcasts to a's shape; it is not a tape parent and gets no
-    gradient.  Entries of a * scale + mask at or below -1e29 are
-    treated as masked: they receive probability exactly 0.0 and
-    propagate zero gradient, and with a mask they are never
-    exponentiated.  A row with all entries masked raises
+    mask, when given, is a bool numpy array that broadcasts to a's shape
+    and is True at blocked entries; it is not a tape parent.  Blocked
+    entries receive probability exactly 0.0 and zero gradient, and are
+    never exponentiated.  A row with all entries blocked raises
     DegenerateRowError naming the row.
     """
     if a.ndim < 1:
         raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
     if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise ContractError(f"softmax_rows: mask must be bool, got {mask.dtype}")
         try:
-            ok = np.broadcast_shapes(a.shape, np.shape(mask)) == a.shape
+            ok = np.broadcast_shapes(a.shape, mask.shape) == a.shape
         except ValueError:
             ok = False
         if not ok:
-            raise ShapeError(f"softmax_rows: mask {np.shape(mask)} does not "
+            raise ShapeError(f"softmax_rows: mask {mask.shape} does not "
                              f"broadcast to {a.shape}")
     x = a.data * scale
     if mask is not None:
-        x += mask
+        np.copyto(x, -np.inf, where=mask)
     m = x.max(axis=-1, keepdims=True)
-    dead = m[..., 0] <= _MASK_CUTOFF
+    dead = m[..., 0] == -np.inf
     if dead.any():
         row = ", ".join(str(int(i)) for i in np.argwhere(dead)[0])
         raise DegenerateRowError(f"softmax row {row} is fully masked")
-    live = None if mask is None else x > _MASK_CUTOFF
     x -= m
-    if live is None:
-        # exp everywhere: a sentinel in a still underflows to exactly
-        # 0.0, and an unmasked exp is faster when few entries are masked
+    if mask is None:
         y = np.exp(x, out=x)
     else:
-        # Masked entries keep the zero fill: their exp would underflow
-        # to 0.0 anyway, down numpy's slow path.
+        # blocked entries keep the zero fill
         y = np.zeros_like(x)
-        np.exp(x, out=y, where=live)
+        np.exp(x, out=y, where=~mask)
     y /= y.sum(axis=-1, keepdims=True)
 
     out = Tensor._from_data(y)

@@ -25,7 +25,7 @@ from desklm.equivalence import (
 from desklm.errors import ConfigError, DegenerateRowError, ShapeError
 from desklm.model import ModelConfig, param_shapes
 from desklm.relpos import build_delta_matrix
-from desklm.tensor import MASK_SENTINEL, Tape, Tensor
+from desklm.tensor import Tape, Tensor
 
 from helpers import assert_close, numeric_grad
 
@@ -165,10 +165,10 @@ def test_attend_shapes_and_mask():
     assert out.shape == (8, 6)
     assert np.isfinite(out.data).all()
 
-    mask = np.zeros((8, 8))
-    mask[:, 5] = MASK_SENTINEL
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[:, 5] = True
     probs = []
-    attend(h, params, table, dm, mask=T.constant(mask), collect=probs)
+    attend(h, params, table, dm, mask=mask, collect=probs)
     assert len(probs) == 1 and probs[0].shape == (2, 8, 8)
     for p in probs[0]:
         npt.assert_array_equal(p[:, 5], np.zeros(8))
@@ -219,27 +219,29 @@ def test_flat_offset_gathers_pass_gradcheck():
 
 
 def test_attend_probs_match_unfused_chain():
-    # scale and mask inside the softmax: the same bits as scale, then add
-    # the mask with a head axis, then softmax
+    # scale and mask inside the softmax: the same bits as the numpy
+    # formula on the scaled scores, blocked entries set to -inf
     params, table, _, dm = _make(6, 2, 8, 2, seed=14)
     h = Tensor(np.random.default_rng(15).normal(0, 1, (3, 6, 8)))
     real = np.ones((3, 6), dtype=bool)
     real[1, 4:] = False
-    for mask in (np.triu(np.full((6, 6), MASK_SENTINEL), k=1),
-                 np.where(real, 0.0, MASK_SENTINEL)[:, None, :]):
+    for mask in (np.triu(np.ones((6, 6), dtype=bool), k=1), ~real[:, None, :]):
         mask = np.broadcast_to(mask, (3,) + mask.shape[-2:])
         probs = []
-        attend(h, params, table, dm, mask=T.constant(mask), collect=probs)
-        logits = T.mul(scores_efficient(h, params, table, dm).combined, params.scale)
-        want = T.softmax_rows(T.add(logits, T.constant(mask[:, None])))
-        assert np.array_equal(probs[0], want.data)
+        attend(h, params, table, dm, mask=mask, collect=probs)
+        logits = scores_efficient(h, params, table, dm).combined.data * params.scale
+        logits = np.where(mask[:, None], -np.inf, logits)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert np.array_equal(probs[0], e / e.sum(axis=-1, keepdims=True))
 
 
 def test_attend_fully_masked_row_raises():
     params, table, h, dm = _make(4, 2, 4, 1, seed=10)
-    mask = np.full((4, 4), MASK_SENTINEL)
-    with pytest.raises(DegenerateRowError):
-        attend(h, params, table, dm, mask=T.constant(mask))
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1, :] = True
+    with pytest.raises(DegenerateRowError) as err:
+        attend(h, params, table, dm, mask=mask)
+    assert "0, 1" in str(err.value)  # head 0, query 1
 
 
 def test_attend_single_token():

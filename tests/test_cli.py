@@ -201,6 +201,10 @@ def test_pretrain_bad_trainer_value_fails_before_training(tmp_path, capsys,
     ("model.d=32.0", "ModelConfig.d"),
     ("trainer.batch_size=true", "TrainConfig.batch_size"),
     ("model.ablations.c2p=no", "AblationFlags.c2p"),
+    ("eval.max_rows=true", "EvalConfig.max_rows"),
+    ("eval.max_rows=2.5", "EvalConfig.max_rows"),
+    ("data.vocab_cap=512.5", "DataConfig.vocab_cap"),
+    ("eval.checkpoint=5", "EvalConfig.checkpoint"),
 ])
 def test_pretrain_mistyped_value_is_config_error(tmp_path, capsys, override,
                                                  needle):

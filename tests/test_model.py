@@ -31,7 +31,7 @@ from desklm.model import (
     save_checkpoint,
 )
 from desklm.seeding import rng_for
-from desklm.tensor import MASK_SENTINEL, Tape, Tensor
+from desklm.tensor import Tape, Tensor
 
 from helpers import assert_close, numeric_grad
 
@@ -146,15 +146,23 @@ def test_init_is_deterministic_and_per_name():
 def test_build_mask():
     assert build_mask(4, None, False) is None
     real = np.array([True, True, False, False])
-    m = build_mask(4, real, False).data
-    assert (m[:, 2:] == MASK_SENTINEL).all()
-    assert (m[:, :2] == 0).all()
-    c = build_mask(3, None, True).data
-    assert c[0, 1] == MASK_SENTINEL and c[1, 2] == MASK_SENTINEL
-    assert c[1, 0] == 0 and c[2, 2] == 0
-    both = build_mask(4, real, True).data
-    assert both[0, 1] == MASK_SENTINEL  # causal
-    assert both[3, 2] == MASK_SENTINEL  # padding
+    pad = build_mask(4, real, False)
+    assert pad.dtype == bool
+    npt.assert_array_equal(pad, [[False, False, True, True]])
+    causal = build_mask(3, None, True)
+    assert causal.dtype == bool
+    npt.assert_array_equal(causal, [[False, True, True],
+                                    [False, False, True],
+                                    [False, False, False]])
+    both = build_mask(4, real, True)
+    assert both.dtype == bool
+    npt.assert_array_equal(both, [[False, True, True, True],   # causal
+                                  [False, False, True, True],
+                                  [False, False, True, True],  # padding
+                                  [False, False, True, True]])
+    # one mask per row of a batch
+    rows = build_mask(2, np.array([[True, True], [True, False]]), False)
+    npt.assert_array_equal(rows, [[[False, False]], [[False, True]]])
 
 
 # ---------------------------------------------------------------------

@@ -155,8 +155,8 @@ def test_sift_row_with_zero_ascent_gradient_keeps_its_delta(monkeypatch):
     # initial draw while row 1's moves.
     m = cfg_model()
     batch = small_batch()
-    n0 = len(batch.positions[0])
-    keep = np.ones((sum(len(p) for p in batch.positions), 1))
+    n0 = int(batch.predict[0].sum())
+    keep = np.ones((int(batch.predict.sum()), 1))
     keep[:n0] = 0.0
     real_kl = sift_mod.symmetric_kl
     monkeypatch.setattr(sift_mod, "symmetric_kl",

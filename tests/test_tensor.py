@@ -14,7 +14,7 @@ from desklm.errors import (
     IndexBoundsError,
     ShapeError,
 )
-from desklm.tensor import MASK_SENTINEL, Tape, Tensor, no_grad
+from desklm.tensor import Tape, Tensor, no_grad
 
 from helpers import assert_close, numeric_grad
 
@@ -134,9 +134,9 @@ def test_gather_flat_forward():
 
 
 def test_masked_softmax_exact_zero():
-    x = Tensor([[1.0, MASK_SENTINEL, 2.0, MASK_SENTINEL]], requires_grad=True)
+    x = Tensor([[1.0, 5.0, 2.0, 7.0]], requires_grad=True)
     with Tape() as tape:
-        y = T.softmax_rows(x)
+        y = T.softmax_rows(x, 1.0, np.array([[False, True, False, True]]))
         loss = T.sum_all(T.mul(y, T.constant([[1.0, 2.0, 3.0, 4.0]])))
     assert y.data[0, 1] == 0.0 and y.data[0, 3] == 0.0
     npt.assert_allclose(y.data[0, 0] + y.data[0, 2], 1.0, atol=1e-15)
@@ -144,19 +144,10 @@ def test_masked_softmax_exact_zero():
     assert x.grad[0, 1] == 0.0 and x.grad[0, 3] == 0.0
 
 
-def test_masked_softmax_score_plus_sentinel_still_masked():
-    # Finite scores riding on the sentinel must not unmask the entry.
-    for s in (-1e4, 0.0, 1e4):
-        x = Tensor([[0.5, MASK_SENTINEL + s]])
-        y = T.softmax_rows(x)
-        assert y.data[0, 1] == 0.0
-        assert y.data[0, 0] == 1.0
-
-
 def test_fully_masked_row_raises():
-    x = Tensor([[1.0, 2.0], [MASK_SENTINEL, MASK_SENTINEL]])
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DegenerateRowError) as err:
-        T.softmax_rows(x)
+        T.softmax_rows(x, 1.0, np.array([[False, False], [True, True]]))
     assert "1" in str(err.value)
 
 
@@ -172,12 +163,12 @@ def _softmax_and_grad(build, a, probe):
 
 def _fused_cases():
     rng = np.random.default_rng(40)
-    causal = np.where(np.triu(np.ones((6, 6), dtype=bool), k=1), MASK_SENTINEL, 0.0)
-    cols = np.zeros((2, 1, 1, 6))
-    cols[0, ..., 4:] = MASK_SENTINEL
-    cols[1, ..., 1] = MASK_SENTINEL
-    single = np.zeros((6, 6))
-    single[2, 1:] = MASK_SENTINEL        # row 2 has one live entry
+    causal = np.triu(np.ones((6, 6), dtype=bool), k=1)
+    cols = np.zeros((2, 1, 1, 6), dtype=bool)
+    cols[0, ..., 4:] = True
+    cols[1, ..., 1] = True
+    single = np.zeros((6, 6), dtype=bool)
+    single[2, 1:] = True                 # row 2 has one live entry
     return [(rng.normal(0, 3, (2, 3, 6, 6)), 0.25, m) for m in (causal, cols, single)] \
         + [(rng.normal(0, 3, (2, 3, 6, 6)), 0.25, None),
            (rng.normal(0, 3, (3, 6)), 1.0, None)]
@@ -188,31 +179,28 @@ def test_fused_softmax_matches_unfused_chain(a, scale, mask):
     probe = np.random.default_rng(41).normal(0, 1, a.shape)
 
     def unfused(x):
-        logits = T.mul(x, scale)
-        if mask is not None:
-            logits = T.add(logits, T.constant(mask))
-        return T.softmax_rows(logits)
+        return T.softmax_rows(T.mul(x, scale), 1.0, mask)
 
     y, g = _softmax_and_grad(lambda x: T.softmax_rows(x, scale, mask), a, probe)
     y_ref, g_ref = _softmax_and_grad(unfused, a, probe)
     assert np.array_equal(y, y_ref) and np.array_equal(g, g_ref)
-    # the exp-everything formula: a masked entry's exp underflows to 0.0
-    logits = a * scale + (0.0 if mask is None else mask)
+    # the plain numpy formula, exp everywhere: exp(-inf) is exactly 0.0
+    logits = a * scale if mask is None else np.where(mask, -np.inf, a * scale)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     assert np.array_equal(y, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_fused_softmax_masked_entries_and_degenerate_row():
     a = np.random.default_rng(42).normal(0, 1, (2, 4, 4))
-    mask = np.zeros((4, 4))
-    mask[0, 1:] = MASK_SENTINEL
-    mask[2, 3] = MASK_SENTINEL
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 1:] = True
+    mask[2, 3] = True
     y, g = _softmax_and_grad(lambda x: T.softmax_rows(x, 0.5, mask), a,
                              np.random.default_rng(43).normal(0, 1, a.shape))
-    blocked = np.broadcast_to(mask < 0, a.shape)
+    blocked = np.broadcast_to(mask, a.shape)
     assert (y[blocked] == 0.0).all() and (g[blocked] == 0.0).all()
     assert (y[:, 0, 0] == 1.0).all()
-    mask[3] = MASK_SENTINEL
+    mask[3] = True
     with pytest.raises(DegenerateRowError) as err:
         T.softmax_rows(Tensor(a), 0.5, mask)
     assert "0, 3" in str(err.value)
@@ -220,13 +208,17 @@ def test_fused_softmax_masked_entries_and_degenerate_row():
 
 def test_fused_softmax_mask_is_not_a_tape_parent():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
-    mask = np.array([[0.0, MASK_SENTINEL, 0.0]])
+    mask = np.array([[False, True, False]])
     with Tape() as tape:
         y = T.softmax_rows(x, 2.0, mask)
-    assert len(tape) == 1 and y._parents == (x,)
+    assert len(tape) == 1 and y._node.parents == (x,)
     npt.assert_array_equal(y.data, [[0.5, 0.0, 0.5]] * 2)
     with pytest.raises(ShapeError):
-        T.softmax_rows(x, 2.0, np.zeros((3, 3)))
+        T.softmax_rows(x, 2.0, np.zeros((3, 3), dtype=bool))
+    # an additive float mask fails loudly instead of being read as bools
+    for bad in (np.array([[0.0, -np.inf, 0.0]]), np.array([[0, 1, 0]])):
+        with pytest.raises(ContractError, match="must be bool"):
+            T.softmax_rows(x, 2.0, bad)
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
@@ -237,8 +229,8 @@ def test_constant_operand_gets_no_gradient(op):
     with Tape():
         left = op(Tensor(a, requires_grad=True), T.constant(b))
         right = op(T.constant(a), Tensor(b, requires_grad=True))
-    ga, none_b = left._bwd(g)
-    none_a, gb = right._bwd(g)
+    ga, none_b = left._node.bwd(g)
+    none_a, gb = right._node.bwd(g)
     assert none_a is None and none_b is None
     want_a = g * b if op is T.mul else g
     want_b = {T.add: g.sum(axis=0), T.sub: -g.sum(axis=0),
@@ -264,13 +256,13 @@ def test_matmul_and_layer_norm_constant_operands_get_no_gradient():
         ln_const = T.layer_norm(x, T.constant(gain), T.constant(bias))
         ln_all = T.layer_norm(x, Tensor(gain, requires_grad=True),
                               Tensor(bias, requires_grad=True))
-    ga, none_w = left._bwd(g)
-    none_a, gw = right._bwd(g)
-    want_a, want_w = both._bwd(g)
+    ga, none_w = left._node.bwd(g)
+    none_a, gw = right._node.bwd(g)
+    want_a, want_w = both._node.bwd(g)
     assert none_a is None and none_w is None
     assert np.array_equal(ga, want_a) and np.array_equal(gw, want_w)
-    dx, none_gain, none_bias = ln_const._bwd(gln)
-    want_dx, dgain, dbias = ln_all._bwd(gln)
+    dx, none_gain, none_bias = ln_const._node.bwd(gln)
+    want_dx, dgain, dbias = ln_all._node.bwd(gln)
     assert none_gain is None and none_bias is None
     assert np.array_equal(dx, want_dx) and dgain is not None and dbias is not None
 
@@ -278,7 +270,7 @@ def test_matmul_and_layer_norm_constant_operands_get_no_gradient():
 def test_dropout_matches_two_multiplies():
     # a * (keep * scale) against (a * keep) * scale, signed zeros included
     a = np.random.default_rng(45).normal(0, 1, (8, 8))
-    a[0, :4] = [-0.0, 0.0, -1.0, 1e300]
+    a[0, :4] = [-0.0, 0.0, -1.0, 1.0e300]
     g = np.random.default_rng(46).normal(0, 1, (8, 8))
     x = Tensor(a, requires_grad=True)
     with Tape() as tape:
@@ -288,7 +280,7 @@ def test_dropout_matches_two_multiplies():
     want = a * keep * scale
     assert np.array_equal(y.data, want)
     assert np.array_equal(np.signbit(y.data), np.signbit(want))
-    (gx,) = y._bwd(g)
+    (gx,) = y._node.bwd(g)
     assert np.array_equal(gx, g * keep * scale) and len(tape) == 1
 
 
@@ -404,13 +396,12 @@ def test_grad_dropout_fixed_mask():
 def test_grad_masked_softmax():
     rng = np.random.default_rng(31)
     a = rng.normal(0, 1, (3, 4))
-    mask = np.zeros((3, 4))
-    mask[0, 2] = MASK_SENTINEL
-    mask[2, 0] = MASK_SENTINEL
+    mask = np.zeros((3, 4), dtype=bool)
+    mask[0, 2] = True
+    mask[2, 0] = True
 
     def build(x):
-        return T.sum_all(T.mul(T.softmax_rows(T.add(x, T.constant(mask))),
-                               _probe((3, 4), 21)))
+        return T.sum_all(T.mul(T.softmax_rows(x, 1.0, mask), _probe((3, 4), 21)))
 
     _fd_check(build, [a])
 
@@ -554,10 +545,10 @@ def test_broadcast_is_one_way():
 
 
 def test_fully_masked_row_named_in_a_stack():
-    x = np.zeros((2, 3, 4))
-    x[1, 2] = MASK_SENTINEL
+    mask = np.zeros((2, 3, 4), dtype=bool)
+    mask[1, 2] = True
     with pytest.raises(DegenerateRowError) as err:
-        T.softmax_rows(Tensor(x))
+        T.softmax_rows(Tensor(np.zeros((2, 3, 4))), 1.0, mask)
     assert "1, 2" in str(err.value)
 
 
