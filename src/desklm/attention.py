@@ -15,8 +15,12 @@ distance from j to i, not i to j.  Swapping the two is a plausible and
 quietly wrong implementation, which is exactly what the fault-injection
 hook in the equivalence suite simulates.
 
+A position term is on exactly when its projection is passed: c2p when
+W_kr is, p2c when W_qr is.  The section 5 ablations (-C2P, -P2C) remove
+a term by removing its projection.
+
 Scores are scaled by 1 / sqrt(tau * head_size) where tau counts the
-enabled terms (3 when both position terms are on), then masked and
+terms that are on (3 when both position terms are), then masked and
 row-softmaxed; attend hands the scale and the mask to softmax_rows,
 which does all three in one op and never exponentiates a masked entry.
 
@@ -61,11 +65,12 @@ from .tensor import Tensor
 class AttentionParams:
     """Projection weights for one disentangled attention layer.
 
-    w_kr is the position-key projection, required when c2p is enabled;
-    w_qr the position-query projection, required when p2c is enabled.
-    Passing w_qc and w_kc themselves shares the projections (same Tensor
-    objects, one gradient accumulator each), trading a little accuracy
-    for 2 L d^2 fewer parameters.
+    w_kr is the position-key projection and w_qr the position-query
+    projection; each term is on exactly when its projection is given
+    (c2p with w_kr, p2c with w_qr).  Passing w_qc and w_kc themselves
+    shares the projections (same Tensor objects, one gradient
+    accumulator each), trading a little accuracy for 2 L d^2 fewer
+    parameters.
     """
 
     heads: int
@@ -73,8 +78,6 @@ class AttentionParams:
     w_kc: Tensor
     w_vc: Tensor
     w_o: Tensor
-    enable_c2p: bool = True
-    enable_p2c: bool = True
     w_qr: Tensor | None = None
     w_kr: Tensor | None = None
 
@@ -86,10 +89,6 @@ class AttentionParams:
                 raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
         if self.heads < 1 or d % self.heads != 0:
             raise ConfigError(f"width {d} not divisible into {self.heads} heads")
-        if self.enable_c2p and self.w_kr is None:
-            raise ConfigError("the c2p term needs w_kr")
-        if self.enable_p2c and self.w_qr is None:
-            raise ConfigError("the p2c term needs w_qr")
 
     @property
     def d(self) -> int:
@@ -101,14 +100,14 @@ class AttentionParams:
 
     @property
     def scale(self) -> float:
-        tau = 1 + int(self.enable_c2p) + int(self.enable_p2c)
+        tau = 1 + (self.w_kr is not None) + (self.w_qr is not None)
         return 1.0 / np.sqrt(tau * self.head_size)
 
 
 @dataclass
 class AttentionScores:
-    """Unscaled score components, each (..., heads, m, n); a disabled
-    term is None."""
+    """Unscaled score components, each (..., heads, m, n); a term that
+    is off is None."""
 
     c2c: Tensor
     c2p: Tensor | None
@@ -160,7 +159,8 @@ def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
         raise IndexBoundsError(f"query positions outside [0, {h.shape[-2]})")
     if dm.n != h.shape[-2]:
         raise ShapeError(f"delta matrix is for n={dm.n}, content has n={h.shape[-2]}")
-    if (params.enable_c2p or params.enable_p2c) and table.shape != (2 * dm.k, params.d):
+    uses_table = params.w_kr is not None or params.w_qr is not None
+    if uses_table and table.shape != (2 * dm.k, params.d):
         raise ShapeError(
             f"position table must be ({2 * dm.k}, {params.d}), got {table.shape}"
         )
@@ -218,7 +218,7 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
     tile = np.tile(np.arange(n), n)          # key index for each (i, j) pair
 
     c2p = p2c = None
-    if params.enable_c2p:
+    if params.w_kr is not None:
         kr = T.matmul(table, params.w_kr)
         _meter_alloc(meter, kr)
         # Row for pair (i, j) holds K_r[delta(i, j)]: an (n*n, d) object.
@@ -228,7 +228,7 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         _meter_release(meter, kr_pairs)
         total = T.add(total, c2p)
 
-    if params.enable_p2c:
+    if params.w_qr is not None:
         qr = T.matmul(table, params.w_qr)
         _meter_alloc(meter, qr)
         # Row for pair (i, j) holds Q_r[delta(j, i)]: orientation flipped.
@@ -238,9 +238,9 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         _meter_release(meter, qr_pairs)
         total = T.add(total, p2c)
 
-    if params.enable_c2p:
+    if params.w_kr is not None:
         _meter_release(meter, kr)
-    if params.enable_p2c:
+    if params.w_qr is not None:
         _meter_release(meter, qr)
     return AttentionScores(c2c, c2p, p2c, total)
 
@@ -270,7 +270,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     total = c2c
 
     c2p = p2c = None
-    if params.enable_c2p:
+    if params.w_kr is not None:
         # All m * 2k query/position-key products of every head, then
         # pick column delta(i, j) in row i.
         kr = T.matmul(table, params.w_kr)
@@ -281,7 +281,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         _meter_release(meter, prod)
         total = T.add(total, c2p)
 
-    if params.enable_p2c:
+    if params.w_qr is not None:
         # Row j of the product holds K_c[j] . Q_r[*]; the offsets place
         # K_c[j] . Q_r[delta(j, i)] straight at (i, j).
         qr = T.matmul(table, params.w_qr)
@@ -292,9 +292,9 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         _meter_release(meter, prod)
         total = T.add(total, p2c)
 
-    if params.enable_c2p:
+    if params.w_kr is not None:
         _meter_release(meter, kr)
-    if params.enable_p2c:
+    if params.w_qr is not None:
         _meter_release(meter, qr)
     return AttentionScores(c2c, c2p, p2c, total)
 
@@ -305,15 +305,15 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
            collect: list | None = None, positions=None) -> Tensor:
     """Full multi-head attention: efficient scores, mask, softmax, value mix.
 
-    h is (..., n, d).  table is read only when a position term is
-    enabled, so it may be None when both are off.  query, when given,
-    replaces h as the query stream; with positions (see
+    h is (..., n, d).  table is read only when a position term is on,
+    so it may be None when params has no position projection.  query,
+    when given, replaces h as the query stream; with positions (see
     scores_efficient) it may hold only m of the n rows, and the output
     is then (..., m, d).  mask, when given, is a (..., n, n) bool
     array, True at blocked pairs, or (..., 1, n) when it blocks whole
     columns; every head and, for a one-row mask, every query gets the
-    same mask.  collect, when given, receives one
-    (..., heads, m, n) numpy array of post-softmax probabilities.
+    same mask.  collect, when given, receives one (..., heads, m, n)
+    numpy array of post-softmax probabilities.
     """
     if dropout_p > 0.0 and rng is None:
         raise ConfigError("dropout needs an rng")

@@ -162,7 +162,7 @@ def cmd_eval(args) -> int:
     else:
         lines = _read_corpus(bundled_corpus_path(), "data.corpus")
     rows = _eval_rows(model, vocab, lines)
-    ppl = evaluate_ppl(model, rows, max_rows=run_cfg.eval.max_rows)
+    ppl = evaluate_ppl(model, rows[:run_cfg.eval.max_rows])
     _echo(args, run_cfg, model.cfg)
     print(f"{ppl:.6f}")
     return EXIT_OK

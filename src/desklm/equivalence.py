@@ -44,11 +44,9 @@ class AllocationMeter:
     def __init__(self) -> None:
         self.current = 0
         self.peak = 0
-        self.total_allocated = 0
 
     def alloc(self, count: int) -> None:
         self.current += int(count)
-        self.total_allocated += int(count)
         if self.current > self.peak:
             self.peak = self.current
 
@@ -70,15 +68,15 @@ def _make_params(d: int, heads: int, seed: int, share: bool,
         return Tensor(truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d)),
                       requires_grad=True)
 
-    # Shared projections are the content ones, as in the model; an unused
-    # one is still drawn and simply gets no gradient.
+    # As in the model: shared projections are the content ones, and a
+    # term that is off gets none.  Draws are per name, so an unused one
+    # shifts no other.
     w_qc, w_kc = w("w_qc"), w("w_kc")
-    w_qr, w_kr = w_qc, w_kc
-    if not share and (enable_c2p or enable_p2c):
-        w_qr, w_kr = w("w_qr"), w("w_kr")
+    w_qr = w_qc if share else w("w_qr")
+    w_kr = w_kc if share else w("w_kr")
     return AttentionParams(
         heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w("w_vc"), w_o=w("w_o"),
-        enable_c2p=enable_c2p, enable_p2c=enable_p2c, w_qr=w_qr, w_kr=w_kr,
+        w_qr=w_qr if enable_p2c else None, w_kr=w_kr if enable_c2p else None,
     )
 
 
@@ -99,9 +97,6 @@ class EquivalenceCase:
 
 @dataclass
 class EquivalenceReport:
-    score_tol: float
-    grad_tol: float
-    fault: str | None
     cases: list[EquivalenceCase] = field(default_factory=list)
 
     @property
@@ -125,9 +120,11 @@ def _grad_map(params: AttentionParams, table: Tensor) -> dict[str, np.ndarray]:
     tensors = {
         "w_qc": params.w_qc, "w_kc": params.w_kc, "table": table,
     }
-    if params.w_qr is not params.w_qc:
-        tensors["w_qr"] = params.w_qr
-        tensors["w_kr"] = params.w_kr
+    # position projections that exist and are not the content ones
+    for name, content in (("w_qr", params.w_qc), ("w_kr", params.w_kc)):
+        w = getattr(params, name)
+        if w is not None and w is not content:
+            tensors[name] = w
     out = {}
     for name, t in tensors.items():
         out[name] = None if t.grad is None else t.grad.copy()
@@ -212,7 +209,7 @@ def run_equivalence_suite(seed: int = 0, score_tol: float = 1e-10,
     case runs all four term combinations.  Failed cases carry the seed
     that reproduces them.
     """
-    report = EquivalenceReport(score_tol=score_tol, grad_tol=grad_tol, fault=fault)
+    report = EquivalenceReport()
 
     case_no = 0
     for n, k, d, heads in _EDGE_SHAPES:

@@ -43,6 +43,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, attend
 from .errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointShapeError,
     CheckpointTruncatedError,
@@ -243,27 +244,27 @@ class Model:
             p.grad = None
 
     def _attn_params(self, prefix: str) -> AttentionParams:
-        # shared position projections are the content ones; unused ones are None
-        p = self.params
+        # shared position projections are the content ones; an ablated
+        # term gets none, which is what turns it off
+        p, on = self.params, self.cfg.ablations
         w_qc, w_kc = p[f"{prefix}_att_wqc"], p[f"{prefix}_att_wkc"]
         shared = self.cfg.share_projection
+        w_qr = w_qc if shared else p.get(f"{prefix}_att_wqr")
+        w_kr = w_kc if shared else p.get(f"{prefix}_att_wkr")
         return AttentionParams(
             heads=self.cfg.heads,
             w_qc=w_qc,
             w_kc=w_kc,
             w_vc=p[f"{prefix}_att_wvc"],
             w_o=p[f"{prefix}_att_wo"],
-            enable_c2p=self.cfg.ablations.c2p,
-            enable_p2c=self.cfg.ablations.p2c,
-            w_qr=w_qc if shared else p.get(f"{prefix}_att_wqr"),
-            w_kr=w_kc if shared else p.get(f"{prefix}_att_wkr"),
+            w_qr=w_qr if on.p2c else None,
+            w_kr=w_kr if on.c2p else None,
         )
 
     def _block(self, prefix: str, query: Tensor, content: Tensor, dm, mask,
-               training: bool, rng, collect: dict | None = None,
-               positions=None) -> Tensor:
+               rng, collect: dict | None = None, positions=None) -> Tensor:
         p = self.params
-        drop = self.cfg.dropout if training else 0.0
+        drop = 0.0 if rng is None else self.cfg.dropout
         probs: list | None = [] if collect is not None else None
         # No pos_table when both position terms are ablated; attend
         # then never reads it.
@@ -282,11 +283,11 @@ class Model:
     # -- forward passes ---------------------------------------------------
 
     def encode(self, ids: np.ndarray, real: np.ndarray | None = None,
-               causal: bool = False, training: bool = False, rng=None,
-               perturb: Tensor | None = None,
+               causal: bool = False, rng=None, perturb: Tensor | None = None,
                collect: dict | None = None, mask: np.ndarray | None = None) -> Tensor:
         """Token ids (..., n) to hidden states (..., n, d).
 
+        Dropout runs exactly when rng is given, drawing its masks from it.
         real, when given, has the shape of ids and is False at PAD.
         mask, when given, replaces build_mask(n, real, causal).
         perturb, when given, is added to the normalised embeddings and
@@ -299,8 +300,6 @@ class Model:
         n = ids.shape[-1]
         if n > self.cfg.max_len:
             raise ContractError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        if training and self.cfg.dropout > 0.0 and rng is None:
-            raise ContractError("training forward with dropout needs an rng")
         p = self.params
         e = T.gather_rows(p["tok_emb"], ids)
         if self.cfg.abs_pos_at_input:
@@ -312,24 +311,23 @@ class Model:
                     f"perturbation shape {perturb.shape} != {h.shape}"
                 )
             h = T.add(h, perturb)
-        h = T.dropout(h, self.cfg.dropout if training else 0.0, rng)
+        h = T.dropout(h, 0.0 if rng is None else self.cfg.dropout, rng)
         dm = build_delta_matrix(n, self.cfg.k)
         if mask is None:
             mask = build_mask(n, real, causal)
         for i in range(self.cfg.L):
-            h = self._block(f"enc{i}", h, h, dm, mask, training, rng,
-                            collect=collect)
+            h = self._block(f"enc{i}", h, h, dm, mask, rng, collect=collect)
         return h
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
-               causal: bool = False, training: bool = False, rng=None,
-               mask: np.ndarray | None = None,
+               causal: bool = False, rng=None, mask: np.ndarray | None = None,
                predict: np.ndarray | None = None) -> Tensor:
         """Hidden states (..., n, d) to logits (..., n, vocab).
 
-        mask, when given, replaces build_mask(n, real, causal).  predict,
-        when given, is a bool array (..., n): only the logits at its True
-        slots are returned, as (count, vocab) rows in row-major order.
+        rng, as for encode, turns dropout on.  mask, when given, replaces
+        build_mask(n, real, causal).  predict, when given, is a bool
+        array (..., n): only the logits at its True slots are returned,
+        as (count, vocab) rows in row-major order.
         The head's keys and values stay h, so a query row depends only
         on its own slot and h; without causal, the head then runs at the
         predicted slots alone.
@@ -359,16 +357,15 @@ class Model:
             x = T.add(x, T.gather_rows(self.params["dec_abs"],
                                        np.arange(n) if rows is None else rows))
         for j in range(cfg.n_emd if cfg.ablations.emd else 1):
-            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, training,
-                            rng, positions=rows)
+            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, rng,
+                            positions=rows)
         if picks is not None:
             x = T.gather_rows(T.reshape(x, (x.size // d, d)), picks)
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))
         return T.add(logits, self.params["out_bias"])
 
     def _nll(self, ids: np.ndarray, targets: np.ndarray, predict: np.ndarray,
-             real: np.ndarray | None, causal: bool, training: bool, rng,
-             perturb: Tensor | None):
+             real: np.ndarray | None, causal: bool, rng, perturb: Tensor | None):
         """The loss core of both objectives: encode and decode ids, then
         score targets (shaped like ids) at the True slots of predict.
         Returns what mlm_row documents."""
@@ -397,9 +394,8 @@ class Model:
                 ids, targets = ids[..., :n], targets[..., :n]
                 predict, real = predict[..., :n], real[..., :n]
         mask = build_mask(ids.shape[-1], real, causal)
-        h = self.encode(ids, training=training, rng=rng, perturb=perturb, mask=mask)
-        picked = self.decode(h, causal=causal, training=training, rng=rng,
-                             mask=mask, predict=predict)
+        h = self.encode(ids, rng=rng, perturb=perturb, mask=mask)
+        picked = self.decode(h, causal=causal, rng=rng, mask=mask, predict=predict)
         wanted = targets.reshape(-1)[np.flatnonzero(predict)]
         vocab = picked.shape[-1]
         if wanted.size and not 0 <= wanted.min() <= wanted.max() < vocab:
@@ -410,8 +406,7 @@ class Model:
         return T.neg(T.sum_all(chosen)), wanted.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
-                real: np.ndarray, training: bool = False, rng=None,
-                perturb: Tensor | None = None):
+                real: np.ndarray, rng=None, perturb: Tensor | None = None):
         """Masked-prediction pieces for one row (n,) or a batch (b, n).
 
         predict is True at the slots to predict.  Returns (nll_sum,
@@ -419,19 +414,16 @@ class Model:
         logit rows at the predicted slots in row-major order; the
         consistency regulariser needs them as tensors.
         """
-        return self._nll(x_tilde, x, predict, real, False, training, rng, perturb)
+        return self._nll(x_tilde, x, predict, real, False, rng, perturb)
 
-    def forward_mlm(self, batch, training: bool = False, rng=None,
-                    perturb: Tensor | None = None) -> Tensor:
+    def forward_mlm(self, batch, rng=None, perturb: Tensor | None = None) -> Tensor:
         """Mean masked-token negative log likelihood over the batch."""
         nll, count, _ = self.mlm_row(batch.x, batch.x_tilde, batch.predict,
-                                     batch.real, training=training, rng=rng,
-                                     perturb=perturb)
+                                     batch.real, rng=rng, perturb=perturb)
         return T.mul(nll, 1.0 / count)
 
     def arlm_row(self, tokens: np.ndarray, real: np.ndarray | None = None,
-                 training: bool = False, rng=None,
-                 perturb: Tensor | None = None):
+                 rng=None, perturb: Tensor | None = None):
         """Causal next-token pieces: (nll_sum, count, next_token_logits).
 
         tokens is one row (n,) or a batch (b, n).  Padded rows must be
@@ -446,7 +438,7 @@ class Model:
                           else np.asarray(real, dtype=bool), -1, axis=-1)
         predict[..., -1] = False
         return self._nll(ids, np.roll(ids, -1, axis=-1), predict, real, True,
-                         training, rng, perturb)
+                         rng, perturb)
 
 
 # ---------------------------------------------------------------------
@@ -505,7 +497,11 @@ def _read_exact(fh, n: int, size: int) -> bytes:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (arrays by name, metadata).  Strict about every byte."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint: {e}") from e
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if len(magic) < 4:

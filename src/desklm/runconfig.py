@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .errors import ConfigError, check_field_types
-from .model import ModelConfig
+from .model import AblationFlags, ModelConfig
 from .sift import SiftConfig
 from .trainer import TrainConfig
 
@@ -64,26 +64,20 @@ def preset_path(name: str) -> str:
     return str(resources.files("desklm").joinpath(f"presets/{name}.json"))
 
 
-def _checked_kwargs(section: str, raw: dict, cls) -> dict:
+def _checked_kwargs(section: str, raw, cls, aliases: dict | None = None) -> dict:
+    """raw as keyword arguments for cls: a JSON object whose keys, once
+    aliases are renamed, all name fields of cls."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be an object")
+    kwargs = dict(raw)
+    for alias, name in (aliases or {}).items():
+        if alias in kwargs:
+            kwargs[name] = kwargs.pop(alias)
     allowed = {f.name for f in fields(cls)}
-    for key in raw:
+    for key in kwargs:
         if key not in allowed:
             raise ConfigError(f"unknown key {section}.{key}")
-    return dict(raw)
-
-
-def _model_section(raw: dict) -> dict:
-    allowed = {f.name for f in fields(ModelConfig)}
-    for key, value in raw.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key model.{key}")
-        if key == "ablations":
-            if not isinstance(value, dict):
-                raise ConfigError("model.ablations must be an object")
-            for sub in value:
-                if sub not in ("emd", "c2p", "p2c"):
-                    raise ConfigError(f"unknown key model.ablations.{sub}")
-    return dict(raw)
+    return kwargs
 
 
 @dataclass
@@ -99,16 +93,16 @@ class RunConfig:
         for section in raw:
             if section not in ("model", "trainer", "sift", "data", "eval"):
                 raise ConfigError(f"unknown config section {section!r}")
-        sift_raw = dict(raw.get("sift", {}))
-        if "lambda" in sift_raw:
-            sift_raw["lam"] = sift_raw.pop("lambda")
+        model = _checked_kwargs("model", raw.get("model", {}), ModelConfig)
+        if "ablations" in model:
+            _checked_kwargs("model.ablations", model["ablations"], AblationFlags)
         try:
             return cls(
-                model=_model_section(raw.get("model", {})),
+                model=model,
                 trainer=TrainConfig(**_checked_kwargs(
                     "trainer", raw.get("trainer", {}), TrainConfig)),
                 sift=SiftConfig(**_checked_kwargs(
-                    "sift", sift_raw, SiftConfig)),
+                    "sift", raw.get("sift", {}), SiftConfig, {"lambda": "lam"})),
                 data=DataConfig(**_checked_kwargs(
                     "data", raw.get("data", {}), DataConfig)),
                 eval=EvalConfig(**_checked_kwargs(

@@ -136,12 +136,11 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     if mode == "mlm":
         def forward(perturb, rng):
             return model.mlm_row(batch.x, batch.x_tilde, batch.predict,
-                                 batch.real, training=True, rng=rng,
-                                 perturb=perturb)
+                                 batch.real, rng=rng, perturb=perturb)
     elif mode == "arlm":
         def forward(perturb, rng):
-            return model.arlm_row(batch.x, real=batch.real, training=True,
-                                  rng=rng, perturb=perturb)
+            return model.arlm_row(batch.x, real=batch.real, rng=rng,
+                                  perturb=perturb)
     else:
         raise ConfigError(f"sift mode {mode!r} not one of ('mlm', 'arlm')")
 

@@ -166,7 +166,7 @@ class Tape:
             if wanted is not None and node in wanted:
                 _deposit(wanted[node], g)
             for parent, pg in zip(node.parents, node.bwd(g)):
-                if pg is None or not parent.requires_grad:
+                if pg is None:
                     continue
                 if parent in grads:
                     grads[parent] = grads[parent] + pg
@@ -193,9 +193,6 @@ class _Node:
     """One recorded op: parents, backward closure, owner token."""
 
     __slots__ = ("parents", "bwd", "owner")
-    # backward asks every parent, node or leaf tensor, whether it takes
-    # a gradient; a recorded output always does
-    requires_grad = True
 
     def __init__(self, parents: tuple, bwd: Callable, owner: object) -> None:
         self.parents = parents

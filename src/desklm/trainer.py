@@ -257,11 +257,8 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     )
 
 
-def evaluate_ppl(model: Model, rows: list[np.ndarray],
-                 max_rows: int | None = None) -> float:
+def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
     """Causal perplexity: exp of the mean next-token NLL over all rows."""
-    if max_rows is not None:
-        rows = rows[:max_rows]
     total = 0.0
     count = 0
     with T.no_grad():
@@ -269,7 +266,7 @@ def evaluate_ppl(model: Model, rows: list[np.ndarray],
             row = np.asarray(row)
             if row.size < 2:
                 continue
-            nll, c, _ = model.arlm_row(row, training=False)
+            nll, c, _ = model.arlm_row(row)
             total += nll.item()
             count += c
     if count == 0:

@@ -66,9 +66,10 @@ def _make(n, k, d, heads, seed, share=False, use_c2p=True, use_p2c=True):
     w_qr, w_kr = w_qc, w_kc
     if not share and (use_c2p or use_p2c):
         w_qr, w_kr = w(), w()
+    # a term that is off gets no projection
     params = AttentionParams(
         heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w_vc, w_o=w_o,
-        enable_c2p=use_c2p, enable_p2c=use_p2c, w_qr=w_qr, w_kr=w_kr,
+        w_qr=w_qr if use_p2c else None, w_kr=w_kr if use_c2p else None,
     )
     table = Tensor(rng.normal(0, 0.3, (2 * k, d)), requires_grad=True)
     h = Tensor(rng.normal(0, 1, (n, d)))
@@ -76,19 +77,19 @@ def _make(n, k, d, heads, seed, share=False, use_c2p=True, use_p2c=True):
     return params, table, h, dm
 
 
+def _data(w):
+    """A weight's array, or None for an absent projection."""
+    return None if w is None else w.data
+
+
 @pytest.mark.parametrize("n,k,d,heads", [(5, 2, 4, 1), (8, 3, 6, 2), (12, 8, 8, 4)])
 @pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
 def test_kernels_match_loop_oracle(n, k, d, heads, use_c2p, use_p2c):
     params, table, h, dm = _make(n, k, d, heads, seed=n * 100 + k, use_c2p=use_c2p,
                                  use_p2c=use_p2c)
-    if use_c2p or use_p2c:
-        expect = oracle_scores(h.data, params.w_qc.data, params.w_kc.data,
-                               params.w_qr.data, params.w_kr.data, table.data,
-                               k, heads, use_c2p, use_p2c)
-    else:
-        expect = oracle_scores(h.data, params.w_qc.data, params.w_kc.data,
-                               None, None, np.zeros((2 * k, d)),
-                               k, heads, False, False)
+    expect = oracle_scores(h.data, params.w_qc.data, params.w_kc.data,
+                           _data(params.w_qr), _data(params.w_kr), table.data,
+                           k, heads, use_c2p, use_p2c)
     for fn in (scores_naive, scores_efficient):
         got = fn(h, params, table, dm)
         assert_close(got.combined.data, expect, atol=1e-10, rtol=0,
@@ -110,10 +111,6 @@ def test_share_projection_is_an_alias():
         loss = T.sum_all(s.combined)
     tape.backward(loss)
     assert params.w_qc.grad is not None
-    # a position term with no position projection at all is refused
-    with pytest.raises(ConfigError):
-        AttentionParams(heads=2, w_qc=params.w_qc, w_kc=params.w_kc,
-                        w_vc=params.w_vc, w_o=params.w_o)
 
 
 def test_disabled_terms_are_exactly_zero():
@@ -273,6 +270,63 @@ def test_separate_query_input():
     assert np.max(np.abs(out_cross.data - out_self.data)) > 1e-6
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("share", [False, True])
+@pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
+def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2p, use_p2c):
+    # The mask decoder's two paths: a query stream q beside the content h,
+    # and only the query rows at some slots, scored as (..., heads, m, n).
+    n, k, d, heads, m = 9, 3, 8, 2, 5
+    params, table, _, dm = _make(n, k, d, heads, seed=20, share=share,
+                                 use_c2p=use_c2p, use_p2c=use_p2c)
+    rng = np.random.default_rng(21)
+    h = Tensor(rng.normal(0, 1, lead + (n, d)), requires_grad=True)
+    q = Tensor(rng.normal(0, 1, lead + (n, d)), requires_grad=True)
+    rows = rng.integers(0, n, lead + (m,))          # repeated slots included
+    probe = rng.normal(0, 1, lead + (heads, n, n))
+    probe_rows = rng.normal(0, 1, lead + (heads, m, n))
+    # probe_rows added back at the slots it reads: the same functional of
+    # the full scores as probe_rows is of the scores at rows
+    spread = np.zeros(probe.shape)
+    for idx in np.ndindex(lead):
+        for i, r in enumerate(rows[idx]):
+            spread[idx][:, r] += probe_rows[idx][:, i]
+    leaves = [h, q, table, params.w_qc, params.w_kc]
+    leaves += [w for w in (params.w_qr, params.w_kr) if w is not None and not share]
+
+    def scored(scores, weights):
+        """The scores and the gradient of sum(scores * weights) in every leaf."""
+        with Tape() as tape:
+            s = scores()
+            loss = T.sum_all(T.mul(s, T.constant(weights)))
+        tape.backward(loss)
+        grads = [t.grad for t in leaves]
+        for t in leaves:
+            t.grad = None
+        return s.data, grads
+
+    def at_rows():
+        first = np.arange(0, q.size // d, n).reshape(lead)  # flat slot 0 of each row
+        q_at = T.gather_rows(T.reshape(q, (q.size // d, d)), first[..., None] + rows)
+        return scores_efficient(h, params, table, dm, query=q_at, positions=rows).combined
+
+    naive = lambda: scores_naive(h, params, table, dm, query=q).combined
+    efficient = lambda: scores_efficient(h, params, table, dm, query=q).combined
+    want, want_g = scored(naive, probe)
+    want_rows = np.take_along_axis(want, rows[..., None, :, None], axis=-2)
+    _, want_rows_g = scored(naive, spread)
+    for (got, got_g), expect, expect_g in (
+            (scored(efficient, probe), want, want_g),
+            (scored(at_rows, probe_rows), want_rows, want_rows_g)):
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-10
+        for t, g, e in zip(leaves, got_g, expect_g):
+            # the table takes no gradient when both position terms are off
+            assert (g is None) == (e is None) == (t is table and not (use_c2p or use_p2c))
+            if g is not None:
+                assert np.max(np.abs(g - e)) <= 1e-8
+
+
 def test_validation_errors():
     params, table, h, dm = _make(6, 2, 4, 1, seed=16)
     with pytest.raises(ShapeError):
@@ -346,7 +400,6 @@ def test_allocation_meter_bookkeeping():
     m.alloc(2)
     assert m.peak == 15
     assert m.current == 7
-    assert m.total_allocated == 17
     with pytest.raises(ConfigError):
         m.release(100)
 

@@ -10,12 +10,13 @@ import pytest
 from desklm import cli
 from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus
-from desklm.errors import CheckpointFormatError, ConfigError
+from desklm.errors import CheckpointError, CheckpointFormatError, ConfigError
 from desklm.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from desklm.runconfig import (EvalConfig, RunConfig, apply_override,
                               bundled_corpus_path, effective_config_text,
                               load_run_config, parse_override, preset_path)
 from desklm.tensor import Tensor
+from desklm.trainer import evaluate_ppl
 
 PRETRAIN_FAST = ["--set", "trainer.steps=3", "--set", "trainer.warmup_steps=1",
                  "--set", "trainer.batch_size=2", "--set", "trainer.seq_len=16"]
@@ -97,6 +98,28 @@ def test_unknown_keys_are_named(raw, needle):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict(raw)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("override,section", [
+    ("model=5", "model"),
+    ("model=[1]", "model"),
+    ("model.ablations=3", "model.ablations"),
+    ("sift=3", "sift"),
+    ("trainer=5", "trainer"),
+    ("data=null", "data"),
+    ("eval=[1]", "eval"),
+])
+def test_a_section_that_is_not_an_object_is_named(tmp_path, capsys, override, section):
+    raw = {}
+    apply_override(raw, *parse_override(override))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(raw)
+    assert str(err.value) == f"{section} must be an object"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    for config in (["--config", "toy", "--set", override], ["--config", str(path)]):
+        assert main(["audit", *config]) == 2
+        assert f"error: {section} must be an object" in _one_line_error(capsys)
 
 
 def test_lambda_key_maps_to_lam_and_back():
@@ -283,6 +306,34 @@ def test_eval_without_checkpoint_is_config_error(capsys):
     rc = main(["eval", "--config", "toy"])
     assert rc == 2
     assert "eval.checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_checkpoint_is_checkpoint_error(tmp_path, capsys, where):
+    path = tmp_path / "absent.ckpt" if where == "missing" else tmp_path
+    rc = main(["eval", "--config", "toy", "--set", f"eval.checkpoint={path}"])
+    assert rc == 2
+    assert "cannot read checkpoint" in _one_line_error(capsys)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    _, meta = load_checkpoint(ckpt)
+    # random weights, so that rows differ in perplexity
+    model = Model(ModelConfig(**meta["config"]), seed=1)
+    save_checkpoint(ckpt, model.params, meta)
+    args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+            "--set", f"eval.corpus={corpus}"]
+    printed = []
+    for extra in ([], ["--set", "eval.max_rows=2"]):
+        assert main(args + extra) == 0
+        printed.append(capsys.readouterr().out)
+    rows = cli._eval_rows(model, Vocab(meta["vocab"]), load_corpus(corpus))
+    assert len(rows) > 2
+    assert printed[1] == f"{evaluate_ppl(model, rows[:2]):.6f}\n"
+    assert printed[0] == f"{evaluate_ppl(model, rows):.6f}\n" != printed[1]
 
 
 def _one_line_error(capsys) -> str:

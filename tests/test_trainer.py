@@ -413,15 +413,6 @@ def test_evaluate_ppl_rejects_unusable_rows():
         evaluate_ppl(model, [np.array([5])])
 
 
-def test_evaluate_ppl_respects_max_rows():
-    model, _, _, seqs = tiny_setup()
-    rows = [np.asarray([2] + s[:6] + [3]) for s in seqs[:4]]
-    full = evaluate_ppl(model, rows)
-    two = evaluate_ppl(model, rows, max_rows=2)
-    assert two == evaluate_ppl(model, rows[:2])
-    assert full != two
-
-
 # ---------------------------------------------------------------------
 # Ablation suite.
 # ---------------------------------------------------------------------
