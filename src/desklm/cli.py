@@ -81,10 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path}: cannot create directory: {e.strerror}") from e
+
+
 def _echo(args, run_cfg: RunConfig, model_cfg=None) -> None:
+    """Write the effective config into --out (made here) or to stderr."""
     text = effective_config_text(run_cfg, model_cfg)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         with open(os.path.join(args.out, "effective_config.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
@@ -161,9 +169,9 @@ def cmd_eval(args) -> int:
         lines = _read_corpus(run_cfg.data.corpus, "data.corpus")
     else:
         lines = _read_corpus(bundled_corpus_path(), "data.corpus")
+    _echo(args, run_cfg, model.cfg)
     rows = _eval_rows(model, vocab, lines)
     ppl = evaluate_ppl(model, rows[:run_cfg.eval.max_rows])
-    _echo(args, run_cfg, model.cfg)
     print(f"{ppl:.6f}")
     return EXIT_OK
 
@@ -192,7 +200,6 @@ def cmd_dump_attention(args) -> int:
     collected: dict = {}
     with T.no_grad():
         model.encode(ids, collect=collected)
-    os.makedirs(args.out, exist_ok=True)
     _echo(args, run_cfg, model.cfg)
 
     manifest = {"tokens": [vocab.id_to_token(i) for i in ids.tolist()],
@@ -223,6 +230,8 @@ def cmd_dump_attention(args) -> int:
 
 def cmd_equivalence(args) -> int:
     run_cfg = load_run_config(args.config, args.sets, args.seed)
+    if args.sweep_seeds < 0:
+        raise ConfigError(f"--sweep-seeds must be >= 0, got {args.sweep_seeds}")
     _echo(args, run_cfg)
     seed = run_cfg.trainer.seed
     report = run_equivalence_suite(seed=seed, fault=args.fault,

@@ -403,7 +403,7 @@ class Model:
         # row r's target is at flat offset r * vocab + wanted[r]
         offsets = np.arange(wanted.size, dtype=np.int64) * vocab + wanted
         chosen = T.gather_flat(T.log_softmax_rows(picked), offsets[:, None])
-        return T.neg(T.sum_all(chosen)), wanted.size, picked
+        return T.mul(T.sum_all(chosen), -1.0), wanted.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
                 real: np.ndarray, rng=None, perturb: Tensor | None = None):

@@ -65,7 +65,7 @@ def normalize_embeddings(e: Tensor) -> Tensor:
     bounded gradients and the constant-row -> zero-vector behaviour.
     """
     d = e.shape[-1]
-    gain, bias = T.ones((d,)), T.zeros((d,))
+    gain, bias = Tensor(np.ones(d)), Tensor(np.zeros(d))
     once = T.layer_norm(e, gain, bias, eps=_NORM_EPS)
     return T.layer_norm(once, gain, bias, eps=_NORM_EPS)
 
@@ -159,7 +159,7 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     # A frozen copy of the clean distribution drives both the ascent and
     # the outer divergence; gradients only ever flow through the
     # perturbed branch.
-    clean_const = T.constant(clean_logits.data)
+    clean_const = Tensor(clean_logits.data)
     del clean_logits
 
     delta0 = rng_for(seed, "sift/init").normal(
@@ -179,7 +179,7 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
                                0.0)
         _project_rows(delta.data, cfg.epsilon, active)
 
-    frozen = T.constant(delta.data)
+    frozen = Tensor(delta.data)
     _, _, pert_logits = forward(frozen, drop_rng())
     r_adv = T.mul(symmetric_kl(clean_const, pert_logits), 1.0 / count)
     loss = T.add(task, T.mul(r_adv, cfg.lam))

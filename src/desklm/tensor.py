@@ -17,9 +17,9 @@ through the same code.
 
 Broadcasting has one rule: in add, sub and mul the second operand
 broadcasts to the first operand's shape (numpy rules), and the backward
-pass sums its gradient over the broadcast axes.  A python scalar counts
-as a second operand of any shape.  matmul broadcasts the leading dims of
-both operands, so a (b, n, d) batch times a (d, e) weight is one call.
+pass sums its gradient over the broadcast axes.  Only mul takes a
+python scalar as its second operand.  matmul broadcasts the leading dims
+of both operands, so a (b, n, d) batch times a (d, e) weight is one call.
 Anything else raises ShapeError.  An operand that does not require a
 gradient when the op is recorded gets none in the backward, and an op
 keeps no array that only that gradient would read.
@@ -135,16 +135,15 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: "Tensor", targets: Sequence["Tensor"] | None = None) -> None:
-        """Accumulate d loss / d t into t.grad for leaves and explicit targets.
+        """Accumulate d loss / d t into t.grad for leaves.
 
-        loss must be a scalar (size-1) tensor recorded on this tape.
-        Without targets, every leaf (a tensor this tape did not record:
-        parameters, perturbations, another tape's outputs) receives a
-        .grad and the recorded intermediates keep grad None.  With
-        targets, only the named tensors receive a .grad, leaf or
-        intermediate; everything else still participates in the chain
-        rule.  Gradients accumulate across calls; reset .grad to None
-        between steps.
+        loss must be a scalar (size-1) tensor recorded on this tape.  A
+        leaf is a tensor this tape did not record: a parameter, a
+        perturbation, another tape's output.  Without targets every leaf
+        receives a .grad; with targets only the named leaves do, and
+        naming a tensor this tape recorded raises ContractError.
+        Recorded intermediates keep grad None.  Gradients accumulate
+        across calls; reset .grad to None between steps.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -153,18 +152,17 @@ class Tape:
         token = self._token
         if loss._node is None or loss._node.owner is not token:
             raise ContractError("loss was not recorded on this tape")
-
-        # targets keyed the way parents are held: this tape's
-        # intermediates by their node, everything else by the tensor
-        wanted = None if targets is None else {_link(t, token): t for t in targets}
+        wanted = None if targets is None else set(targets)
+        if wanted is not None and any(t._node is not None and t._node.owner is token
+                                      for t in wanted):
+            raise ContractError("backward targets must be leaves, not tensors "
+                                "this tape recorded")
         grads: dict = {loss._node: np.ones_like(loss.data)}
 
         for node in reversed(self._nodes):
             g = grads.pop(node, None)
             if g is None:
                 continue
-            if wanted is not None and node in wanted:
-                _deposit(wanted[node], g)
             for parent, pg in zip(node.parents, node.bwd(g)):
                 if pg is None:
                     continue
@@ -198,13 +196,6 @@ class _Node:
         self.parents = parents
         self.bwd = bwd
         self.owner = owner
-
-
-def _link(t: "Tensor", owner: object):
-    """What a node of owner's tape holds for t: t's node if that tape
-    recorded t, else t itself as a leaf."""
-    node = t._node
-    return t if node is None or node.owner is not owner else node
 
 
 class no_grad:
@@ -277,7 +268,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> Tensor:
         return out
     token = tape._token
     links = []
-    for p in parents:  # _link, inlined
+    for p in parents:  # this tape's node, or the tensor itself as a leaf
         n = p._node
         links.append(p if n is None or n.owner is not token else n)
     out.requires_grad = True
@@ -286,17 +277,11 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
-def _operand(op: str, x) -> Tensor | float:
-    """x as a tensor or a python float; ShapeError naming x's type otherwise."""
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return float(x)
-    raise ShapeError(f"{op}: unsupported operand {type(x)}")
-
-
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    """The second operand must broadcast to the first operand's shape."""
+def _check_broadcast(op: str, a: Tensor, b) -> None:
+    """The second operand must be a tensor broadcasting to the first
+    operand's shape; ShapeError naming b's type or both shapes otherwise."""
+    if not isinstance(b, Tensor):
+        raise ShapeError(f"{op}: unsupported operand {type(b)}")
     try:
         ok = np.broadcast_shapes(a.shape, b.shape) == a.shape
     except ValueError:
@@ -327,30 +312,11 @@ def _scatter_add(g: np.ndarray, off: np.ndarray, shape: tuple, block: int) -> np
     return np.bincount(flat, weights=g.ravel(), minlength=size).reshape(shape)
 
 
-# -- creation ----------------------------------------------------------
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
 # -- elementwise -------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    """a + b, with b a python scalar or a tensor broadcasting to a.shape."""
-    b = _operand("add", b)
-    if isinstance(b, float):
-        out = Tensor._from_data(a.data + b)
-        return _record(out, (a,), lambda g: [g])
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, with b a tensor broadcasting to a.shape."""
     _check_broadcast("add", a, b)
     out = Tensor._from_data(a.data + b.data)
     ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
@@ -358,12 +324,8 @@ def add(a: Tensor, b) -> Tensor:
                                            _unbroadcast(g, bshape) if gb else None])
 
 
-def sub(a: Tensor, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
     """a - b; same shape rules as add."""
-    b = _operand("sub", b)
-    if isinstance(b, float):
-        out = Tensor._from_data(a.data - b)
-        return _record(out, (a,), lambda g: [g])
     _check_broadcast("sub", a, b)
     out = Tensor._from_data(a.data - b.data)
     ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
@@ -371,16 +333,11 @@ def sub(a: Tensor, b) -> Tensor:
                                            -_unbroadcast(g, bshape) if gb else None])
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor._from_data(-a.data)
-    return _record(out, (a,), lambda g: [-g])
-
-
 def mul(a: Tensor, b) -> Tensor:
-    """Hadamard product; same shape rules as add."""
-    b = _operand("mul", b)
-    if isinstance(b, float):
-        s = b
+    """Hadamard product, with b a python scalar or a tensor; same shape
+    rules as add."""
+    if isinstance(b, (int, float, np.floating, np.integer)):
+        s = float(b)
         out = Tensor._from_data(a.data * s)
         return _record(out, (a,), lambda g: [g * s])
     _check_broadcast("mul", a, b)

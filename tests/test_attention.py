@@ -205,7 +205,7 @@ def test_flat_offset_gathers_pass_gradcheck():
                        (_c2p_offsets(dm, pos), (2, 2, 3, 4)),
                        (_p2c_offsets(dm, pos), (2, 2, 7, 4))):
         x0 = np.random.default_rng(4).normal(0, 1, shape)
-        pr = T.constant(probe[..., :off.shape[-2], :])
+        pr = Tensor(probe[..., :off.shape[-2], :])
         x = Tensor(x0, requires_grad=True)
         with Tape() as tape:
             loss = T.sum_all(T.mul(T.gather_flat(x, off), pr))
@@ -253,7 +253,7 @@ def test_attend_repeated_token_rows_equal():
     # identical content rows plus zeroed position table: every query sees
     # the same world, so every output row must match
     params, table, h, dm = _make(6, 2, 4, 2, seed=12)
-    table0 = T.zeros((4, 4))
+    table0 = Tensor(np.zeros((4, 4)))
     row = np.random.default_rng(13).normal(0, 1, 4)
     h_same = Tensor(np.tile(row, (6, 1)))
     out = attend(h_same, params, table0, dm)
@@ -298,7 +298,7 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
         """The scores and the gradient of sum(scores * weights) in every leaf."""
         with Tape() as tape:
             s = scores()
-            loss = T.sum_all(T.mul(s, T.constant(weights)))
+            loss = T.sum_all(T.mul(s, Tensor(weights)))
         tape.backward(loss)
         grads = [t.grad for t in leaves]
         for t in leaves:

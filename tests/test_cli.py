@@ -10,6 +10,7 @@ import pytest
 from desklm import cli
 from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus
+from desklm.equivalence import run_equivalence_suite
 from desklm.errors import CheckpointError, CheckpointFormatError, ConfigError
 from desklm.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from desklm.runconfig import (EvalConfig, RunConfig, apply_override,
@@ -465,6 +466,36 @@ def test_dump_attention_empty_text_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["pretrain", "dump-attention", "ablation-suite",
+                                     "audit", "equivalence", "eval"])
+def test_out_that_is_not_a_directory_is_config_error(tmp_path, capsys, monkeypatch,
+                                                      command):
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    args = {
+        "pretrain": ["pretrain", "--config", "toy", *PRETRAIN_FAST],
+        "dump-attention": ["dump-attention", "--config", "toy",
+                           "--set", f"eval.checkpoint={ckpt}", "w01 w02"],
+        "ablation-suite": ["ablation-suite", "--config", "toy", *PRETRAIN_FAST],
+        "audit": ["audit", "--config", "large"],
+        "equivalence": ["equivalence", "--sweep-seeds", "0"],
+        "eval": ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                 "--set", f"eval.corpus={corpus}"],
+    }[command]
+    scored = []
+    monkeypatch.setattr(cli, "evaluate_ppl", lambda *a: scored.append(a) or 1.0)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(args + ["--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: --out {out}: ")
+        assert printed.err.count("\n") == 1
+    # eval fails before it scores a row
+    assert scored == []
+    assert blocker.read_text() == ""
+
+
 def test_equivalence_command_passes_and_fails(capsys):
     assert main(["equivalence", "--sweep-seeds", "3"]) == 0
     out = capsys.readouterr().out
@@ -474,6 +505,17 @@ def test_equivalence_command_passes_and_fails(capsys):
     out = capsys.readouterr().out
     assert "FAIL kernel_equivalence" in out
     assert "counterexample_seed=" in out
+
+
+def test_equivalence_sweep_seeds_must_not_be_negative(capsys):
+    assert main(["equivalence", "--sweep-seeds", "-3"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: --sweep-seeds") and printed.err.count("\n") == 1
+    # zero draws is valid: the edge shapes alone
+    assert main(["equivalence", "--sweep-seeds", "0"]) == 0
+    edge_only = len(run_equivalence_suite(seed=0).cases)
+    assert f"PASS kernel_equivalence cases={edge_only} " in capsys.readouterr().out
 
 
 def test_ablation_suite_command(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_sift_row_with_zero_ascent_gradient_keeps_its_delta(monkeypatch):
     keep[:n0] = 0.0
     real_kl = sift_mod.symmetric_kl
     monkeypatch.setattr(sift_mod, "symmetric_kl",
-                        lambda p, q: real_kl(p, T.mul(q, T.constant(keep))))
+                        lambda p, q: real_kl(p, T.mul(q, Tensor(keep))))
     seen = []
     real_row = m.mlm_row
 

@@ -1,0 +1,21 @@
+"""The helper scripts under tools/."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_toy_hashes_prints_four_stable_lines():
+    script = os.path.join(ROOT, "tools", "toy_hashes.py")
+    outs = [subprocess.run([sys.executable, script, "--steps", "2"], cwd=ROOT,
+                           capture_output=True, text=True, timeout=300)
+            for _ in range(2)]
+    for proc in outs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4
+        assert all(re.fullmatch(r"\S+ [0-9a-f]{64} [0-9a-f]{64}", line) for line in lines)
+    assert outs[0].stdout == outs[1].stdout
