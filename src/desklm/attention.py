@@ -22,7 +22,8 @@ a term by removing its projection.
 Scores are scaled by 1 / sqrt(tau * head_size) where tau counts the
 terms that are on (3 when both position terms are), then masked and
 row-softmaxed; attend hands the scale and the mask to softmax_rows,
-which does all three in one op and never exponentiates a masked entry.
+which does all three in one op: masked entries are -inf before the exp
+and come out exactly 0.
 
 Inputs are (..., n, d): one row or a batch of rows.  Heads are never
 looped over: the width splits into (heads, head_size) by reshape and
@@ -42,8 +43,10 @@ Two kernels produce the same scores; attend always runs the efficient one:
     tensor, and gathers element [i, delta[i, j]].  For p2c it computes
     K_c Q_r^T and gathers element [j, delta[j, i]] straight into place
     (i, j).  Both gathers read flat offsets into each (n, 2k) block,
-    derived from delta on every call.  Peak extra storage is O(k d) for
-    the projected tables plus one (heads, n, 2k) reuse buffer per row.
+    derived from delta on every call, and add_gathered adds each one
+    straight into the score sum, so neither term is kept as an array
+    of its own.  Peak extra storage is O(k d) for the projected tables
+    plus one (heads, n, 2k) product at a time, freed once it is added.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -102,17 +105,6 @@ class AttentionParams:
     def scale(self) -> float:
         tau = 1 + (self.w_kr is not None) + (self.w_qr is not None)
         return 1.0 / np.sqrt(tau * self.head_size)
-
-
-@dataclass
-class AttentionScores:
-    """Unscaled score components, each (..., heads, m, n); a term that
-    is off is None."""
-
-    c2c: Tensor
-    c2p: Tensor | None
-    p2c: Tensor | None
-    combined: Tensor
 
 
 def _heads_t(m: Tensor, heads: int) -> Tensor:
@@ -189,8 +181,10 @@ def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None) -> n
 
 
 def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
-                 query: Tensor | None = None, meter=None) -> AttentionScores:
+                 query: Tensor | None = None, meter=None) -> Tensor:
     """Reference kernel: per-pair gathered embeddings, O(n^2 d) space.
+
+    Returns the unscaled (..., heads, n, n) sum of the terms that are on.
 
     Kept deliberately close to the defining equations.  The (n*n, d)
     gathers are the cost being audited; do not "optimise" them away
@@ -204,8 +198,7 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
 
     qc = T.matmul(q_in, params.w_qc)
     kc = T.matmul(h, params.w_kc)
-    c2c = T.matmul(_heads(qc, heads), _heads_t(kc, heads))
-    total = c2c
+    total = T.matmul(_heads(qc, heads), _heads_t(kc, heads))
 
     def per_head(prod: Tensor) -> Tensor:
         # (..., n*n, d) pair products -> (..., heads, n, n) dot products
@@ -217,7 +210,6 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
     rep = np.repeat(np.arange(n), n)         # query index for each (i, j) pair
     tile = np.tile(np.arange(n), n)          # key index for each (i, j) pair
 
-    c2p = p2c = None
     if params.w_kr is not None:
         kr = T.matmul(table, params.w_kr)
         _meter_alloc(meter, kr)
@@ -242,18 +234,19 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         _meter_release(meter, kr)
     if params.w_qr is not None:
         _meter_release(meter, qr)
-    return AttentionScores(c2c, c2p, p2c, total)
+    return total
 
 
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
                      dm: DeltaMatrix,
                      query: Tensor | None = None, meter=None,
-                     fault: str | None = None, positions=None) -> AttentionScores:
+                     fault: str | None = None, positions=None) -> Tensor:
     """Gather-based kernel: O(k d) extra space, no (n^2, d) intermediate.
 
-    All heads are scored in one (..., heads, n, .) pass.  positions,
-    when given, is the (..., m) integer array of the slots of h that the
-    m rows of query stand at; the scores are then (..., heads, m, n).
+    Returns the unscaled score sum, as scores_naive does.  All heads
+    are scored in one (..., heads, n, .) pass.  positions, when given,
+    is the (..., m) integer array of the slots of h that the m rows of
+    query stand at; the scores are then (..., heads, m, n).
     fault="swap-delta" deliberately gathers the p2c term with the
     forward-oriented distances.  It exists so the equivalence suite can
     prove it would catch the classic orientation bug; never set it in
@@ -266,20 +259,17 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
 
     qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
     kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
-    c2c = T.matmul(qc_h, kc_t)
-    total = c2c
+    total = T.matmul(qc_h, kc_t)
 
-    c2p = p2c = None
     if params.w_kr is not None:
         # All m * 2k query/position-key products of every head, then
-        # pick column delta(i, j) in row i.
+        # add column delta(i, j) of row i at (i, j).
         kr = T.matmul(table, params.w_kr)
         _meter_alloc(meter, kr)
         prod = T.matmul(qc_h, _heads_t(kr, heads))
         _meter_alloc(meter, prod)
-        c2p = T.gather_flat(prod, _c2p_offsets(dm, positions))
+        total = T.add_gathered(total, prod, _c2p_offsets(dm, positions))
         _meter_release(meter, prod)
-        total = T.add(total, c2p)
 
     if params.w_qr is not None:
         # Row j of the product holds K_c[j] . Q_r[*]; the offsets place
@@ -288,15 +278,14 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         _meter_alloc(meter, qr)
         prod = T.matmul(T.transpose(kc_t), _heads_t(qr, heads))
         _meter_alloc(meter, prod)
-        p2c = T.gather_flat(prod, _p2c_offsets(dm, positions, fault))
+        total = T.add_gathered(total, prod, _p2c_offsets(dm, positions, fault))
         _meter_release(meter, prod)
-        total = T.add(total, p2c)
 
     if params.w_kr is not None:
         _meter_release(meter, kr)
     if params.w_qr is not None:
         _meter_release(meter, qr)
-    return AttentionScores(c2c, c2p, p2c, total)
+    return total
 
 
 def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMatrix,
@@ -318,11 +307,12 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
     if dropout_p > 0.0 and rng is None:
         raise ConfigError("dropout needs an rng")
 
-    scores = scores_efficient(h, params, table, dm, query=query, positions=positions)
-
     # every head reads the same mask: a head axis as a view, not a copy
     head_mask = None if mask is None else mask[..., None, :, :]
-    probs = T.softmax_rows(scores.combined, params.scale, head_mask)
+    # no name holds the scores, so they are freed once the softmax returns
+    probs = T.softmax_rows(
+        scores_efficient(h, params, table, dm, query=query, positions=positions),
+        params.scale, head_mask)
     if collect is not None:
         collect.append(probs.data.copy())
     probs = T.dropout(probs, dropout_p, rng)

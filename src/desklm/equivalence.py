@@ -169,10 +169,10 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
             else:
                 scores = scores_efficient(h, params, table, dm, fault=fault)
             # the probe broadcasts over the heads
-            loss = T.sum_all(T.mul(scores.combined, Tensor(probe)))
+            loss = T.sum_all(T.mul(scores, Tensor(probe)))
         tape.backward(loss)
         grads[kernel] = _grad_map(params, table)
-        combined[kernel] = scores.combined.data
+        combined[kernel] = scores.data
 
     for name, gn in grads["naive"].items():
         ge = grads["efficient"][name]

@@ -11,9 +11,9 @@ package is single-threaded and starts no thread of its own.
 
 Every op works over any leading dims: the matrix ops (matmul,
 transpose) act on the last two axes, the row ops (row_sum, the
-softmaxes, layer_norm) on the last axis, and gather_flat on each
-trailing (r, c) block, so an (n, d) row and a (b, h, n, d) batch run
-through the same code.
+softmaxes, layer_norm) on the last axis, and gather_flat and
+add_gathered on each trailing (r, c) block, so an (n, d) row and a
+(b, h, n, d) batch run through the same code.
 
 Broadcasting has one rule: in add, sub and mul the second operand
 broadcasts to the first operand's shape (numpy rules), and the backward
@@ -27,9 +27,10 @@ keeps no array that only that gradient would read.
 Masking convention: a mask is a bool numpy array, True at blocked
 entries.  softmax_rows(a, scale, mask) takes the scale and the mask
 itself, broadcasting to a's shape, and computes the softmax of a * scale
-over the entries the mask leaves open, in one op.  Blocked entries get
-probability exactly 0.0 and are never exponentiated.  A row with every
-entry blocked has no defined distribution and raises DegenerateRowError.
+over the entries the mask leaves open, in one op.  Blocked entries are
+-inf when exponentiated, so they get probability exactly +0.0.  A row
+with every entry blocked has no defined distribution and raises
+DegenerateRowError.
 
 Allocator policy: a training step builds and frees tens of MB of arrays.
 glibc's dynamic trim threshold hands that freed memory back to the
@@ -460,6 +461,35 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), bwd)
 
 
+def _flat_offsets(op: str, ashape: tuple, offsets) -> tuple[np.ndarray, int, tuple]:
+    """Check offsets into each trailing (r, c) block of an ashape array
+    (see gather_flat); return the flat int64 offsets, the block size
+    they index and the gathered shape."""
+    off = np.asarray(offsets)
+    if off.dtype.kind not in "iu":
+        raise ContractError(f"{op} offsets must be integers")
+    if len(ashape) < 2 or off.ndim < 2:
+        raise ShapeError(f"{op} needs a (..., r, c) tensor and (..., m, n) offsets, "
+                         f"got {ashape} and {off.shape}")
+    lead = ashape[:-2]
+    try:
+        ok = np.broadcast_shapes(lead, off.shape[:-2]) == lead
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ShapeError(f"{op}: offsets {off.shape} do not pair with {ashape}")
+    block = ashape[-2] * ashape[-1]
+    if off.size and (off.min() < 0 or off.max() >= block):
+        bad = off[(off < 0) | (off >= block)].flat[0]
+        raise IndexBoundsError(f"{op} offset {bad} out of range [0, {block})")
+    off = off.astype(np.int64, copy=False)
+    if any(s != 1 for s in off.shape[:-2]):
+        # a table per block: offsets into a taken as one block
+        blocks = np.arange(int(np.prod(lead, dtype=np.int64)), dtype=np.int64)
+        off, block = blocks.reshape(lead + (1, 1)) * block + off, blocks.size * block
+    return off.reshape(-1), block, lead + off.shape[-2:]
+
+
 def gather_flat(a: Tensor, offsets) -> Tensor:
     """Take from each trailing block at flat offsets:
     output[..., i, j] = a[..., :, :].ravel()[offsets[..., i, j]].
@@ -473,33 +503,26 @@ def gather_flat(a: Tensor, offsets) -> Tensor:
     (b, h, m, 2k) tensor gathered with (b, 1, m, n) offsets gives
     (b, h, m, n).  Repeated offsets accumulate their gradients.
     """
-    off = np.asarray(offsets)
-    if off.dtype.kind not in "iu":
-        raise ContractError("gather_flat offsets must be integers")
-    if a.ndim < 2 or off.ndim < 2:
-        raise ShapeError(f"gather_flat needs a (..., r, c) tensor and (..., m, n) offsets, "
-                         f"got {a.shape} and {off.shape}")
-    lead = a.shape[:-2]
-    try:
-        ok = np.broadcast_shapes(lead, off.shape[:-2]) == lead
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ShapeError(f"gather_flat: offsets {off.shape} do not pair with {a.shape}")
-    block = a.shape[-2] * a.shape[-1]
-    if off.size and (off.min() < 0 or off.max() >= block):
-        bad = off[(off < 0) | (off >= block)].flat[0]
-        raise IndexBoundsError(f"gather_flat offset {bad} out of range [0, {block})")
-    off = off.astype(np.int64, copy=False)
-    if any(s != 1 for s in off.shape[:-2]):
-        # a table per block: offsets into a taken as one block
-        blocks = np.arange(int(np.prod(lead, dtype=np.int64)), dtype=np.int64)
-        off, block = blocks.reshape(lead + (1, 1)) * block + off, a.size
-    flat = off.reshape(-1)
-    picked = np.take(a.data.reshape(-1, block), flat, axis=1)
-    out = Tensor._from_data(picked.reshape(lead + off.shape[-2:]))
+    flat, block, shape = _flat_offsets("gather_flat", a.shape, offsets)
+    out = Tensor._from_data(np.take(a.data.reshape(-1, block), flat, axis=1).reshape(shape))
     ashape = a.shape
     return _record(out, (a,), lambda g: [_scatter_add(g, flat, ashape, block)])
+
+
+def add_gathered(base: Tensor, a: Tensor, offsets) -> Tensor:
+    """base + gather_flat(a, offsets) as one op, written into one array.
+
+    The gathered shape must equal base.shape.  The sum has the bits of
+    add(base, gather_flat(a, offsets)), and so do both gradients.
+    """
+    flat, block, shape = _flat_offsets("add_gathered", a.shape, offsets)
+    if shape != base.shape:
+        raise ShapeError(f"add_gathered: gathered shape {shape} is not {base.shape}")
+    out = np.take(a.data.reshape(-1, block), flat, axis=1).reshape(shape)
+    np.add(base.data, out, out=out)
+    gb, ga, ashape = base.requires_grad, a.requires_grad, a.shape
+    return _record(Tensor._from_data(out), (base, a), lambda g: [
+        g if gb else None, _scatter_add(g, flat, ashape, block) if ga else None])
 
 
 # -- nonlinearities ----------------------------------------------------
@@ -510,9 +533,9 @@ def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
 
     mask, when given, is a bool numpy array that broadcasts to a's shape
     and is True at blocked entries; it is not a tape parent.  Blocked
-    entries receive probability exactly 0.0 and zero gradient, and are
-    never exponentiated.  A row with all entries blocked raises
-    DegenerateRowError naming the row.
+    entries are set to -inf before the exp, so they receive probability
+    exactly +0.0 and zero gradient.  A row with all entries blocked
+    raises DegenerateRowError naming the row.
     """
     if a.ndim < 1:
         raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
@@ -536,12 +559,8 @@ def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
         row = ", ".join(str(int(i)) for i in np.argwhere(dead)[0])
         raise DegenerateRowError(f"softmax row {row} is fully masked")
     x -= m
-    if mask is None:
-        y = np.exp(x, out=x)
-    else:
-        # blocked entries keep the zero fill
-        y = np.zeros_like(x)
-        np.exp(x, out=y, where=~mask)
+    # blocked entries hold -inf, and exp(-inf) is exactly +0.0
+    y = np.exp(x, out=x)
     y /= y.sum(axis=-1, keepdims=True)
 
     out = Tensor._from_data(y)
@@ -620,13 +639,13 @@ def gelu(a: Tensor) -> Tensor:
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = Tensor._from_data(0.5 * x * (1.0 + t))
-
-    def bwd(g):
-        sech2 = 1.0 - t * t
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return [g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner)]
-
-    return _record(out, (a,), bwd)
+    if not a.requires_grad or _active_tape() is None:
+        return out
+    # the derivative, worked out now so that only it is kept
+    sech2 = 1.0 - t * t
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+    dx = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
+    return _record(out, (a,), lambda g: [g * dx])
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -635,10 +654,11 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ContractError(f"dropout rate {p} outside [0, 1)")
     if p == 0.0:
         return a
-    # keep * scale in one array: with keep 0 or 1, a * (keep * scale)
-    # equals (a * keep) * scale bit for bit, signed zeros included.
-    keep = (rng.random(a.shape) >= p).astype(np.float64)
-    keep *= 1.0 / (1.0 - p)
-    out = Tensor._from_data(a.data * keep)
-    return _record(out, (a,), lambda g: [g * keep])
+    # a one-byte keep mask; with keep 0 or 1, (a * keep) * scale equals
+    # a * (keep * scale) bit for bit, signed zeros included.
+    keep = rng.random(a.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out = a.data * keep
+    out *= scale
+    return _record(Tensor._from_data(out), (a,), lambda g: [(g * keep) * scale])
 

@@ -10,6 +10,8 @@ from desklm import tensor as T
 from desklm.attention import (
     AttentionParams,
     _c2p_offsets,
+    _heads,
+    _heads_t,
     _p2c_offsets,
     attend,
     extra_param_count,
@@ -92,7 +94,7 @@ def test_kernels_match_loop_oracle(n, k, d, heads, use_c2p, use_p2c):
                            k, heads, use_c2p, use_p2c)
     for fn in (scores_naive, scores_efficient):
         got = fn(h, params, table, dm)
-        assert_close(got.combined.data, expect, atol=1e-10, rtol=0,
+        assert_close(got.data, expect, atol=1e-10, rtol=0,
                      label=fn.__name__)
 
 
@@ -104,28 +106,70 @@ def test_share_projection_is_an_alias():
                            params.w_qc.data, params.w_kc.data, table.data,
                            2, 2, True, True)
     got = scores_efficient(h, params, table, dm)
-    assert_close(got.combined.data, expect, atol=1e-10, rtol=0)
+    assert_close(got.data, expect, atol=1e-10, rtol=0)
     # one accumulator: grads flow from both roles into the same tensor
     with Tape() as tape:
         s = scores_efficient(h, params, table, dm)
-        loss = T.sum_all(s.combined)
+        loss = T.sum_all(s)
     tape.backward(loss)
     assert params.w_qc.grad is not None
 
 
-def test_disabled_terms_are_exactly_zero():
-    params, table, h, dm = _make(7, 3, 6, 1, seed=5, use_c2p=False, use_p2c=True)
-    s = scores_efficient(h, params, table, dm)
-    assert s.c2p is None
-    npt.assert_array_equal(s.combined.data, s.c2c.data + s.p2c.data)
+def _old_score_chain(h, params, table, dm, query=None, positions=None):
+    """The efficient kernel as a chain of separate ops: each position
+    term gathered into its own tensor, then added with T.add."""
+    heads = params.heads
+    q_in = h if query is None else query
+    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)
+    kc_t = _heads_t(T.matmul(h, params.w_kc), heads)
+    total = T.matmul(qc_h, kc_t)
+    if params.w_kr is not None:
+        prod = T.matmul(qc_h, _heads_t(T.matmul(table, params.w_kr), heads))
+        total = T.add(total, T.gather_flat(prod, _c2p_offsets(dm, positions)))
+    if params.w_qr is not None:
+        prod = T.matmul(T.transpose(kc_t), _heads_t(T.matmul(table, params.w_qr), heads))
+        total = T.add(total, T.gather_flat(prod, _p2c_offsets(dm, positions)))
+    return total
 
 
-def test_combined_is_sum_of_parts():
-    params, table, h, dm = _make(9, 4, 8, 2, seed=6)
-    for fn in (scores_naive, scores_efficient):
-        s = fn(h, params, table, dm)
-        total = s.c2c.data + s.c2p.data + s.p2c.data
-        npt.assert_array_equal(s.combined.data, total)
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("at_slots", [False, True])
+@pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
+def test_efficient_scores_are_the_separate_term_chain_bitwise(lead, at_slots,
+                                                                use_c2p, use_p2c):
+    # Adding each gathered term straight into the sum changes no bit of
+    # the scores or of any gradient; a term that is off adds nothing.
+    n, k, d, heads, m = 9, 3, 8, 2, 5
+    params, table, _, dm = _make(n, k, d, heads, seed=22, use_c2p=use_c2p,
+                                 use_p2c=use_p2c)
+    rng = np.random.default_rng(23)
+    h = Tensor(rng.normal(0, 1, lead + (n, d)), requires_grad=True)
+    query = positions = None
+    if at_slots:
+        query = Tensor(rng.normal(0, 1, lead + (m, d)), requires_grad=True)
+        positions = rng.integers(0, n, lead + (m,))
+    leaves = [t for t in (h, query, table, params.w_qc, params.w_kc,
+                          params.w_qr, params.w_kr) if t is not None]
+    probe = Tensor(rng.normal(0, 1, lead + (heads, n if query is None else m, n)))
+
+    def scored(kernel):
+        with Tape() as tape:
+            s = kernel(h, params, table, dm, query=query, positions=positions)
+            loss = T.sum_all(T.mul(s, probe))
+        tape.backward(loss)
+        grads = [t.grad for t in leaves]
+        for t in leaves:
+            t.grad = None
+        return s.data, grads
+
+    got, got_g = scored(scores_efficient)
+    want, want_g = scored(_old_score_chain)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert (g is None) == (w is None)
+        assert g is None or np.array_equal(g, w)
+    if not (use_c2p or use_p2c):
+        assert table.grad is None and got_g[leaves.index(table)] is None
 
 
 def test_scale_counts_enabled_terms():
@@ -140,20 +184,19 @@ def test_scale_counts_enabled_terms():
 
 def test_swapped_delta_differs_only_in_p2c():
     params, table, h, dm = _make(10, 3, 6, 1, seed=8)
-    clean = scores_efficient(h, params, table, dm)
-    hurt = scores_efficient(h, params, table, dm, fault="swap-delta")
-    assert np.max(np.abs(clean.p2c.data - hurt.p2c.data)) > 1e-3
-    npt.assert_array_equal(clean.c2c.data, hurt.c2c.data)
-    npt.assert_array_equal(clean.c2p.data, hurt.c2p.data)
-    # the faulted matrix equals the oracle with the orientation flipped
-    flipped = np.zeros((10, 10))
-    kr = (table.data @ params.w_kr.data)
-    qr = (table.data @ params.w_qr.data)
+    clean = scores_efficient(h, params, table, dm).data
+    hurt = scores_efficient(h, params, table, dm, fault="swap-delta").data
+    assert np.max(np.abs(hurt - clean)) > 1e-3
+    # the whole difference is the p2c term's: the oracle with the
+    # orientation flipped minus the true p2c
     kc = h.data @ params.w_kc.data
+    qr = table.data @ params.w_qr.data
+    p2c_shift = np.zeros((10, 10))
     for i in range(10):
         for j in range(10):
-            flipped[i, j] = kc[j] @ qr[oracle_delta(i, j, 3)]
-    assert_close(hurt.p2c.data[0], flipped, atol=1e-10, rtol=0)
+            p2c_shift[i, j] = (kc[j] @ qr[oracle_delta(i, j, 3)]
+                               - kc[j] @ qr[oracle_delta(j, i, 3)])
+    assert_close(hurt[0] - clean[0], p2c_shift, atol=1e-10, rtol=0)
 
 
 def test_attend_shapes_and_mask():
@@ -226,7 +269,7 @@ def test_attend_probs_match_unfused_chain():
         mask = np.broadcast_to(mask, (3,) + mask.shape[-2:])
         probs = []
         attend(h, params, table, dm, mask=mask, collect=probs)
-        logits = scores_efficient(h, params, table, dm).combined.data * params.scale
+        logits = scores_efficient(h, params, table, dm).data * params.scale
         logits = np.where(mask[:, None], -np.inf, logits)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         assert np.array_equal(probs[0], e / e.sum(axis=-1, keepdims=True))
@@ -308,10 +351,10 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
     def at_rows():
         first = np.arange(0, q.size // d, n).reshape(lead)  # flat slot 0 of each row
         q_at = T.gather_rows(T.reshape(q, (q.size // d, d)), first[..., None] + rows)
-        return scores_efficient(h, params, table, dm, query=q_at, positions=rows).combined
+        return scores_efficient(h, params, table, dm, query=q_at, positions=rows)
 
-    naive = lambda: scores_naive(h, params, table, dm, query=q).combined
-    efficient = lambda: scores_efficient(h, params, table, dm, query=q).combined
+    naive = lambda: scores_naive(h, params, table, dm, query=q)
+    efficient = lambda: scores_efficient(h, params, table, dm, query=q)
     want, want_g = scored(naive, probe)
     want_rows = np.take_along_axis(want, rows[..., None, :, None], axis=-2)
     _, want_rows_g = scored(naive, spread)

@@ -221,6 +221,29 @@ def test_fused_softmax_mask_is_not_a_tape_parent():
             T.softmax_rows(x, 2.0, bad)
 
 
+def test_softmax_blocked_entries_are_positive_zero_and_match_the_skip_formula():
+    # blocked entries are exponentiated as -inf; the bits equal those of
+    # a zero-filled output with exp skipped where the mask is True
+    rng = np.random.default_rng(49)
+    a = rng.normal(0, 1, (2, 3, 5, 5))
+    a[..., 1, :] = [0.0, -1600.0, -1800.0, 5.0, 1.0e300]  # open entries underflow
+    a[0, 0, 2, 3] = np.nan                                 # a blocked NaN is not read
+    mask = np.triu(np.ones((5, 5), dtype=bool), k=1)
+    mask[1, 3:] = True
+    scale = 0.5
+    x = a * scale
+    np.copyto(x, -np.inf, where=mask)
+    x -= x.max(axis=-1, keepdims=True)
+    want = np.zeros_like(x)
+    np.exp(x, out=want, where=~mask)
+    want /= want.sum(axis=-1, keepdims=True)
+    y = T.softmax_rows(Tensor(a), scale, mask).data
+    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+    blocked = np.broadcast_to(mask, a.shape)
+    assert (y[blocked] == 0.0).all() and not np.signbit(y[blocked]).any()
+    assert (y[..., 1, 1:3] == 0.0).all() and (y[..., 1, 0] == 1.0).all()
+
+
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
 def test_constant_operand_gets_no_gradient(op):
     rng = np.random.default_rng(44)
@@ -282,6 +305,57 @@ def test_dropout_matches_two_multiplies():
     assert np.array_equal(np.signbit(y.data), np.signbit(want))
     (gx,) = y._node.bwd(g)
     assert np.array_equal(gx, g * keep * scale) and len(tape) == 1
+
+
+def _closure_arrays(t):
+    """The ndarrays that t's backward closure holds."""
+    cells = t._node.bwd.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+def _parent_gelu_grad(x, g):
+    """d gelu / dx times g, as the op computed it when it kept x and tanh."""
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+    sech2 = 1.0 - t * t
+    dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x * x)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner)
+
+
+def test_dropout_and_gelu_keep_one_array_each():
+    a = np.random.default_rng(52).normal(0, 1, (5, 7))
+    x = Tensor(a, requires_grad=True)
+    with Tape():
+        dropped = T.dropout(x, 0.3, np.random.default_rng(53))
+        activated = T.gelu(x)
+    (keep,) = _closure_arrays(dropped)
+    assert keep.dtype == bool and keep.shape == a.shape
+    (dx,) = _closure_arrays(activated)
+    assert dx.dtype == np.float64 and dx.shape == a.shape
+
+
+def test_gelu_records_nothing_without_grad_and_keeps_its_bits():
+    a = np.random.default_rng(54).normal(0, 3, (4, 6))
+    with Tape() as tape:
+        recorded = T.gelu(Tensor(a, requires_grad=True))
+        constant = T.gelu(Tensor(a))
+    with no_grad():
+        unrecorded = T.gelu(Tensor(a, requires_grad=True))
+    assert len(tape) == 1 and constant._node is None and unrecorded._node is None
+    for y in (constant, unrecorded):
+        assert np.array_equal(y.data.view(np.uint64), recorded.data.view(np.uint64))
+
+
+def test_gelu_gradient_is_the_parent_formula_bitwise():
+    mags = [0.0, 1e-300, 3.0, 30.0, 1e200]
+    a = np.array([s * v for v in mags for s in (1.0, -1.0)])
+    g = np.random.default_rng(55).normal(0, 1, a.shape)
+    x = Tensor(a, requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"), Tape():
+        y = T.gelu(x)
+        (got,) = y._node.bwd(g)
+        want = _parent_gelu_grad(a, g)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
 
 
 # ---------------------------------------------------------------------
@@ -542,6 +616,73 @@ def test_gather_flat_rejects_bad_offsets():
         T.gather_flat(m, np.array([0, 1]))
     with pytest.raises(ShapeError):
         T.gather_flat(Tensor(np.zeros(4)), np.array([[0, 1]]))
+
+
+def _add_gathered_cases():
+    rng = np.random.default_rng(68)
+    shared = _row_offsets(rng.integers(0, 6, (4, 5)), 6)
+    per_block = _row_offsets(rng.integers(0, 6, (2, 1, 4, 5)), 6)
+    return [shared, per_block]
+
+
+@pytest.mark.parametrize("off", _add_gathered_cases())
+def test_add_gathered_is_add_of_gather_bitwise(off):
+    rng = np.random.default_rng(69)
+    m = rng.normal(0, 1, (2, 3, 4, 6))
+    base = rng.normal(0, 1, (2, 3, 4, 5))
+    base[0, 0, 0, :3] = [-0.0, np.inf, np.nan]
+    m[0, 0, 0, :] = -0.0                        # -0.0 + -0.0 stays -0.0
+    g = rng.normal(0, 1, base.shape)
+
+    def run(build):
+        b, x = Tensor(base, requires_grad=True), Tensor(m, requires_grad=True)
+        with Tape() as tape:
+            y = build(b, x)
+            loss = T.sum_all(T.mul(y, Tensor(g)))
+        tape.backward(loss)
+        return [t.view(np.uint64) for t in (y.data, b.grad, x.grad)]
+
+    got = run(lambda b, x: T.add_gathered(b, x, off))
+    want = run(lambda b, x: T.add(b, T.gather_flat(x, off)))
+    for u, w in zip(got, want):
+        assert np.array_equal(u, w)
+
+
+def test_grad_add_gathered():
+    rng = np.random.default_rng(70)
+    off = rng.integers(0, 12, (5, 3))           # repeats, and reads across rows
+    _fd_check(lambda b, x: T.sum_all(T.mul(T.add_gathered(b, x, off), _probe((2, 5, 3), 78))),
+              [rng.normal(0, 1, (2, 5, 3)), rng.normal(0, 1, (2, 3, 4))])
+
+
+def test_add_gathered_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(71)
+    base, m = rng.normal(0, 1, (2, 5, 3)), rng.normal(0, 1, (2, 3, 4))
+    off = rng.integers(0, 12, (5, 3))
+    g = rng.normal(0, 1, base.shape)
+    with Tape():
+        left = T.add_gathered(Tensor(base, requires_grad=True), Tensor(m), off)
+        right = T.add_gathered(Tensor(base), Tensor(m, requires_grad=True), off)
+        both = T.add_gathered(Tensor(base, requires_grad=True),
+                              Tensor(m, requires_grad=True), off)
+    gb, none_m = left._node.bwd(g)
+    none_b, gm = right._node.bwd(g)
+    want_b, want_m = both._node.bwd(g)
+    assert none_b is None and none_m is None
+    assert np.array_equal(gb, want_b) and np.array_equal(gm, want_m)
+
+
+def test_add_gathered_rejects_bad_offsets():
+    base, m = Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ContractError):
+        T.add_gathered(base, m, np.array([[0.0, 1.0]]))
+    with pytest.raises(IndexBoundsError) as err:
+        T.add_gathered(base, m, np.array([[0, 12]]))
+    assert "12" in str(err.value)
+    with pytest.raises(ShapeError):
+        T.add_gathered(base, m, np.array([[0, 1, 2]]))
+    with pytest.raises(ShapeError):
+        T.add_gathered(base, m, np.array([[0], [1]]))
 
 
 def test_grad_broadcast_add_sub_mul():
