@@ -17,7 +17,9 @@ hook in the equivalence suite simulates.
 
 A position term is on exactly when its projection is passed: c2p when
 W_kr is, p2c when W_qr is.  The section 5 ablations (-C2P, -P2C) remove
-a term by removing its projection.
+a term by removing its projection (AttentionParams.wired).  delta
+depends only on the key count n and the table's 2k rows, so the kernels
+build it, cached, when a position term is on, and only then.
 
 Scores are scaled by 1 / sqrt(tau * head_size) where tau counts the
 terms that are on (3 when both position terms are), then masked and
@@ -59,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, IndexBoundsError, ShapeError
-from .relpos import DeltaMatrix
+from .errors import ConfigError, ContractError, IndexBoundsError, ShapeError
+from .relpos import DeltaMatrix, build_delta_matrix
 from .tensor import Tensor
 
 
@@ -73,7 +75,7 @@ class AttentionParams:
     (c2p with w_kr, p2c with w_qr).  Passing w_qc and w_kc themselves
     shares the projections (same Tensor objects, one gradient
     accumulator each), trading a little accuracy for 2 L d^2 fewer
-    parameters.
+    parameters.  wired builds the set from the term and sharing switches.
     """
 
     heads: int
@@ -92,6 +94,19 @@ class AttentionParams:
                 raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
         if self.heads < 1 or d % self.heads != 0:
             raise ConfigError(f"width {d} not divisible into {self.heads} heads")
+
+    @classmethod
+    def wired(cls, heads: int, w_qc: Tensor, w_kc: Tensor, w_vc: Tensor, w_o: Tensor,
+              c2p: bool, p2c: bool, share: bool, w_qr: Tensor | None = None,
+              w_kr: Tensor | None = None) -> AttentionParams:
+        """A term that is off gets no projection; a shared one gets the
+        content one (w_kc for c2p, w_qc for p2c), and w_qr, w_kr go unread."""
+        if share:
+            w_qr, w_kr = w_qc, w_kc
+        if (c2p and w_kr is None) or (p2c and w_qr is None):
+            raise ContractError("an unshared c2p term needs w_kr, and p2c w_qr")
+        return cls(heads, w_qc, w_kc, w_vc, w_o,
+                   w_qr=w_qr if p2c else None, w_kr=w_kr if c2p else None)
 
     @property
     def d(self) -> int:
@@ -134,8 +149,9 @@ def _meter_release(meter, t: Tensor) -> None:
         meter.release(t.size)
 
 
-def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
-                  query: Tensor | None, positions=None) -> Tensor:
+def _check_inputs(h: Tensor, params: AttentionParams, table, query: Tensor | None,
+                  positions=None) -> tuple[Tensor, DeltaMatrix | None]:
+    """The query input, and delta for n keys and 2k table rows (or None)."""
     q_in = h if query is None else query
     if h.ndim < 2 or h.shape[-1] != params.d:
         raise ShapeError(f"content input must be (..., n, {params.d}), got {h.shape}")
@@ -149,14 +165,13 @@ def _check_inputs(h: Tensor, params: AttentionParams, table, dm: DeltaMatrix,
                          f"does not pair with content {h.shape}")
     elif np.size(positions) and not 0 <= np.min(positions) <= np.max(positions) < h.shape[-2]:
         raise IndexBoundsError(f"query positions outside [0, {h.shape[-2]})")
-    if dm.n != h.shape[-2]:
-        raise ShapeError(f"delta matrix is for n={dm.n}, content has n={h.shape[-2]}")
-    uses_table = params.w_kr is not None or params.w_qr is not None
-    if uses_table and table.shape != (2 * dm.k, params.d):
-        raise ShapeError(
-            f"position table must be ({2 * dm.k}, {params.d}), got {table.shape}"
-        )
-    return q_in
+    if params.w_kr is None and params.w_qr is None:
+        return q_in, None
+    if table is None or table.shape[1:] != (params.d,) or not table.shape[0] \
+            or table.shape[0] % 2:
+        raise ShapeError(f"position table must be (2k, {params.d}) with k >= 1, "
+                         f"got {None if table is None else table.shape}")
+    return q_in, build_delta_matrix(h.shape[-2], table.shape[0] // 2)
 
 
 def _c2p_offsets(dm: DeltaMatrix, positions=None) -> np.ndarray:
@@ -180,7 +195,7 @@ def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None) -> n
     return off if positions is None else off[positions][..., None, :, :]
 
 
-def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMatrix,
+def scores_naive(h: Tensor, params: AttentionParams, table: Tensor | None,
                  query: Tensor | None = None, meter=None) -> Tensor:
     """Reference kernel: per-pair gathered embeddings, O(n^2 d) space.
 
@@ -192,8 +207,8 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
     after the per-pair products, by viewing the width as (heads,
     head_size) and summing each head's slice.
     """
-    q_in = _check_inputs(h, params, table, dm, query)
-    n, heads = dm.n, params.heads
+    q_in, dm = _check_inputs(h, params, table, query)
+    n, heads = h.shape[-2], params.heads
     lead = h.shape[:-2]
 
     qc = T.matmul(q_in, params.w_qc)
@@ -205,18 +220,14 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         split = T.reshape(prod, (*lead, n * n, heads, params.head_size))
         return T.reshape(T.transpose(T.row_sum(split)), (*lead, heads, n, n))
 
-    flat_ij = dm.values.reshape(-1)          # delta(i, j) in row-major (i, j) order
-    flat_ji = dm.values.T.reshape(-1)        # delta(j, i) in row-major (i, j) order
-    rep = np.repeat(np.arange(n), n)         # query index for each (i, j) pair
-    tile = np.tile(np.arange(n), n)          # key index for each (i, j) pair
-
     if params.w_kr is not None:
         kr = T.matmul(table, params.w_kr)
         _meter_alloc(meter, kr)
         # Row for pair (i, j) holds K_r[delta(i, j)]: an (n*n, d) object.
-        kr_pairs = T.gather_rows(kr, flat_ij)
+        kr_pairs = T.gather_rows(kr, dm.values.reshape(-1))
         _meter_alloc(meter, kr_pairs)
-        c2p = per_head(T.mul(T.gather_rows(qc, rep), kr_pairs))
+        # query i for each (i, j) pair, in row-major (i, j) order
+        c2p = per_head(T.mul(T.gather_rows(qc, np.repeat(np.arange(n), n)), kr_pairs))
         _meter_release(meter, kr_pairs)
         total = T.add(total, c2p)
 
@@ -224,9 +235,10 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
         qr = T.matmul(table, params.w_qr)
         _meter_alloc(meter, qr)
         # Row for pair (i, j) holds Q_r[delta(j, i)]: orientation flipped.
-        qr_pairs = T.gather_rows(qr, flat_ji)
+        qr_pairs = T.gather_rows(qr, dm.values.T.reshape(-1))
         _meter_alloc(meter, qr_pairs)
-        p2c = per_head(T.mul(T.gather_rows(kc, tile), qr_pairs))
+        # key j for each (i, j) pair
+        p2c = per_head(T.mul(T.gather_rows(kc, np.tile(np.arange(n), n)), qr_pairs))
         _meter_release(meter, qr_pairs)
         total = T.add(total, p2c)
 
@@ -238,7 +250,6 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor, dm: DeltaMat
 
 
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
-                     dm: DeltaMatrix,
                      query: Tensor | None = None, meter=None,
                      fault: str | None = None, positions=None) -> Tensor:
     """Gather-based kernel: O(k d) extra space, no (n^2, d) intermediate.
@@ -254,7 +265,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     """
     if fault not in (None, "swap-delta"):
         raise ConfigError(f"unknown fault {fault!r}")
-    q_in = _check_inputs(h, params, table, dm, query, positions)
+    q_in, dm = _check_inputs(h, params, table, query, positions)
     heads = params.heads
 
     qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
@@ -288,7 +299,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     return total
 
 
-def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMatrix,
+def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
            mask: np.ndarray | None = None, query: Tensor | None = None,
            dropout_p: float = 0.0, rng: np.random.Generator | None = None,
            collect: list | None = None, positions=None) -> Tensor:
@@ -302,16 +313,14 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None, dm: DeltaMa
     array, True at blocked pairs, or (..., 1, n) when it blocks whole
     columns; every head and, for a one-row mask, every query gets the
     same mask.  collect, when given, receives one (..., heads, m, n)
-    numpy array of post-softmax probabilities.
+    numpy array of post-softmax probabilities.  Dropout on the
+    probabilities runs only when rng is given.
     """
-    if dropout_p > 0.0 and rng is None:
-        raise ConfigError("dropout needs an rng")
-
     # every head reads the same mask: a head axis as a view, not a copy
     head_mask = None if mask is None else mask[..., None, :, :]
     # no name holds the scores, so they are freed once the softmax returns
     probs = T.softmax_rows(
-        scores_efficient(h, params, table, dm, query=query, positions=positions),
+        scores_efficient(h, params, table, query=query, positions=positions),
         params.scale, head_mask)
     if collect is not None:
         collect.append(probs.data.copy())

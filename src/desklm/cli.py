@@ -182,7 +182,8 @@ def cmd_audit(args) -> int:
     _echo(args, run_cfg, cfg)
     print(f"total_params={count_params(cfg)}")
     print(f"extra_position_params={extra_param_count(cfg)}")
-    print(f"emd_decode_cost={0.15 * cfg.n_emd / cfg.L:.6g}")
+    decoded = len(cfg.decode_blocks) * run_cfg.trainer.mask_rate
+    print(f"emd_decode_cost={decoded / cfg.L:.6g}")
     print(f"max_reach={max_reach(cfg.k, cfg.L)}")
     return EXIT_OK
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, scores_efficient, scores_naive
 from .errors import ConfigError
-from .relpos import build_delta_matrix
 from .seeding import rng_for, truncated_normal
 from .tensor import Tape, Tensor
 
@@ -68,16 +67,12 @@ def _make_params(d: int, heads: int, seed: int, share: bool,
         return Tensor(truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d)),
                       requires_grad=True)
 
-    # As in the model: shared projections are the content ones, and a
-    # term that is off gets none.  Draws are per name, so an unused one
-    # shifts no other.
-    w_qc, w_kc = w("w_qc"), w("w_kc")
-    w_qr = w_qc if share else w("w_qr")
-    w_kr = w_kc if share else w("w_kr")
-    return AttentionParams(
-        heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w("w_vc"), w_o=w("w_o"),
-        w_qr=w_qr if enable_p2c else None, w_kr=w_kr if enable_c2p else None,
-    )
+    # The model's wiring; as in the model, a shared set has no position
+    # projections of its own.  Draws are per name, so none shifts another.
+    w_qr, w_kr = (None, None) if share else (w("w_qr"), w("w_kr"))
+    return AttentionParams.wired(
+        heads, w("w_qc"), w("w_kc"), w("w_vc"), w("w_o"), c2p=enable_c2p,
+        p2c=enable_p2c, share=share, w_qr=w_qr, w_kr=w_kr)
 
 
 @dataclass
@@ -155,7 +150,6 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
         requires_grad=True,
     )
     h = Tensor(rng_for(case_seed, "equiv/h").normal(0.0, 1.0, (n, d)))
-    dm = build_delta_matrix(n, k)
     # A fixed random functional of the scores; any nonzero choice
     # exposes gradient disagreements.
     probe = rng_for(case_seed, "equiv/probe").normal(0.0, 1.0, (n, n))
@@ -165,9 +159,9 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
     for kernel in ("naive", "efficient"):
         with Tape() as tape:
             if kernel == "naive":
-                scores = scores_naive(h, params, table, dm)
+                scores = scores_naive(h, params, table)
             else:
-                scores = scores_efficient(h, params, table, dm, fault=fault)
+                scores = scores_efficient(h, params, table, fault=fault)
             # the probe broadcasts over the heads
             loss = T.sum_all(T.mul(scores, Tensor(probe)))
         tape.backward(loss)
@@ -261,12 +255,11 @@ def run_allocation_audit(ns=(32, 64, 128), k: int = 8, d: int = 16,
     table = Tensor(truncated_normal(rng_for(seed, "audit/table"), (2 * k, d)))
     for n in ns:
         h = Tensor(rng_for(seed, f"audit/h{n}").normal(0.0, 1.0, (n, d)))
-        dm = build_delta_matrix(n, k)
         with T.no_grad():
             m_naive = AllocationMeter()
-            scores_naive(h, params, table, dm, meter=m_naive)
+            scores_naive(h, params, table, meter=m_naive)
             m_eff = AllocationMeter()
-            scores_efficient(h, params, table, dm, meter=m_eff)
+            scores_efficient(h, params, table, meter=m_eff)
         budget = efficient_peak_budget(n, k, d)
         rows.append(AuditRow(
             n=n, k=k, d=d,

@@ -53,7 +53,6 @@ from .errors import (
     IndexBoundsError,
     check_field_types,
 )
-from .relpos import build_delta_matrix
 from .seeding import rng_for, truncated_normal
 from .tensor import Tensor
 
@@ -126,6 +125,12 @@ class ModelConfig:
         if not self.ablations.emd or self.emd_shared:
             return 1
         return self.n_emd
+
+    @property
+    def decode_blocks(self) -> list[str]:
+        """Parameter prefixes of the decode blocks that run, in order."""
+        runs = self.n_emd if self.ablations.emd else 1
+        return [f"dec{j % self.decoder_sets}" for j in range(runs)]
 
 
 def _block_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple]:
@@ -244,31 +249,19 @@ class Model:
             p.grad = None
 
     def _attn_params(self, prefix: str) -> AttentionParams:
-        # shared position projections are the content ones; an ablated
-        # term gets none, which is what turns it off
-        p, on = self.params, self.cfg.ablations
-        w_qc, w_kc = p[f"{prefix}_att_wqc"], p[f"{prefix}_att_wkc"]
-        shared = self.cfg.share_projection
-        w_qr = w_qc if shared else p.get(f"{prefix}_att_wqr")
-        w_kr = w_kc if shared else p.get(f"{prefix}_att_wkr")
-        return AttentionParams(
-            heads=self.cfg.heads,
-            w_qc=w_qc,
-            w_kc=w_kc,
-            w_vc=p[f"{prefix}_att_wvc"],
-            w_o=p[f"{prefix}_att_wo"],
-            w_qr=w_qr if on.p2c else None,
-            w_kr=w_kr if on.c2p else None,
-        )
+        cfg, on = self.cfg, self.cfg.ablations
+        w = lambda name: self.params.get(f"{prefix}_att_{name}")
+        return AttentionParams.wired(
+            cfg.heads, w("wqc"), w("wkc"), w("wvc"), w("wo"), c2p=on.c2p, p2c=on.p2c,
+            share=cfg.share_projection, w_qr=w("wqr"), w_kr=w("wkr"))
 
-    def _block(self, prefix: str, query: Tensor, content: Tensor, dm, mask,
-               rng, collect: dict | None = None, positions=None) -> Tensor:
-        p = self.params
-        drop = 0.0 if rng is None else self.cfg.dropout
+    def _block(self, prefix: str, query: Tensor, content: Tensor, mask, rng,
+               collect: dict | None = None, positions=None) -> Tensor:
+        p, drop = self.params, self.cfg.dropout
         probs: list | None = [] if collect is not None else None
         # No pos_table when both position terms are ablated; attend
         # then never reads it.
-        a = attend(content, self._attn_params(prefix), p.get("pos_table"), dm,
+        a = attend(content, self._attn_params(prefix), p.get("pos_table"),
                    mask=mask, query=query, dropout_p=drop, rng=rng,
                    collect=probs, positions=positions)
         if collect is not None:
@@ -311,12 +304,11 @@ class Model:
                     f"perturbation shape {perturb.shape} != {h.shape}"
                 )
             h = T.add(h, perturb)
-        h = T.dropout(h, 0.0 if rng is None else self.cfg.dropout, rng)
-        dm = build_delta_matrix(n, self.cfg.k)
+        h = T.dropout(h, self.cfg.dropout, rng)
         if mask is None:
             mask = build_mask(n, real, causal)
         for i in range(self.cfg.L):
-            h = self._block(f"enc{i}", h, h, dm, mask, rng, collect=collect)
+            h = self._block(f"enc{i}", h, h, mask, rng, collect=collect)
         return h
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
@@ -334,7 +326,6 @@ class Model:
         """
         cfg = self.cfg
         *lead, n, d = h.shape
-        dm = build_delta_matrix(n, cfg.k)
         if mask is None:
             mask = build_mask(n, real, causal)
         x, rows, picks = h, None, None
@@ -356,9 +347,8 @@ class Model:
         if cfg.ablations.emd:
             x = T.add(x, T.gather_rows(self.params["dec_abs"],
                                        np.arange(n) if rows is None else rows))
-        for j in range(cfg.n_emd if cfg.ablations.emd else 1):
-            x = self._block(f"dec{j % cfg.decoder_sets}", x, h, dm, mask, rng,
-                            positions=rows)
+        for prefix in cfg.decode_blocks:
+            x = self._block(prefix, x, h, mask, rng, positions=rows)
         if picks is not None:
             x = T.gather_rows(T.reshape(x, (x.size // d, d)), picks)
         logits = T.matmul(x, T.transpose(self.params["tok_emb"]))

@@ -648,11 +648,12 @@ def gelu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: [g * dx])
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout.  p == 0 returns the input tensor unchanged."""
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout, with its keep mask drawn from rng.  p == 0 or no
+    rng returns the input tensor unchanged: no rng, no dropout."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate {p} outside [0, 1)")
-    if p == 0.0:
+    if p == 0.0 or rng is None:
         return a
     # a one-byte keep mask; with keep 0 or 1, (a * keep) * scale equals
     # a * (keep * scale) bit for bit, signed zeros included.

@@ -24,7 +24,7 @@ from desklm.equivalence import (
     run_allocation_audit,
     run_equivalence_suite,
 )
-from desklm.errors import ConfigError, DegenerateRowError, ShapeError
+from desklm.errors import ConfigError, ContractError, DegenerateRowError, ShapeError
 from desklm.model import ModelConfig, param_shapes
 from desklm.relpos import build_delta_matrix
 from desklm.tensor import Tape, Tensor
@@ -65,18 +65,14 @@ def _make(n, k, d, heads, seed, share=False, use_c2p=True, use_p2c=True):
     rng = np.random.default_rng(seed)
     w = lambda: Tensor(rng.normal(0, 0.3, (d, d)), requires_grad=True)
     w_qc, w_kc, w_vc, w_o = w(), w(), w(), w()
-    w_qr, w_kr = w_qc, w_kc
+    w_qr = w_kr = None
     if not share and (use_c2p or use_p2c):
         w_qr, w_kr = w(), w()
-    # a term that is off gets no projection
-    params = AttentionParams(
-        heads=heads, w_qc=w_qc, w_kc=w_kc, w_vc=w_vc, w_o=w_o,
-        w_qr=w_qr if use_p2c else None, w_kr=w_kr if use_c2p else None,
-    )
+    params = AttentionParams.wired(heads, w_qc, w_kc, w_vc, w_o, c2p=use_c2p, p2c=use_p2c,
+                                   share=share, w_qr=w_qr, w_kr=w_kr)
     table = Tensor(rng.normal(0, 0.3, (2 * k, d)), requires_grad=True)
     h = Tensor(rng.normal(0, 1, (n, d)))
-    dm = build_delta_matrix(n, k)
-    return params, table, h, dm
+    return params, table, h
 
 
 def _data(w):
@@ -87,38 +83,39 @@ def _data(w):
 @pytest.mark.parametrize("n,k,d,heads", [(5, 2, 4, 1), (8, 3, 6, 2), (12, 8, 8, 4)])
 @pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
 def test_kernels_match_loop_oracle(n, k, d, heads, use_c2p, use_p2c):
-    params, table, h, dm = _make(n, k, d, heads, seed=n * 100 + k, use_c2p=use_c2p,
+    params, table, h = _make(n, k, d, heads, seed=n * 100 + k, use_c2p=use_c2p,
                                  use_p2c=use_p2c)
     expect = oracle_scores(h.data, params.w_qc.data, params.w_kc.data,
                            _data(params.w_qr), _data(params.w_kr), table.data,
                            k, heads, use_c2p, use_p2c)
     for fn in (scores_naive, scores_efficient):
-        got = fn(h, params, table, dm)
+        got = fn(h, params, table)
         assert_close(got.data, expect, atol=1e-10, rtol=0,
                      label=fn.__name__)
 
 
 def test_share_projection_is_an_alias():
-    params, table, h, dm = _make(6, 2, 4, 2, seed=3, share=True)
+    params, table, h = _make(6, 2, 4, 2, seed=3, share=True)
     assert params.w_qr is params.w_qc
     assert params.w_kr is params.w_kc
     expect = oracle_scores(h.data, params.w_qc.data, params.w_kc.data,
                            params.w_qc.data, params.w_kc.data, table.data,
                            2, 2, True, True)
-    got = scores_efficient(h, params, table, dm)
+    got = scores_efficient(h, params, table)
     assert_close(got.data, expect, atol=1e-10, rtol=0)
     # one accumulator: grads flow from both roles into the same tensor
     with Tape() as tape:
-        s = scores_efficient(h, params, table, dm)
+        s = scores_efficient(h, params, table)
         loss = T.sum_all(s)
     tape.backward(loss)
     assert params.w_qc.grad is not None
 
 
-def _old_score_chain(h, params, table, dm, query=None, positions=None):
+def _old_score_chain(h, params, table, query=None, positions=None):
     """The efficient kernel as a chain of separate ops: each position
     term gathered into its own tensor, then added with T.add."""
     heads = params.heads
+    dm = build_delta_matrix(h.shape[-2], table.shape[0] // 2)
     q_in = h if query is None else query
     qc_h = _heads(T.matmul(q_in, params.w_qc), heads)
     kc_t = _heads_t(T.matmul(h, params.w_kc), heads)
@@ -140,7 +137,7 @@ def test_efficient_scores_are_the_separate_term_chain_bitwise(lead, at_slots,
     # Adding each gathered term straight into the sum changes no bit of
     # the scores or of any gradient; a term that is off adds nothing.
     n, k, d, heads, m = 9, 3, 8, 2, 5
-    params, table, _, dm = _make(n, k, d, heads, seed=22, use_c2p=use_c2p,
+    params, table, _ = _make(n, k, d, heads, seed=22, use_c2p=use_c2p,
                                  use_p2c=use_p2c)
     rng = np.random.default_rng(23)
     h = Tensor(rng.normal(0, 1, lead + (n, d)), requires_grad=True)
@@ -154,7 +151,7 @@ def test_efficient_scores_are_the_separate_term_chain_bitwise(lead, at_slots,
 
     def scored(kernel):
         with Tape() as tape:
-            s = kernel(h, params, table, dm, query=query, positions=positions)
+            s = kernel(h, params, table, query=query, positions=positions)
             loss = T.sum_all(T.mul(s, probe))
         tape.backward(loss)
         grads = [t.grad for t in leaves]
@@ -183,9 +180,9 @@ def test_scale_counts_enabled_terms():
 
 
 def test_swapped_delta_differs_only_in_p2c():
-    params, table, h, dm = _make(10, 3, 6, 1, seed=8)
-    clean = scores_efficient(h, params, table, dm).data
-    hurt = scores_efficient(h, params, table, dm, fault="swap-delta").data
+    params, table, h = _make(10, 3, 6, 1, seed=8)
+    clean = scores_efficient(h, params, table).data
+    hurt = scores_efficient(h, params, table, fault="swap-delta").data
     assert np.max(np.abs(hurt - clean)) > 1e-3
     # the whole difference is the p2c term's: the oracle with the
     # orientation flipped minus the true p2c
@@ -200,15 +197,15 @@ def test_swapped_delta_differs_only_in_p2c():
 
 
 def test_attend_shapes_and_mask():
-    params, table, h, dm = _make(8, 3, 6, 2, seed=9)
-    out = attend(h, params, table, dm)
+    params, table, h = _make(8, 3, 6, 2, seed=9)
+    out = attend(h, params, table)
     assert out.shape == (8, 6)
     assert np.isfinite(out.data).all()
 
     mask = np.zeros((8, 8), dtype=bool)
     mask[:, 5] = True
     probs = []
-    attend(h, params, table, dm, mask=mask, collect=probs)
+    attend(h, params, table, mask=mask, collect=probs)
     assert len(probs) == 1 and probs[0].shape == (2, 8, 8)
     for p in probs[0]:
         npt.assert_array_equal(p[:, 5], np.zeros(8))
@@ -261,54 +258,54 @@ def test_flat_offset_gathers_pass_gradcheck():
 def test_attend_probs_match_unfused_chain():
     # scale and mask inside the softmax: the same bits as the numpy
     # formula on the scaled scores, blocked entries set to -inf
-    params, table, _, dm = _make(6, 2, 8, 2, seed=14)
+    params, table, _ = _make(6, 2, 8, 2, seed=14)
     h = Tensor(np.random.default_rng(15).normal(0, 1, (3, 6, 8)))
     real = np.ones((3, 6), dtype=bool)
     real[1, 4:] = False
     for mask in (np.triu(np.ones((6, 6), dtype=bool), k=1), ~real[:, None, :]):
         mask = np.broadcast_to(mask, (3,) + mask.shape[-2:])
         probs = []
-        attend(h, params, table, dm, mask=mask, collect=probs)
-        logits = scores_efficient(h, params, table, dm).data * params.scale
+        attend(h, params, table, mask=mask, collect=probs)
+        logits = scores_efficient(h, params, table).data * params.scale
         logits = np.where(mask[:, None], -np.inf, logits)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         assert np.array_equal(probs[0], e / e.sum(axis=-1, keepdims=True))
 
 
 def test_attend_fully_masked_row_raises():
-    params, table, h, dm = _make(4, 2, 4, 1, seed=10)
+    params, table, h = _make(4, 2, 4, 1, seed=10)
     mask = np.zeros((4, 4), dtype=bool)
     mask[1, :] = True
     with pytest.raises(DegenerateRowError) as err:
-        attend(h, params, table, dm, mask=mask)
+        attend(h, params, table, mask=mask)
     assert "0, 1" in str(err.value)  # head 0, query 1
 
 
 def test_attend_single_token():
-    params, table, h, dm = _make(1, 4, 8, 2, seed=11)
-    out = attend(h, params, table, dm)
+    params, table, h = _make(1, 4, 8, 2, seed=11)
+    out = attend(h, params, table)
     assert out.shape == (1, 8)
     assert np.isfinite(out.data).all()
-    assert dm.values[0, 0] == 4  # the diagonal bin
+    assert build_delta_matrix(1, 4).values[0, 0] == 4  # the diagonal bin
 
 
 def test_attend_repeated_token_rows_equal():
     # identical content rows plus zeroed position table: every query sees
     # the same world, so every output row must match
-    params, table, h, dm = _make(6, 2, 4, 2, seed=12)
+    params, table, h = _make(6, 2, 4, 2, seed=12)
     table0 = Tensor(np.zeros((4, 4)))
     row = np.random.default_rng(13).normal(0, 1, 4)
     h_same = Tensor(np.tile(row, (6, 1)))
-    out = attend(h_same, params, table0, dm)
+    out = attend(h_same, params, table0)
     for i in range(1, 6):
         npt.assert_allclose(out.data[i], out.data[0], atol=1e-12)
 
 
 def test_separate_query_input():
-    params, table, h, dm = _make(5, 2, 6, 1, seed=14)
+    params, table, h = _make(5, 2, 6, 1, seed=14)
     q = Tensor(np.random.default_rng(15).normal(0, 1, (5, 6)))
-    out_self = attend(h, params, table, dm)
-    out_cross = attend(h, params, table, dm, query=q)
+    out_self = attend(h, params, table)
+    out_cross = attend(h, params, table, query=q)
     assert out_cross.shape == (5, 6)
     assert np.max(np.abs(out_cross.data - out_self.data)) > 1e-6
 
@@ -320,7 +317,7 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
     # The mask decoder's two paths: a query stream q beside the content h,
     # and only the query rows at some slots, scored as (..., heads, m, n).
     n, k, d, heads, m = 9, 3, 8, 2, 5
-    params, table, _, dm = _make(n, k, d, heads, seed=20, share=share,
+    params, table, _ = _make(n, k, d, heads, seed=20, share=share,
                                  use_c2p=use_c2p, use_p2c=use_p2c)
     rng = np.random.default_rng(21)
     h = Tensor(rng.normal(0, 1, lead + (n, d)), requires_grad=True)
@@ -351,10 +348,10 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
     def at_rows():
         first = np.arange(0, q.size // d, n).reshape(lead)  # flat slot 0 of each row
         q_at = T.gather_rows(T.reshape(q, (q.size // d, d)), first[..., None] + rows)
-        return scores_efficient(h, params, table, dm, query=q_at, positions=rows)
+        return scores_efficient(h, params, table, query=q_at, positions=rows)
 
-    naive = lambda: scores_naive(h, params, table, dm, query=q)
-    efficient = lambda: scores_efficient(h, params, table, dm, query=q)
+    naive = lambda: scores_naive(h, params, table, query=q)
+    efficient = lambda: scores_efficient(h, params, table, query=q)
     want, want_g = scored(naive, probe)
     want_rows = np.take_along_axis(want, rows[..., None, :, None], axis=-2)
     _, want_rows_g = scored(naive, spread)
@@ -371,20 +368,39 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
 
 
 def test_validation_errors():
-    params, table, h, dm = _make(6, 2, 4, 1, seed=16)
+    params, table, h = _make(6, 2, 4, 1, seed=16)
     with pytest.raises(ShapeError):
-        scores_efficient(Tensor(np.zeros((6, 5))), params, table, dm)
+        scores_efficient(Tensor(np.zeros((6, 5))), params, table)
     with pytest.raises(ShapeError):
-        scores_efficient(h, params, Tensor(np.zeros((3, 4))), dm)
-    with pytest.raises(ShapeError):
-        scores_efficient(h, params, table, build_delta_matrix(7, 2))
+        scores_efficient(h, params, Tensor(np.zeros((3, 4))))
     with pytest.raises(ConfigError):
-        scores_efficient(h, params, table, dm, fault="nonsense")
-    with pytest.raises(ConfigError):
-        attend(h, params, table, dm, dropout_p=0.5)  # no rng
+        scores_efficient(h, params, table, fault="nonsense")
+    # no rng, no dropout
+    assert np.array_equal(attend(h, params, table, dropout_p=0.5).data,
+                          attend(h, params, table).data)
     with pytest.raises(ConfigError):
         AttentionParams(heads=3, w_qc=params.w_qc, w_kc=params.w_kc,
                         w_vc=params.w_vc, w_o=params.w_o)  # 4 % 3 != 0
+
+
+def test_position_table_and_wiring_errors():
+    # delta is built from the table's 2k rows: a table that is missing,
+    # has no or an odd number of rows, or the wrong width is refused
+    params, table, h = _make(6, 2, 4, 1, seed=17)
+    for bad in (None, np.zeros((0, 4)), np.zeros((3, 4)), np.zeros((4, 3)), np.zeros(4)):
+        for kernel in (scores_naive, scores_efficient):
+            with pytest.raises(ShapeError):
+                kernel(h, params, None if bad is None else Tensor(bad))
+    # with both position terms off no table is read
+    off, _, _ = _make(6, 2, 4, 1, seed=17, use_c2p=False, use_p2c=False)
+    assert attend(h, off, None).shape == (6, 4)
+    # an unshared term that is on needs its own projection
+    w = (params.w_qc, params.w_kc, params.w_vc, params.w_o)
+    for c2p, p2c in ((True, False), (False, True)):
+        with pytest.raises(ContractError):
+            AttentionParams.wired(1, *w, c2p=c2p, p2c=p2c, share=False)
+    both_off = AttentionParams.wired(1, *w, c2p=False, p2c=False, share=True)
+    assert both_off.w_qr is None and both_off.w_kr is None
 
 
 def test_extra_param_count_frozen_values():

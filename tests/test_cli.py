@@ -183,6 +183,22 @@ def test_pretrain_writes_artifacts_and_respects_steps(tmp_path, capsys):
     assert "final_loss_avg=" in stdout
 
 
+def test_diverging_pretrain_exits_3_and_keeps_its_metrics(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning) as numpy_warnings:
+        rc = main(["pretrain", "--config", "toy", "--set", "trainer.steps=4",
+                   "--set", "trainer.warmup_steps=1", "--set", "trainer.peak_lr=1e300",
+                   "--out", str(out)])
+    assert rc == 3
+    assert any("overflow" in str(w.message) for w in numpy_warnings)
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: non-finite loss nan at step 2"
+    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in rows] == [1, 2]
+    assert math.isfinite(rows[0]["loss"]) and math.isnan(rows[1]["loss"])
+    assert not (out / "checkpoint_final.ckpt").exists()
+
+
 def test_pretrain_without_out_is_config_error(capsys):
     rc = main(["pretrain", "--config", "toy", *PRETRAIN_FAST])
     assert rc == 2
@@ -411,6 +427,17 @@ def test_audit_prints_pinned_values(capsys):
     out = dict(line.split("=", 1)
                for line in capsys.readouterr().out.splitlines())
     assert out["extra_position_params"] == str(2 * 512 * 768)
+
+
+def test_audit_decode_cost_follows_mask_rate_and_emd(capsys):
+    # the decode blocks that run, over L, at the masked fraction of slots
+    for sets, want in ((["trainer.mask_rate=0.3"], "0.025"),
+                       (["model.ablations.emd=false"], "0.00625")):
+        assert main(["audit", "--config", "large",
+                     *(a for s in sets for a in ("--set", s))]) == 0
+        out = dict(line.split("=", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        assert out["emd_decode_cost"] == want
 
 
 def test_audit_counts_only_the_enabled_position_terms(capsys):

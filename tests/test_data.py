@@ -170,6 +170,22 @@ def test_corrupt_determinism():
     assert a[1] == b[1]
 
 
+def test_corrupt_dense_target_ends_in_the_deterministic_sweep():
+    # 18 of 20 slots cannot be covered by spans that never touch: the
+    # random draws give up, the sweep takes every legal start left, and
+    # the selection stops short of the target
+    row = np.array([CLS] + list(range(10, 30)) + [SEP])
+    xt, pos = corrupt(row, np.random.default_rng(0), 30, mask_rate=0.9, span_max=3)
+    assert 0 < len(pos) < 18
+    chosen = np.zeros(row.size, dtype=bool)
+    chosen[pos] = True
+    for i in range(1, row.size - 1):
+        assert chosen[i] or chosen[i - 1] or chosen[i + 1], i
+    again = corrupt(row, np.random.default_rng(0), 30, mask_rate=0.9, span_max=3)
+    npt.assert_array_equal(again[0], xt)
+    assert again[1] == pos
+
+
 def test_make_batch_shapes():
     rows = [[10, 11, 12], [13, 14], [15, 16, 17, 18, 19]]
     batch = make_batch(rows, 8, np.random.default_rng(8), vocab_size=64)

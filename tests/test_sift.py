@@ -9,9 +9,10 @@ import pytest
 
 from desklm import sift as sift_mod
 from desklm import tensor as T
-from desklm.data import MaskedBatch
+from desklm.data import NUM_RESERVED, MaskedBatch, make_batch
 from desklm.errors import ConfigError
 from desklm.model import Model, ModelConfig
+from desklm.seeding import rng_for
 from desklm.sift import SiftConfig, normalize_embeddings, sift_loss, symmetric_kl
 from desklm.tensor import Tape, Tensor
 
@@ -233,6 +234,33 @@ def test_ascent_holds_parameters_constant(monkeypatch):
     with pytest.raises(FloatingPointError):
         sift_loss(batch, m, cfg, mode="mlm", seed=12)
     assert all(p.requires_grad for p in m.params.values())
+
+
+def test_sift_stops_when_no_row_can_move(monkeypatch):
+    # epsilon = 0 keeps the perturbation at zero, so the perturbed logits
+    # are the clean ones and every row's ascent gradient is exactly zero:
+    # the search stops after one step of three and adds nothing
+    cfg = ModelConfig(vocab_size=29, max_len=16, L=1, d=16, heads=2, ffn=32,
+                      k=4, n_emd=1, dropout=0.1)
+    model = Model(cfg, seed=11)
+    rng = rng_for(0, "accept/sift")
+    rows = [list(np.concatenate(([2], rng.integers(NUM_RESERVED, 29, size=10), [3])))
+            for _ in range(3)]
+    batch = make_batch(rows, n=14, rng=rng, vocab_size=29)
+    grads = []
+    real_grad = sift_mod._ascent_grad
+
+    def spy(*args):
+        grads.append(real_grad(*args))
+        return grads[-1]
+
+    monkeypatch.setattr(sift_mod, "_ascent_grad", spy)
+    loss, task, r_adv = sift_loss(
+        batch, model, SiftConfig(enabled=True, epsilon=0.0, ascent_steps=3),
+        seed=4, return_parts=True)
+    assert len(grads) == 1 and not grads[0].any()
+    assert r_adv.item() == 0.0
+    assert loss.item() == task.item()
 
 
 def test_sift_config_validation():

@@ -890,6 +890,14 @@ def test_dropout_semantics():
         T.dropout(x, -0.1, rng)
 
 
+def test_dropout_without_rng_is_the_identity():
+    # no rng, no dropout: the input itself, at any legal rate
+    x = Tensor(np.ones((4, 5)), requires_grad=True)
+    assert T.dropout(x, 0.3, None) is x
+    with pytest.raises(ContractError):
+        T.dropout(x, 1.0, None)
+
+
 def test_shape_errors():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((2, 3)))

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the outputs of four short toy pretraining runs.
+"""Print the sha256 of the outputs of four short toy pretraining runs
+and of the kernel equivalence report.
 
 A change that should leave every computed number alone must leave these
 hashes alone.  Each variant runs
@@ -9,7 +10,9 @@ hashes alone.  Each variant runs
 
 in-process, in its own temporary directory, and prints one line: the
 variant name, then the sha256 of metrics.jsonl and of
-checkpoint_final.ckpt.
+checkpoint_final.ckpt.  A fifth line, "equivalence <sha256>", hashes the
+stdout of `desklm equivalence --sweep-seeds 10`; the config echo on
+stderr is left out.
 
 Usage: python3 tools/toy_hashes.py [--steps N]   (N defaults to 12)
 """
@@ -53,6 +56,15 @@ def run_variant(settings: list[str], steps: int) -> tuple[str, str]:
                 _sha256(os.path.join(out, "checkpoint_final.ckpt")))
 
 
+def equivalence_hash() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["equivalence", "--sweep-seeds", "10"])
+    if rc != 0:
+        raise SystemExit(f"equivalence exited {rc}")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def main_cli() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=12)
@@ -60,6 +72,7 @@ def main_cli() -> int:
     for name, settings in VARIANTS.items():
         metrics, ckpt = run_variant(settings, args.steps)
         print(f"{name} {metrics} {ckpt}")
+    print(f"equivalence {equivalence_hash()}")
     return 0
 
 
