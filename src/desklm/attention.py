@@ -43,12 +43,14 @@ Two kernels produce the same scores; attend always runs the efficient one:
   * scores_efficient never builds an (n*n, d) object.  For the c2p term
     it computes Q_c K_r^T once for every head, an (..., heads, n, 2k)
     tensor, and gathers element [i, delta[i, j]].  For p2c it computes
-    K_c Q_r^T and gathers element [j, delta[j, i]] straight into place
-    (i, j).  Both gathers read flat offsets into each (n, 2k) block,
-    derived from delta on every call, and add_gathered adds each one
-    straight into the score sum, so neither term is kept as an array
-    of its own.  Peak extra storage is O(k d) for the projected tables
-    plus one (heads, n, 2k) product at a time, freed once it is added.
+    Q_r K_c^T from the keys' transposed head layout that the c2c
+    product already reads, an (..., heads, 2k, n) tensor, and gathers
+    element [delta[j, i], j] straight into place (i, j).  Both gathers
+    read flat offsets into each product block, derived from delta on
+    every call, and add_gathered adds each one straight into the score
+    sum, so neither term is kept as an array of its own.  Peak extra
+    storage is O(k d) for the projected tables plus one (heads, n, 2k)
+    or (heads, 2k, n) product at a time, freed once it is added.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -186,12 +188,12 @@ def _c2p_offsets(dm: DeltaMatrix, positions=None) -> np.ndarray:
 
 
 def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None) -> np.ndarray:
-    """Flat offsets of p2c into each (..., n, 2k) product block: row j's
-    column delta(j, i) at (i, j), so the gather lands in (i, j) layout.
+    """Flat offsets of p2c into each (..., 2k, n) product block: column
+    j's row delta(j, i) at (i, j), so the gather lands in (i, j) layout.
     With positions, the rows of that table at the query slots.  The
-    swap-delta fault reads column delta(i, j) instead."""
+    swap-delta fault reads row delta(i, j) instead."""
     vals = dm.values.T if fault is None else dm.values
-    off = vals + np.arange(dm.n, dtype=np.int64) * (2 * dm.k)
+    off = vals * dm.n + np.arange(dm.n, dtype=np.int64)
     return off if positions is None else off[positions][..., None, :, :]
 
 
@@ -283,11 +285,12 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         _meter_release(meter, prod)
 
     if params.w_qr is not None:
-        # Row j of the product holds K_c[j] . Q_r[*]; the offsets place
-        # K_c[j] . Q_r[delta(j, i)] straight at (i, j).
+        # Column j of the product holds Q_r[*] . K_c[j], from the keys'
+        # (hs, n) layout as it is; the offsets place
+        # Q_r[delta(j, i)] . K_c[j] straight at (i, j).
         qr = T.matmul(table, params.w_qr)
         _meter_alloc(meter, qr)
-        prod = T.matmul(T.transpose(kc_t), _heads_t(qr, heads))
+        prod = T.matmul(_heads(qr, heads), kc_t)
         _meter_alloc(meter, prod)
         total = T.add_gathered(total, prod, _p2c_offsets(dm, positions, fault))
         _meter_release(meter, prod)

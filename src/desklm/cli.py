@@ -182,7 +182,11 @@ def cmd_audit(args) -> int:
     _echo(args, run_cfg, cfg)
     print(f"total_params={count_params(cfg)}")
     print(f"extra_position_params={extra_param_count(cfg)}")
-    decoded = len(cfg.decode_blocks) * run_cfg.trainer.mask_rate
+    # the masked objective decodes its masked slots, the causal one every
+    # slot; joint mode alternates the two
+    mlm = run_cfg.trainer.mask_rate
+    share = {"mlm": mlm, "arlm": 1.0, "joint": (mlm + 1.0) / 2}[cfg.mode]
+    decoded = len(cfg.decode_blocks) * share
     print(f"emd_decode_cost={decoded / cfg.L:.6g}")
     print(f"max_reach={max_reach(cfg.k, cfg.L)}")
     return EXIT_OK

@@ -25,6 +25,8 @@ from .seeding import rng_for
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
 NUM_RESERVED = 5
+# Batches a BatchStream draws at once and sorts by row length.
+_POOL = 8
 _RESERVED_NAMES = ["<pad>", "<unk>", "<cls>", "<sep>", "<mask>"]
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+|[^\sa-z0-9']")
@@ -247,6 +249,12 @@ class BatchStream:
     corruption, both from the stream's own rng, so (sequences, seed,
     shape) fully determines every batch ever produced.  A sha256 digest
     of everything handed out supports cross-run comparisons.
+
+    Rows are bucketed by length: the stream draws _POOL batches' worth of
+    rows from its order at once, sorts them stably by length, cuts them
+    into batches and hands those out in an order drawn from its rng.
+    The model trims each batch to its longest row, so rows of like
+    length in one batch leave little padding to compute on.
     """
 
     sequences: list[list[int]]
@@ -259,6 +267,7 @@ class BatchStream:
     _rng: np.random.Generator = field(init=False, repr=False)
     _order: list[int] = field(init=False, repr=False)
     _cursor: int = field(init=False, default=0, repr=False)
+    _queue: list[list[int]] = field(init=False, default_factory=list, repr=False)
     _hash: "hashlib._Hash" = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -279,7 +288,13 @@ class BatchStream:
         return idx
 
     def next_batch(self) -> MaskedBatch:
-        rows = [self.sequences[self._next_index()] for _ in range(self.batch_size)]
+        if not self._queue:
+            pool = [self._next_index() for _ in range(_POOL * self.batch_size)]
+            pool.sort(key=lambda i: len(self.sequences[i]))  # stable
+            size = self.batch_size
+            self._queue = [pool[b * size:(b + 1) * size]
+                           for b in self._rng.permutation(_POOL)]
+        rows = [self.sequences[i] for i in self._queue.pop()]
         batch = make_batch(rows, self.n, self._rng, self.vocab_size,
                            mask_rate=self.mask_rate, span_max=self.span_max)
         batch.digest_update(self._hash)

@@ -34,10 +34,10 @@ class AllocationMeter:
     The kernels report allocation and release of every array that holds
     relative-position embedding data: the projected tables K_r and Q_r,
     the naive kernel's per-pair gathered rows, and the efficient
-    kernel's (heads, n, 2k) reuse products.  Content projections and the
-    (n, n) score matrices exist identically under both kernels and are
-    excluded, so the meter isolates exactly the cost the efficient
-    kernel claims to remove.  Counts are float64 elements, not bytes.
+    kernel's (heads, n, 2k) and (heads, 2k, n) reuse products.  Content
+    projections and the (n, n) score matrices exist identically under
+    both kernels and are excluded, so the meter isolates exactly the
+    cost the efficient kernel claims to remove.  Counts are float64 elements, not bytes.
     """
 
     def __init__(self) -> None:
@@ -246,8 +246,8 @@ def run_allocation_audit(ns=(32, 64, 128), k: int = 8, d: int = 16,
     """Meter both kernels across sequence lengths.
 
     Single-head on purpose: the budget formula describes the one-head
-    kernel; with h heads the efficient kernel holds one (h, n, 2k)
-    product instead of one (n, 2k) product.
+    kernel; with h heads the efficient kernel holds one product of h
+    times that size, (h, n, 2k) or (h, 2k, n), instead of one of n * 2k.
     Runs without a tape; the meter audits forward allocations only.
     """
     rows = []

@@ -8,6 +8,7 @@ calls it, and this module imports nothing of the package.
 
 import dataclasses
 import functools
+import math
 import numbers
 import types
 import typing
@@ -43,12 +44,17 @@ def _field_hints(cls) -> tuple:
 def check_field_types(obj) -> None:
     """ConfigError unless every field of the dataclass instance obj holds
     a value of its annotated type: int, float (an int also passes),
-    bool, str, a class, or a union of these with None."""
+    bool, str, a class, or a union of these with None.  A float must
+    also be finite: JSON readers accept NaN and Infinity, and a range
+    check written x <= 0 lets NaN through."""
     for name, written, hint in _field_hints(type(obj)):
         value = getattr(obj, name)
         if not _has_type(value, hint):
             raise ConfigError(f"{type(obj).__name__}.{name} must be "
                               f"{written}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be finite, "
+                              f"got {value!r}")
 
 
 class ContractError(DeskLMError):

@@ -28,7 +28,9 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, check_field_types
 from .seeding import rng_for
-from .tensor import Tape, Tensor
+# symmetric_kl is the consistency divergence, one recorded op; the
+# ascent and sift_loss look it up in this module, so a spy can replace it
+from .tensor import Tape, Tensor, symmetric_kl
 
 # Standardisation guard.  Small enough that rescaling the input by any
 # sane factor moves the output by less than 1e-9.
@@ -68,19 +70,6 @@ def normalize_embeddings(e: Tensor) -> Tensor:
     gain, bias = Tensor(np.ones(d)), Tensor(np.zeros(d))
     once = T.layer_norm(e, gain, bias, eps=_NORM_EPS)
     return T.layer_norm(once, gain, bias, eps=_NORM_EPS)
-
-
-def symmetric_kl(p_logits: Tensor, q_logits: Tensor) -> Tensor:
-    """Sum over rows of KL(p||q) + KL(q||p), from logits.
-
-    Uses the identity sum((p - q) * (log p - log q)), which is
-    non-negative term by term since log is monotone.
-    """
-    p = T.softmax_rows(p_logits)
-    q = T.softmax_rows(q_logits)
-    lp = T.log_softmax_rows(p_logits)
-    lq = T.log_softmax_rows(q_logits)
-    return T.sum_all(T.mul(T.sub(p, q), T.sub(lp, lq)))
 
 
 def _project_rows(delta: np.ndarray, epsilon: float, active: np.ndarray) -> None:

@@ -11,8 +11,8 @@ package is single-threaded and starts no thread of its own.
 
 Every op works over any leading dims: the matrix ops (matmul,
 transpose) act on the last two axes, the row ops (row_sum, the
-softmaxes, layer_norm) on the last axis, and gather_flat and
-add_gathered on each trailing (r, c) block, so an (n, d) row and a
+softmaxes, symmetric_kl, layer_norm) on the last axis, and gather_flat
+and add_gathered on each trailing (r, c) block, so an (n, d) row and a
 (b, h, n, d) batch run through the same code.
 
 Broadcasting has one rule: in add, sub and mul the second operand
@@ -572,20 +572,61 @@ def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax_rows(a: Tensor) -> Tensor:
     """Log softmax over the last axis.  No mask handling: intended for logits."""
     if a.ndim < 1:
         raise ShapeError(f"log_softmax_rows needs at least one axis, got {a.shape}")
-    m = a.data.max(axis=-1, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
+    out_data = _log_softmax(a.data)
     out = Tensor._from_data(out_data)
 
     def bwd(g):
         return [g - np.exp(out_data) * g.sum(axis=-1, keepdims=True)]
 
     return _record(out, (a,), bwd)
+
+
+def symmetric_kl(p_logits: Tensor, q_logits: Tensor) -> Tensor:
+    """Sum over rows of KL(p||q) + KL(q||p), from two (..., vocab) logit
+    tensors of one shape, as one op.
+
+    Uses the identity sum((p - q) * (log p - log q)), which is
+    non-negative term by term since log is monotone.  With D = p - q and
+    L = log p - log q, the gradient in p's logits is p (L - <p, L>) + D
+    and in q's -(q (L - <q, L>) + D), since D sums to zero over a row.
+    Both are worked out here, and only for an operand that will get
+    one, so the op keeps at most one array per operand; bitwise equal
+    operands get exactly zero.
+    """
+    if p_logits.ndim < 1 or p_logits.shape != q_logits.shape:
+        raise ShapeError(f"symmetric_kl: logits {p_logits.shape} and "
+                         f"{q_logits.shape} must be one (..., vocab) shape")
+    lp, lq = _log_softmax(p_logits.data), _log_softmax(q_logits.data)
+    ldiff = lp - lq
+    p, q = np.exp(lp, out=lp), np.exp(lq, out=lq)  # the logs are not read again
+    diff = p - q
+    out = Tensor._from_data(np.asarray((diff * ldiff).sum()))
+    recorded = _active_tape() is not None
+
+    def grad(r: np.ndarray) -> np.ndarray:
+        # r (L - <r, L>) + D, in one array
+        g = r * ldiff
+        np.subtract(ldiff, g.sum(axis=-1, keepdims=True), out=g)
+        g *= r
+        g += diff
+        return g
+
+    gp = grad(p) if recorded and p_logits.requires_grad else None
+    gq = None
+    if recorded and q_logits.requires_grad:
+        gq = grad(q)
+        np.negative(gq, out=gq)
+    return _record(out, (p_logits, q_logits), lambda g: [
+        None if gp is None else g * gp, None if gq is None else g * gq])
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

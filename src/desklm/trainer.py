@@ -39,7 +39,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-6
     grad_clip: float = 1.0
-    lr_decay: str = "linear"
     seed: int = 0
     checkpoint_interval: int = 0  # 0: only the final checkpoint
     mask_rate: float = 0.15
@@ -65,8 +64,6 @@ class TrainConfig:
             raise ConfigError("adam_eps must be > 0")
         if self.grad_clip <= 0:
             raise ConfigError("grad_clip must be > 0")
-        if self.lr_decay != "linear":
-            raise ConfigError(f"lr_decay {self.lr_decay!r} is not supported")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
         if not 0.0 < self.mask_rate < 1.0:

@@ -124,7 +124,7 @@ def _old_score_chain(h, params, table, query=None, positions=None):
         prod = T.matmul(qc_h, _heads_t(T.matmul(table, params.w_kr), heads))
         total = T.add(total, T.gather_flat(prod, _c2p_offsets(dm, positions)))
     if params.w_qr is not None:
-        prod = T.matmul(T.transpose(kc_t), _heads_t(T.matmul(table, params.w_qr), heads))
+        prod = T.matmul(_heads(T.matmul(table, params.w_qr), heads), kc_t)
         total = T.add(total, T.gather_flat(prod, _p2c_offsets(dm, positions)))
     return total
 
@@ -216,25 +216,26 @@ def test_attend_shapes_and_mask():
 def test_flat_offsets_match_delta_gathers(n, k):
     rng = np.random.default_rng(n)
     dm = build_delta_matrix(n, k)
-    prod = rng.normal(0, 1, (2, 3, n, 2 * k))
-    full = np.broadcast_to(dm.values, prod.shape[:-1] + (n,))
-    swapped = np.broadcast_to(dm.values.T, full.shape)
-    take = lambda cols: np.take_along_axis(prod, cols, axis=-1)
-    gather = lambda off: T.gather_flat(Tensor(prod), off).data
-    npt.assert_array_equal(gather(_c2p_offsets(dm)), take(full))
-    npt.assert_array_equal(gather(_p2c_offsets(dm)), np.swapaxes(take(full), -1, -2))
-    npt.assert_array_equal(gather(_p2c_offsets(dm, fault="swap-delta")),
-                           np.swapaxes(take(swapped), -1, -2))
+    c2p = rng.normal(0, 1, (2, 3, n, 2 * k))   # query rows times position keys
+    p2c = rng.normal(0, 1, (2, 3, 2 * k, n))   # position queries times key columns
+    gather = lambda prod, off: T.gather_flat(Tensor(prod), off).data
+    every = lambda idx: np.broadcast_to(idx, (2, 3, n, n))
+    npt.assert_array_equal(gather(c2p, _c2p_offsets(dm)),
+                           np.take_along_axis(c2p, every(dm.values), axis=-1))
+    # p2c reads row delta(j, i) of column j at (i, j); the swap-delta
+    # fault reads row delta(i, j)
+    for fault, rows in ((None, dm.values.T), ("swap-delta", dm.values)):
+        npt.assert_array_equal(gather(p2c, _p2c_offsets(dm, fault=fault)),
+                               np.take_along_axis(p2c, every(rows), axis=-2))
     # query rows at positions: c2p reads the delta rows there, p2c reads
     # delta(j, positions) for every key j
     pos = rng.integers(0, n, (2, 4))
-    rows = rng.normal(0, 1, (2, 3, 4, 2 * k))
-    npt.assert_array_equal(T.gather_flat(Tensor(rows), _c2p_offsets(dm, pos)).data,
-                           np.take_along_axis(rows, dm.values[pos][:, None], axis=-1))
-    for fault, vals in ((None, dm.values), ("swap-delta", dm.values.T)):
-        cols = np.moveaxis(vals[:, pos], 0, -2)[:, None]       # (2, 1, n, 4)
-        npt.assert_array_equal(gather(_p2c_offsets(dm, pos, fault)),
-                               np.swapaxes(take(cols), -1, -2))
+    at_pos = rng.normal(0, 1, (2, 3, 4, 2 * k))
+    npt.assert_array_equal(gather(at_pos, _c2p_offsets(dm, pos)),
+                           np.take_along_axis(at_pos, dm.values[pos][:, None], axis=-1))
+    for fault, rows in ((None, dm.values.T), ("swap-delta", dm.values)):
+        npt.assert_array_equal(gather(p2c, _p2c_offsets(dm, pos, fault)),
+                               np.take_along_axis(p2c, rows[pos][:, None], axis=-2))
 
 
 def test_flat_offset_gathers_pass_gradcheck():

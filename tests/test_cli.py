@@ -221,6 +221,44 @@ def test_pretrain_unknown_key_is_config_error(tmp_path, capsys):
     assert "trainer.stepz" in capsys.readouterr().err
 
 
+def test_lr_decay_is_an_unknown_key(tmp_path, capsys):
+    # the schedule is linear warmup then linear decay, with no switch
+    out = tmp_path / "x"
+    rc = main(["pretrain", "--config", "toy", "--set", "trainer.lr_decay=cosine",
+               "--out", str(out)])
+    assert rc == 2
+    assert _one_line_error(capsys) == "error: unknown key trainer.lr_decay\n"
+    assert not (out / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("section,key,value,needle", [
+    ("trainer", "grad_clip", math.nan, "TrainConfig.grad_clip"),
+    ("trainer", "adam_eps", math.inf, "TrainConfig.adam_eps"),
+    ("trainer", "peak_lr", math.nan, "TrainConfig.peak_lr"),
+    ("sift", "epsilon", math.nan, "SiftConfig.epsilon"),
+])
+@pytest.mark.parametrize("via", ["set", "file"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, section, key, value,
+                                          needle, via):
+    # JSON readers take NaN and Infinity, in --set values and config
+    # files alike; a range check written x <= 0 would let NaN through
+    out = tmp_path / "x"
+    args = ["pretrain", *PRETRAIN_FAST, "--out", str(out)]
+    if via == "set":
+        args += ["--config", "toy", "--set", f"{section}.{key}={json.dumps(value)}"]
+    else:
+        with open(preset_path("toy"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw[section][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        args += ["--config", str(path)]
+    assert main(args) == 2
+    err = _one_line_error(capsys)
+    assert needle in err and "finite" in err
+    assert not (out / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("override,needle", [
     ("trainer.seq_len=100", "max_len"),
     ("trainer.mask_rate=1.5", "mask_rate"),
@@ -430,9 +468,14 @@ def test_audit_prints_pinned_values(capsys):
 
 
 def test_audit_decode_cost_follows_mask_rate_and_emd(capsys):
-    # the decode blocks that run, over L, at the masked fraction of slots
+    # the decode blocks that run, over L, at the share of slots the head
+    # decodes: the masked fraction for mlm, every slot for the causal
+    # objective, the mean of the two for joint
     for sets, want in ((["trainer.mask_rate=0.3"], "0.025"),
-                       (["model.ablations.emd=false"], "0.00625")):
+                       (["model.ablations.emd=false"], "0.00625"),
+                       (["model.mode=arlm"], "0.0833333"),
+                       (["model.mode=joint"], "0.0479167"),
+                       (["model.mode=joint", "trainer.mask_rate=0.3"], "0.0541667")):
         assert main(["audit", "--config", "large",
                      *(a for s in sets for a in ("--set", s))]) == 0
         out = dict(line.split("=", 1)

@@ -20,11 +20,13 @@ from desklm.data import (
     build_vocab,
     corrupt,
     encode_corpus,
+    load_corpus,
     make_batch,
     pack,
     tokenize,
 )
 from desklm.errors import ConfigError, ContractError, IngestionError
+from desklm.runconfig import bundled_corpus_path
 
 
 def test_tokenize_basic():
@@ -220,6 +222,56 @@ def test_batch_stream_reshuffles_and_recorrupts():
     second = s.next_batch()  # same rows, new epoch
     npt.assert_array_equal(first.x, second.x)
     assert (first.x_tilde != second.x_tilde).any() or (first.predict != second.predict).any()
+
+
+def _spied_stream(seed):
+    # 23 rows of lengths 1..7, each told apart by its first token; a pool
+    # of 8 batches of 3 is 24 rows, so every pool crosses a pass
+    seqs = [[NUM_RESERVED + i] * (1 + (5 * i) % 7) for i in range(23)]
+    stream = BatchStream(seqs, n=10, batch_size=3, vocab_size=NUM_RESERVED + 24,
+                         seed=seed)
+    drawn = []
+    next_index = stream._next_index
+
+    def spy():
+        drawn.append(int(next_index()))
+        return drawn[-1]
+
+    stream._next_index = spy
+    return stream, seqs, drawn
+
+
+def test_bucketed_batches_are_sorted_cuts_of_each_pool():
+    a, seqs, drawn = _spied_stream(seed=3)
+    b, _, _ = _spied_stream(seed=3)
+    batches = []
+    for _ in range(3 * 8):
+        ba, bb = a.next_batch(), b.next_batch()
+        for field_ in ("x", "x_tilde", "real", "predict"):
+            npt.assert_array_equal(getattr(ba, field_), getattr(bb, field_))
+        batches.append(tuple(int(i) - NUM_RESERVED for i in ba.x[:, 1]))
+    assert a.digest() == b.digest()
+    shuffled = False
+    for p in range(3):
+        # each pool hands out exactly the rows it drew, cut from their
+        # stable sort by length, in an order that is not the sorted one
+        pool = sorted(drawn[24 * p:24 * (p + 1)], key=lambda i: len(seqs[i]))
+        cuts = [tuple(pool[3 * c:3 * (c + 1)]) for c in range(8)]
+        handed = batches[8 * p:8 * (p + 1)]
+        assert sorted(handed) == sorted(cuts)
+        shuffled |= handed != cuts and handed != cuts[::-1]
+    assert shuffled and len(drawn) == 3 * 24
+
+
+def test_bucketing_trims_the_toy_batches():
+    # toy preset shapes, seed 0: the batch width the model computes on is
+    # the longest real row; unbucketed batches averaged 24.9 slots
+    lines = load_corpus(bundled_corpus_path())
+    vocab = build_vocab(lines, cap=512)
+    stream = BatchStream(encode_corpus(lines, vocab), n=32, batch_size=16,
+                         vocab_size=len(vocab), seed=0)
+    widths = [stream.next_batch().real.sum(axis=-1).max() for _ in range(200)]
+    assert np.mean(widths) <= 18.0
 
 
 def test_encode_corpus():

@@ -16,6 +16,8 @@ from desklm.seeding import rng_for
 from desklm.sift import SiftConfig, normalize_embeddings, sift_loss, symmetric_kl
 from desklm.tensor import Tape, Tensor
 
+from helpers import assert_close, numeric_grad
+
 
 def cfg_model(dropout=0.0, seed=20):
     cfg = ModelConfig(vocab_size=13, max_len=12, L=1, d=8, heads=2, ffn=16,
@@ -59,6 +61,58 @@ def test_symmetric_kl_properties():
     npt.assert_allclose(kl_ab, kl_ba, rtol=1e-12)
     self_kl = symmetric_kl(a, a).item()
     npt.assert_allclose(self_kl, 0.0, atol=1e-15)
+
+
+def _chained_kl(p_logits, q_logits):
+    """The divergence as eight recorded ops, as it was built before it
+    became one."""
+    p = T.softmax_rows(p_logits)
+    q = T.softmax_rows(q_logits)
+    lp = T.log_softmax_rows(p_logits)
+    lq = T.log_softmax_rows(q_logits)
+    return T.sum_all(T.mul(T.sub(p, q), T.sub(lp, lq)))
+
+
+def _kl_and_grads(kl, a0, b0):
+    a = Tensor(a0, requires_grad=True)
+    b = Tensor(b0, requires_grad=True)
+    with Tape() as tape:
+        out = kl(a, b)
+    tape.backward(out)
+    return out.item(), a.grad, b.grad, len(tape)
+
+
+def test_symmetric_kl_is_one_op_matching_the_chained_ops():
+    rng = np.random.default_rng(30)
+    for shape, spread in (((7, 11), 1.0), ((2, 5, 9), 4.0)):
+        a0, b0 = rng.normal(0, spread, shape), rng.normal(0, spread, shape)
+        got, ga, gb, nodes = _kl_and_grads(symmetric_kl, a0, b0)
+        want, wa, wb, chain = _kl_and_grads(_chained_kl, a0, b0)
+        assert nodes == 1 and chain == 8
+        assert abs(got - want) <= 1e-12
+        npt.assert_allclose(ga, wa, rtol=0, atol=1e-12)
+        npt.assert_allclose(gb, wb, rtol=0, atol=1e-12)
+    # an operand that takes no gradient keeps no array in the node
+    with Tape():
+        one = symmetric_kl(Tensor(a0), Tensor(b0, requires_grad=True))
+    cells = [c.cell_contents for c in one._node.bwd.__closure__]
+    assert sum(isinstance(c, np.ndarray) for c in cells) == 1
+
+
+def test_symmetric_kl_gradcheck():
+    rng = np.random.default_rng(31)
+    a0, b0 = rng.normal(0, 1.5, (3, 6)), rng.normal(0, 1.5, (3, 6))
+    _, ga, gb, _ = _kl_and_grads(symmetric_kl, a0, b0)
+    value = lambda: symmetric_kl(Tensor(a0), Tensor(b0)).item()
+    assert_close(ga, numeric_grad(value, a0), atol=1e-7, rtol=1e-5)
+    assert_close(gb, numeric_grad(value, b0), atol=1e-7, rtol=1e-5)
+
+
+def test_symmetric_kl_of_equal_logits_has_zero_gradient():
+    # what lets the SiFT ascent stop a row whose perturbation is zero
+    a0 = np.random.default_rng(32).normal(0, 3, (4, 8))
+    value, ga, gb, _ = _kl_and_grads(symmetric_kl, a0, a0.copy())
+    assert value == 0.0 and not ga.any() and not gb.any()
 
 
 def test_disabled_and_lambda_zero_are_bitwise_identical():

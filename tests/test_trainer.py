@@ -88,7 +88,6 @@ def test_lr_schedule_without_warmup():
     dict(adam_eps=0.0),
     dict(grad_clip=0.0),
     dict(checkpoint_interval=-1),
-    dict(lr_decay="cosine"),
     dict(mask_rate=1.5),
     dict(mask_rate=0.0),
     dict(span_max=0),
