@@ -52,6 +52,25 @@ Two kernels produce the same scores; attend always runs the efficient one:
     storage is O(k d) for the projected tables plus one (heads, n, 2k)
     or (heads, 2k, n) product at a time, freed once it is added.
 
+attend scores a call that no tape records (evaluation, under no_grad)
+in blocks of _QUERY_BLOCK = 32 query rows when its (..., n, n) mask can
+shorten them.  Block [r0, r1) is scored only against keys [0, e), e one
+past the last key its mask leaves open to any of its rows, so a causal
+row never builds, gathers, exponentiates or mixes the masked upper
+triangle: at n = 256 the blocks cover 56% of the square.  The
+projections and the c2p and p2c products are made once per call and
+shared by the blocks; each block gathers at offsets cut to its rows
+and keys, runs softmax_rows on its (..., heads, m, e) slice and mixes
+V[:e].  The score assembly is one function (_block_scores) and the
+whole square is its one-block case, as every scores_efficient call
+is.  A recorded call (every training step), and one with dropout,
+collected probabilities or query slots, is that one block and makes
+exactly the ops of the whole-square path, so no trained byte depends
+on the blocking.  A shorter row can sum in a different order (numpy's
+pairwise row sums, BLAS blocking over e keys instead of n), so blocked
+outputs may differ from the whole-square ones in the last bit; the
+tests hold them to 1e-12 relative.
+
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
 """
@@ -66,6 +85,9 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, IndexBoundsError, ShapeError
 from .relpos import DeltaMatrix, build_delta_matrix
 from .tensor import Tensor
+
+# Query rows per block when attend scores a call block by block.
+_QUERY_BLOCK = 32
 
 
 @dataclass
@@ -176,25 +198,29 @@ def _check_inputs(h: Tensor, params: AttentionParams, table, query: Tensor | Non
     return q_in, build_delta_matrix(h.shape[-2], table.shape[0] // 2)
 
 
-def _c2p_offsets(dm: DeltaMatrix, positions=None) -> np.ndarray:
-    """Flat offsets of c2p into each (..., rows, 2k) product block: row
+def _c2p_offsets(dm: DeltaMatrix, positions=None, rows: slice = slice(None),
+                 keys: slice = slice(None)) -> np.ndarray:
+    """Flat offsets of c2p into each (..., m, 2k) product block: row
     i's column delta(i, j) at (i, j), with i the query's slot.  With
     positions, one (..., 1, m, n) table per block of rows, shared by
-    the heads."""
-    vals = dm.values if positions is None else dm.values[positions]
-    rows = np.arange(vals.shape[-2], dtype=np.int64)[:, None] * (2 * dm.k)
-    off = vals + rows
-    return off if positions is None else off[..., None, :, :]
+    the heads.  rows and keys cut the table to a block of queries and
+    keys; the offsets still index the whole product."""
+    vals = dm.values if positions is None else dm.values[positions][..., None, :, :]
+    first = np.arange(vals.shape[-2], dtype=np.int64)[rows, None] * (2 * dm.k)
+    return vals[..., rows, keys] + first
 
 
-def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None) -> np.ndarray:
+def _p2c_offsets(dm: DeltaMatrix, positions=None, fault: str | None = None,
+                 rows: slice = slice(None), keys: slice = slice(None)) -> np.ndarray:
     """Flat offsets of p2c into each (..., 2k, n) product block: column
     j's row delta(j, i) at (i, j), so the gather lands in (i, j) layout.
-    With positions, the rows of that table at the query slots.  The
-    swap-delta fault reads row delta(i, j) instead."""
+    With positions, the rows of that table at the query slots.  rows
+    and keys cut it as for c2p.  The swap-delta fault reads row
+    delta(i, j) instead."""
     vals = dm.values.T if fault is None else dm.values
-    off = vals * dm.n + np.arange(dm.n, dtype=np.int64)
-    return off if positions is None else off[positions][..., None, :, :]
+    if positions is not None:
+        vals = vals[positions][..., None, :, :]
+    return vals[..., rows, keys] * dm.n + np.arange(dm.n, dtype=np.int64)[keys]
 
 
 def scores_naive(h: Tensor, params: AttentionParams, table: Tensor | None,
@@ -251,6 +277,64 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor | None,
     return total
 
 
+def _cut(t: Tensor, rows: slice, cols: slice) -> Tensor:
+    """t[..., rows, cols] as a view.  A cut that keeps all of t is t
+    itself; a smaller one records no op, so only calls that no tape
+    records take one (see attend)."""
+    part = t.data[..., rows, cols]
+    return t if part.shape == t.shape else Tensor._from_data(part)
+
+
+def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: AttentionParams,
+                  table: Tensor | None, blocks: list[tuple[int, int, int]], meter=None,
+                  fault: str | None = None, positions=None) -> list[Tensor]:
+    """The unscaled score sum of each query block (r0, r1, e): query rows
+    [r0, r1) against keys [0, e), as (..., heads, r1 - r0, e).
+
+    The projections and the c2p and p2c products are made once and
+    shared by every block; each block adds its c2p and p2c terms at the
+    offsets cut to its rows and keys.  One block (0, m, n) is the whole
+    score sum.
+    """
+    heads = params.heads
+    cuts = [(slice(r0, r1), slice(0, e)) for r0, r1, e in blocks]
+    every = slice(None)
+
+    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
+    kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
+    totals = [T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))
+              for rows, keys in cuts]
+
+    if params.w_kr is not None:
+        # All m * 2k query/position-key products of every head, then
+        # add column delta(i, j) of row i at (i, j).
+        kr = T.matmul(table, params.w_kr)
+        _meter_alloc(meter, kr)
+        prod = T.matmul(qc_h, _heads_t(kr, heads))
+        _meter_alloc(meter, prod)
+        totals = [T.add_gathered(t, prod, _c2p_offsets(dm, positions, rows, keys))
+                  for t, (rows, keys) in zip(totals, cuts)]
+        _meter_release(meter, prod)
+
+    if params.w_qr is not None:
+        # Column j of the product holds Q_r[*] . K_c[j], from the keys'
+        # (hs, n) layout as it is; the offsets place
+        # Q_r[delta(j, i)] . K_c[j] straight at (i, j).
+        qr = T.matmul(table, params.w_qr)
+        _meter_alloc(meter, qr)
+        prod = T.matmul(_heads(qr, heads), kc_t)
+        _meter_alloc(meter, prod)
+        totals = [T.add_gathered(t, prod, _p2c_offsets(dm, positions, fault, rows, keys))
+                  for t, (rows, keys) in zip(totals, cuts)]
+        _meter_release(meter, prod)
+
+    if params.w_kr is not None:
+        _meter_release(meter, kr)
+    if params.w_qr is not None:
+        _meter_release(meter, qr)
+    return totals
+
+
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
                      query: Tensor | None = None, meter=None,
                      fault: str | None = None, positions=None) -> Tensor:
@@ -268,38 +352,27 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     if fault not in (None, "swap-delta"):
         raise ConfigError(f"unknown fault {fault!r}")
     q_in, dm = _check_inputs(h, params, table, query, positions)
-    heads = params.heads
+    whole = [(0, q_in.shape[-2], h.shape[-2])]
+    return _block_scores(q_in, h, dm, params, table, whole, meter, fault, positions)[0]
 
-    qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
-    kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
-    total = T.matmul(qc_h, kc_t)
 
-    if params.w_kr is not None:
-        # All m * 2k query/position-key products of every head, then
-        # add column delta(i, j) of row i at (i, j).
-        kr = T.matmul(table, params.w_kr)
-        _meter_alloc(meter, kr)
-        prod = T.matmul(qc_h, _heads_t(kr, heads))
-        _meter_alloc(meter, prod)
-        total = T.add_gathered(total, prod, _c2p_offsets(dm, positions))
-        _meter_release(meter, prod)
-
-    if params.w_qr is not None:
-        # Column j of the product holds Q_r[*] . K_c[j], from the keys'
-        # (hs, n) layout as it is; the offsets place
-        # Q_r[delta(j, i)] . K_c[j] straight at (i, j).
-        qr = T.matmul(table, params.w_qr)
-        _meter_alloc(meter, qr)
-        prod = T.matmul(_heads(qr, heads), kc_t)
-        _meter_alloc(meter, prod)
-        total = T.add_gathered(total, prod, _p2c_offsets(dm, positions, fault))
-        _meter_release(meter, prod)
-
-    if params.w_kr is not None:
-        _meter_release(meter, kr)
-    if params.w_qr is not None:
-        _meter_release(meter, qr)
-    return total
+def _query_blocks(mask: np.ndarray | None, n: int) -> list[tuple[int, int, int]]:
+    """(r0, r1, e) for each run of _QUERY_BLOCK query rows, with e one
+    past the last key that the (..., n, n) mask leaves open to any row
+    of the run in any row of the batch: keys [e, n) are blocked for the
+    whole run.  One block (0, n, n) when the mask cannot shorten a run
+    (no mask, a one-row mask, n <= _QUERY_BLOCK) or is not a bool
+    (n, n) one, and when a row is fully masked, so that softmax_rows
+    names that row as the whole-row call does."""
+    if n <= _QUERY_BLOCK or mask is None or mask.dtype != bool or mask.shape[-2:] != (n, n):
+        return [(0, n, n)]
+    blocked = mask.reshape(-1, n, n)
+    if blocked.all(axis=-1).any():
+        return [(0, n, n)]
+    # per row, one past its last open key; then the widest over the batch
+    ends = (n - np.argmin(blocked[..., ::-1], axis=-1)).max(axis=0)
+    return [(r0, min(r0 + _QUERY_BLOCK, n), int(ends[r0:r0 + _QUERY_BLOCK].max()))
+            for r0 in range(0, n, _QUERY_BLOCK)]
 
 
 def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
@@ -318,18 +391,32 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     same mask.  collect, when given, receives one (..., heads, m, n)
     numpy array of post-softmax probabilities.  Dropout on the
     probabilities runs only when rng is given.
+
+    A call that no tape records, with no rng, collect or positions,
+    scores each block of _QUERY_BLOCK query rows only against the keys
+    its mask leaves open to it (_query_blocks): a causal row skips the
+    blocked upper triangle.  Every other call is one block.
     """
+    q_in, dm = _check_inputs(h, params, table, query, positions)
+    n = h.shape[-2]
+    whole = T.recording() or rng is not None or collect is not None or positions is not None
+    blocks = [(0, q_in.shape[-2], n)] if whole else _query_blocks(mask, n)
     # every head reads the same mask: a head axis as a view, not a copy
     head_mask = None if mask is None else mask[..., None, :, :]
-    # no name holds the scores, so they are freed once the softmax returns
-    probs = T.softmax_rows(
-        scores_efficient(h, params, table, query=query, positions=positions),
-        params.scale, head_mask)
+    masks = [head_mask] if len(blocks) == 1 else \
+        [head_mask[..., r0:r1, :e] for r0, r1, e in blocks]
+    # no name holds the scores, so they are freed once the softmaxes return
+    probs = [T.softmax_rows(s, params.scale, m) for s, m in zip(
+        _block_scores(q_in, h, dm, params, table, blocks, positions=positions), masks)]
     if collect is not None:
-        collect.append(probs.data.copy())
-    probs = T.dropout(probs, dropout_p, rng)
-    mixed = T.matmul(probs, _heads(T.matmul(h, params.w_vc), params.heads))
-    return T.matmul(_merge_heads(mixed), params.w_o)
+        collect.append(probs[0].data.copy())
+    probs = [T.dropout(p, dropout_p, rng) for p in probs]
+    v = _heads(T.matmul(h, params.w_vc), params.heads)
+    mixed = [T.matmul(p, _cut(v, slice(0, e), slice(None)))
+             for p, (_, _, e) in zip(probs, blocks)]
+    if len(mixed) > 1:  # unrecorded blocks: their rows back in one tensor
+        mixed = [Tensor._from_data(np.concatenate([m.data for m in mixed], axis=-2))]
+    return T.matmul(_merge_heads(mixed[0]), params.w_o)
 
 
 def extra_param_count(config) -> int:

@@ -210,6 +210,11 @@ class no_grad:
         _tape_stack.pop()
 
 
+def recording() -> bool:
+    """True when a Tape is active and not suspended by no_grad."""
+    return _active_tape() is not None
+
+
 class Tensor:
     """A dense float64 array plus optional gradient bookkeeping."""
 

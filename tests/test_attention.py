@@ -13,6 +13,7 @@ from desklm.attention import (
     _heads,
     _heads_t,
     _p2c_offsets,
+    _query_blocks,
     attend,
     extra_param_count,
     scores_efficient,
@@ -242,9 +243,10 @@ def test_flat_offset_gathers_pass_gradcheck():
     dm = build_delta_matrix(7, 2)
     pos = np.array([[6, 0, 3], [2, 2, 5]])
     probe = np.random.default_rng(3).normal(0, 1, (2, 2, 7, 7))
-    for off, shape in ((_p2c_offsets(dm), (2, 2, 7, 4)),
+    # p2c reads a (2k, n) product block, c2p an (m, 2k) one
+    for off, shape in ((_p2c_offsets(dm), (2, 2, 4, 7)),
                        (_c2p_offsets(dm, pos), (2, 2, 3, 4)),
-                       (_p2c_offsets(dm, pos), (2, 2, 7, 4))):
+                       (_p2c_offsets(dm, pos), (2, 2, 4, 7))):
         x0 = np.random.default_rng(4).normal(0, 1, shape)
         pr = Tensor(probe[..., :off.shape[-2], :])
         x = Tensor(x0, requires_grad=True)
@@ -280,6 +282,91 @@ def test_attend_fully_masked_row_raises():
     with pytest.raises(DegenerateRowError) as err:
         attend(h, params, table, mask=mask)
     assert "0, 1" in str(err.value)  # head 0, query 1
+
+
+def _causal(n):
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
+def test_query_blocks_end_at_the_last_open_key():
+    assert _query_blocks(_causal(101), 101) == [(0, 32, 32), (32, 64, 64),
+                                                (64, 96, 96), (96, 101, 101)]
+    # a left-packed batch: a block reaches the widest key any row sees
+    real = np.arange(70) < np.array([[50], [20]])
+    padded = _causal(70) | ~real[:, None, :]
+    assert _query_blocks(padded, 70) == [(0, 32, 32), (32, 64, 50), (64, 70, 50)]
+    open_rows = np.zeros((70, 70), dtype=bool)
+    dead = _causal(70)
+    dead[40] = True
+    for mask, n in ((None, 70), (_causal(32), 32), (np.zeros((2, 1, 70), dtype=bool), 70),
+                    (_causal(70).astype(np.int8), 70), (_causal(71), 70), (dead, 70)):
+        assert _query_blocks(mask, n) == [(0, n, n)]
+    assert _query_blocks(open_rows, 70) == [(0, 32, 70), (32, 64, 70), (64, 70, 70)]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("share", [False, True])
+@pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
+def test_unrecorded_causal_attend_matches_the_recorded_call(monkeypatch, lead, share,
+                                                            use_c2p, use_p2c):
+    # The causal decode head: a query stream beside h.  With no tape the
+    # softmax sees each block of 32 query rows against the keys it can
+    # see; under a tape it sees the whole (heads, n, n) square.
+    n, d, heads = 101, 8, 2
+    params, table, _ = _make(n, 4, d, heads, seed=40, share=share,
+                             use_c2p=use_c2p, use_p2c=use_p2c)
+    rng = np.random.default_rng(41)
+    h = Tensor(rng.normal(0, 1, lead + (n, d)))
+    q = Tensor(rng.normal(0, 1, lead + (n, d)))
+    mask = _causal(n)
+    if lead:
+        real = np.arange(n) < np.array([[60], [45], [20]])
+        mask = mask | ~real[:, None, :]
+    seen = []
+    softmax = T.softmax_rows
+    monkeypatch.setattr(T, "softmax_rows",
+                        lambda a, *args: seen.append(a.shape[-2:]) or softmax(a, *args))
+    with T.no_grad():
+        blocked = attend(h, params, table, mask=mask, query=q)
+    ends = [32, 64, 96, 101] if not lead else [32, 60, 60, 60]
+    assert seen == [(min(32, n - r0), e) for r0, e in zip(range(0, n, 32), ends)]
+    with Tape():
+        whole = attend(h, params, table, mask=mask, query=q)
+    assert seen[-1] == (n, n)
+    assert_close(blocked.data, whole.data, atol=1e-12, rtol=1e-12)
+
+
+@pytest.mark.parametrize("given", ["collect", "rng"])
+def test_collect_and_dropout_keep_the_whole_row_call(given):
+    n = 70
+    params, table, h = _make(n, 4, 8, 2, seed=42)
+    outs, probs = [], []
+    for context in (T.no_grad, Tape):
+        collected = []
+        with context():
+            out = attend(h, params, table, mask=_causal(n), dropout_p=0.2,
+                         rng=np.random.default_rng(43) if given == "rng" else None,
+                         collect=collected if given == "collect" else None)
+        outs.append(out.data)
+        probs.append(collected)
+    assert np.array_equal(outs[0], outs[1])
+    if given == "collect":
+        assert probs[0][0].shape == (2, n, n)
+        assert np.array_equal(probs[0][0], probs[1][0])
+
+
+def test_fully_masked_row_in_a_later_block_is_named_by_its_row():
+    n = 101
+    params, table, h = _make(n, 4, 8, 2, seed=44)
+    mask = _causal(n)
+    mask[70] = True
+    messages = []
+    for context in (T.no_grad, Tape):
+        with context(), pytest.raises(DegenerateRowError) as err:
+            attend(h, params, table, mask=mask)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "0, 70" in messages[0]  # head 0, query 70
 
 
 def test_attend_single_token():

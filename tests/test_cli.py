@@ -448,6 +448,57 @@ def test_eval_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def _fuzzed_corpus(rng, kind: int, text: bytes) -> bytes:
+    """One seeded corpus file of the given kind (0-4)."""
+    if kind == 0:  # raw bytes, half of them ASCII
+        top = 128 if rng.integers(0, 2) else 256
+        return rng.integers(0, top, int(rng.integers(0, 300)), dtype=np.uint8).tobytes()
+    if kind == 1:  # whitespace, NUL, a little text and, in half the files, 0xFF
+        parts = [b" ", b"\t", b"\n", b"\r", b"\x00", b"\x0b", b"\x0c", b"\x1c",
+                 b"a", b"7", b".", b"\xc3\xa9", b"\xe2\x80\xa8", b"\xff"]
+        top = len(parts) - int(rng.integers(0, 2))
+        return b"".join(parts[i] for i in rng.integers(0, top, int(rng.integers(0, 200))))
+    if kind == 2:  # bundled text with a few flipped bits
+        start = int(rng.integers(0, len(text) - 600))
+        piece = bytearray(text[start:start + int(rng.integers(50, 600))])
+        for bit in rng.integers(0, 8 * len(piece), int(rng.integers(1, 9))):
+            piece[bit // 8] ^= 1 << (bit % 8)
+        return bytes(piece)
+    if kind == 3:  # empty, or line breaks alone
+        return [b"", b"\n", b"\r\n" * 3, b"\n \n\t\n"][int(rng.integers(0, 4))]
+    start = int(rng.integers(0, len(text) // 2))  # one long line
+    return text[start:start + int(rng.integers(2000, 8000))].replace(b"\n", b" ")
+
+
+def test_eval_corpus_fuzz_ends_in_exit_0_or_2(tmp_path, capsys):
+    # Seeded corpus files through `desklm eval` on a 2-step toy checkpoint:
+    # each ends in a perplexity, or in exit 2 with one error line, and
+    # never in a traceback.
+    assert main(["pretrain", "--config", "toy", "--set", "trainer.steps=2",
+                 "--set", "trainer.warmup_steps=1", "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "checkpoint_final.ckpt"
+    with open(bundled_corpus_path(), "rb") as fh:
+        text = fh.read()
+    rng = np.random.default_rng(20261019)
+    corpus = tmp_path / "fuzz.txt"
+    capsys.readouterr()
+    exits = []
+    for case in range(150):
+        data = _fuzzed_corpus(rng, case % 5, text)
+        corpus.write_bytes(data)
+        rc = main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                   "--set", f"eval.corpus={corpus}"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, (case, data)
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        if rc == 0:
+            assert math.isfinite(float(out)) and not errors, (case, data)
+        else:
+            assert rc == 2 and out == "" and len(errors) == 1, (case, rc, data, err)
+        exits.append(rc)
+    assert exits.count(0) > 30 and exits.count(2) > 30
+
+
 def test_audit_prints_pinned_values(capsys):
     assert main(["audit", "--config", "large"]) == 0
     out = dict(line.split("=", 1)

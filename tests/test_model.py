@@ -325,6 +325,46 @@ def test_padded_arlm_batch_equals_unpadded_rows():
     npt.assert_allclose(nll.item() / count, want, rtol=0, atol=1e-12)
 
 
+def _row_nlls(m, ids, real=None):
+    """Per-row causal NLL sums from the logits arlm_row picks."""
+    _, _, picked = m.arlm_row(ids, real=real)
+    ids = np.atleast_2d(ids)
+    predict = np.roll(np.ones(ids.shape, dtype=bool) if real is None
+                      else np.atleast_2d(real), -1, axis=-1)
+    predict[:, -1] = False
+    rows, cols = np.nonzero(predict)
+    z = picked.data
+    top = z.max(axis=-1)
+    lse = top + np.log(np.exp(z - top[:, None]).sum(axis=-1))
+    per = lse - z[np.arange(rows.size), ids[rows, cols + 1]]
+    return np.bincount(rows, weights=per, minlength=ids.shape[0])
+
+
+@pytest.mark.parametrize("over", [
+    {}, {"ablations": {"c2p": False}}, {"ablations": {"p2c": False}},
+    {"ablations": {"c2p": False, "p2c": False}}, {"share_projection": True},
+    {"ablations": {"emd": False}},
+], ids=["both", "-c2p", "-p2c", "-c2p-p2c", "shared", "-emd"])
+def test_unrecorded_causal_rows_match_the_recorded_call(over):
+    # With no tape, attend scores each block of 32 query rows only against
+    # the keys it can see; under a tape every call is one block.
+    m = Model(tiny_cfg(mode="arlm", vocab_size=40, max_len=256, d=16, k=4, **over),
+              seed=31)
+    rng = np.random.default_rng(32)
+    lengths = [31, 32, 33, 101, 256]
+    cases = [(rng.integers(5, 40, n), None) for n in lengths]
+    ids = np.zeros((3, 101), dtype=np.int64)
+    real = np.arange(101) < np.array([[101], [64], [40]])
+    ids[real] = rng.integers(5, 40, real.sum())
+    cases.append((ids, real))
+    for ids, real in cases:
+        with T.no_grad():
+            blocked = _row_nlls(m, ids, real)
+        with Tape():
+            whole = _row_nlls(m, ids, real)
+        npt.assert_allclose(blocked, whole, rtol=1e-12, atol=0)
+
+
 def test_batched_encode_matches_rows():
     m = Model(tiny_cfg(), seed=20)
     ids = np.array([[2, 5, 6, 3, 0], [2, 7, 3, 0, 0]])

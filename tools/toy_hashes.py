@@ -12,7 +12,11 @@ in-process, in its own temporary directory, and prints one line: the
 variant name, then the sha256 of metrics.jsonl and of
 checkpoint_final.ckpt.  A fifth line, "equivalence <sha256>", hashes the
 stdout of `desklm equivalence --sweep-seeds 10`; the config echo on
-stderr is left out.
+stderr is left out.  A sixth, "eval <sha256>", hashes the float64 bytes
+of the causal NLL sum (`Model.arlm_row` under no_grad) of each of 8
+rows of 256 tokens, packed in order from the bundled corpus, on a
+seed-1 toy model with model.max_len=256: the eval path, which no
+training run takes.
 
 Usage: python3 tools/toy_hashes.py [--steps N]   (N defaults to 12)
 """
@@ -27,7 +31,15 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+import numpy as np  # noqa: E402
+
+from desklm import tensor as T  # noqa: E402
 from desklm.cli import main  # noqa: E402
+from desklm.data import CLS, SEP, build_vocab, encode_corpus, load_corpus  # noqa: E402
+from desklm.model import Model  # noqa: E402
+from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
+
+EVAL_ROWS, EVAL_LEN = 8, 256
 
 VARIANTS = {
     "as-given": [],
@@ -65,6 +77,22 @@ def equivalence_hash() -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def eval_hash() -> str:
+    run_cfg = load_run_config("toy", [f"model.max_len={EVAL_LEN}"], 1)
+    lines = load_corpus(bundled_corpus_path())
+    vocab = build_vocab(lines, cap=run_cfg.data.vocab_cap)
+    model = Model(run_cfg.build_model_config(len(vocab)), seed=1)
+    ids = [t for seq in encode_corpus(lines, vocab) for t in seq]
+    body = EVAL_LEN - 2
+    digest = hashlib.sha256()
+    with T.no_grad():
+        for r in range(EVAL_ROWS):
+            row = np.array([CLS] + ids[r * body:(r + 1) * body] + [SEP], dtype=np.int64)
+            nll, _, _ = model.arlm_row(row)
+            digest.update(np.float64(nll.item()).tobytes())
+    return digest.hexdigest()
+
+
 def main_cli() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=12)
@@ -73,6 +101,7 @@ def main_cli() -> int:
         metrics, ckpt = run_variant(settings, args.steps)
         print(f"{name} {metrics} {ckpt}")
     print(f"equivalence {equivalence_hash()}")
+    print(f"eval {eval_hash()}")
     return 0
 
 
