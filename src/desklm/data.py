@@ -6,10 +6,11 @@ Five ids are reserved ahead of the learned vocabulary:
     0 PAD   1 UNK   2 CLS   3 SEP   4 MASK
 
 Sequences are packed as [CLS] tokens... [SEP] then padded with PAD to
-the model length.  Masking corruption picks contiguous spans of one to
-span_max tokens until roughly mask_rate of the maskable positions are
-covered, then rewrites each chosen position as MASK (80%), a random
-real token (10%) or itself (10%).
+the width of the batch's longest row, at most the model length.
+Masking corruption picks contiguous spans of one to span_max tokens
+until roughly mask_rate of the maskable positions are covered, then
+rewrites each chosen position as MASK (80%), a random real token (10%)
+or itself (10%).
 """
 
 from __future__ import annotations
@@ -226,11 +227,16 @@ class MaskedBatch:
 def make_batch(rows: list[list[int]], n: int, rng: np.random.Generator,
                vocab_size: int, mask_rate: float = 0.15,
                span_max: int = 3) -> MaskedBatch:
+    """Pack and corrupt rows into one batch as wide as its longest packed
+    row: min(n, 2 + longest row) slots, so no column is PAD in every row.
+    This is the one place that decides a batch's width."""
     if not rows:
         raise ContractError("batch needs at least one sequence")
+    # at least one body slot, so an all-empty batch reaches corrupt's check
+    width = min(n, 2 + max(1, max(len(ids) for ids in rows)))
     xs, xts, poss, reals = [], [], [], []
     for ids in rows:
-        row, real = pack(ids, n)
+        row, real = pack(ids, width)
         xt, pos = corrupt(row, rng, vocab_size, mask_rate=mask_rate,
                           span_max=span_max)
         xs.append(row)
@@ -253,8 +259,8 @@ class BatchStream:
     Rows are bucketed by length: the stream draws _POOL batches' worth of
     rows from its order at once, sorts them stably by length, cuts them
     into batches and hands those out in an order drawn from its rng.
-    The model trims each batch to its longest row, so rows of like
-    length in one batch leave little padding to compute on.
+    make_batch packs each batch only as wide as its longest row, so rows
+    of like length in one batch leave little padding to compute on.
     """
 
     sequences: list[list[int]]

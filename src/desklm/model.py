@@ -358,31 +358,16 @@ class Model:
              real: np.ndarray | None, causal: bool, rng, perturb: Tensor | None):
         """The loss core of both objectives: encode and decode ids, then
         score targets (shaped like ids) at the True slots of predict.
-        Returns what mlm_row documents."""
+        Returns what mlm_row documents.
+
+        Every column given is computed: make_batch already cuts a batch
+        to its longest row, and a trailing PAD column, which nothing
+        real attends into, leaves the loss as it is."""
         ids = np.asarray(ids, dtype=np.int64)
         predict = np.asarray(predict, dtype=bool)
         if not predict.any():
             raise ContractError("no slot to predict: the predict mask is all False")
         targets = np.asarray(targets, dtype=np.int64)
-        if real is not None:
-            real = np.asarray(real, dtype=bool)
-            if real.shape[-1:] != ids.shape[-1:]:
-                raise ContractError(f"real mask shape {real.shape} does not end in "
-                                    f"({ids.shape[-1]},)")
-            # Rows are left-packed, so every column past the longest real
-            # row is PAD, which nothing real attends into: drop them.
-            n = int(real.sum(axis=-1).max())
-            if predict[..., n:].any():
-                raise ContractError("a predicted slot lies past the last real token")
-            if n < ids.shape[-1]:
-                if perturb is not None:
-                    if perturb.shape[:-1] != ids.shape:
-                        raise ContractError(f"perturbation shape {perturb.shape} "
-                                            f"does not fit ids {ids.shape}")
-                    # a gather, so the gradient still reaches every column
-                    perturb = T.gather_rows(perturb, np.arange(n))
-                ids, targets = ids[..., :n], targets[..., :n]
-                predict, real = predict[..., :n], real[..., :n]
         mask = build_mask(ids.shape[-1], real, causal)
         h = self.encode(ids, rng=rng, perturb=perturb, mask=mask)
         picked = self.decode(h, causal=causal, rng=rng, mask=mask, predict=predict)
@@ -399,7 +384,8 @@ class Model:
                 real: np.ndarray, rng=None, perturb: Tensor | None = None):
         """Masked-prediction pieces for one row (n,) or a batch (b, n).
 
-        predict is True at the slots to predict.  Returns (nll_sum,
+        predict is True at the slots to predict.  perturb, when given,
+        has the shape of x plus the model width d.  Returns (nll_sum,
         count, picked_logits) where picked_logits is the (count, vocab)
         logit rows at the predicted slots in row-major order; the
         consistency regulariser needs them as tensors.
@@ -423,7 +409,7 @@ class Model:
         if ids.ndim < 1 or ids.shape[-1] < 2:
             raise ContractError("causal prediction needs at least two tokens")
         # Slot i predicts token i + 1 if real; the rolled last column is never
-        # picked.  A wrong-shaped real mask reaches _nll, which rejects it.
+        # picked.  A wrong-shaped real mask reaches build_mask, which rejects it.
         predict = np.roll(np.ones(ids.shape, dtype=bool) if real is None
                           else np.asarray(real, dtype=bool), -1, axis=-1)
         predict[..., -1] = False

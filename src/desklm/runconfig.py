@@ -6,10 +6,11 @@ defaults; unknown keys are rejected with the offending dotted path.
 Command-line overrides arrive as dotted key=value pairs and are applied
 after the file parse, last one wins.
 
-Two key spellings are translated at the boundary: the JSON document
-says "lambda" for the regularizer weight because that reads naturally
-in a config file, while the dataclass field is called lam because
-"lambda" is reserved in Python.
+One key is translated at the boundary: the JSON document says
+"lambda" for the regularizer weight because that reads naturally in a
+config file, while the dataclass field is called lam because "lambda"
+is reserved in Python.  "lambda" is the only spelling a config takes;
+sift.lam is an unknown key.
 
 model.vocab_size is special: training commands derive it from the
 corpus (the table has to match the vocabulary actually built), so
@@ -65,19 +66,18 @@ def preset_path(name: str) -> str:
 
 
 def _checked_kwargs(section: str, raw, cls, aliases: dict | None = None) -> dict:
-    """raw as keyword arguments for cls: a JSON object whose keys, once
-    aliases are renamed, all name fields of cls."""
+    """raw as keyword arguments for cls: a JSON object whose keys each
+    name a field of cls, or its alias, which is then the only spelling
+    of that field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be an object")
-    kwargs = dict(raw)
-    for alias, name in (aliases or {}).items():
-        if alias in kwargs:
-            kwargs[name] = kwargs.pop(alias)
-    allowed = {f.name for f in fields(cls)}
-    for key in kwargs:
+    aliases = aliases or {}
+    spelling = {name: alias for alias, name in aliases.items()}
+    allowed = {spelling.get(f.name, f.name) for f in fields(cls)}
+    for key in raw:
         if key not in allowed:
             raise ConfigError(f"unknown key {section}.{key}")
-    return kwargs
+    return {aliases.get(key, key): value for key, value in raw.items()}
 
 
 @dataclass

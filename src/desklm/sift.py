@@ -15,7 +15,9 @@ perturbation's gradient and nothing else, and the tape is freed before
 the next forward.
 Both the clean-versus-perturbed pairing and the ascent reuse identical
 dropout draws, so the divergence measures the perturbation and not the
-noise.  A batch is perturbed as one (b, n, d) tensor; the ascent's
+noise.  A batch is perturbed as one (b, n, d) tensor, n being the
+batch's own width, so no noise is drawn for a column nobody computes
+(make_batch cuts a batch to its longest row); the ascent's
 normalisation, early exit and epsilon-ball projection stay per row.
 """
 

@@ -283,16 +283,20 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    """Whether shape broadcasts to target without changing it, that is
+    np.broadcast_shapes(shape, target) == target, minus its exception."""
+    if len(shape) > len(target):
+        return False
+    return all(s == 1 or s == t for s, t in zip(reversed(shape), reversed(target)))
+
+
 def _check_broadcast(op: str, a: Tensor, b) -> None:
     """The second operand must be a tensor broadcasting to the first
     operand's shape; ShapeError naming b's type or both shapes otherwise."""
     if not isinstance(b, Tensor):
         raise ShapeError(f"{op}: unsupported operand {type(b)}")
-    try:
-        ok = np.broadcast_shapes(a.shape, b.shape) == a.shape
-    except ValueError:
-        ok = False
-    if not ok:
+    if not _broadcasts_to(b.shape, a.shape):
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -477,11 +481,7 @@ def _flat_offsets(op: str, ashape: tuple, offsets) -> tuple[np.ndarray, int, tup
         raise ShapeError(f"{op} needs a (..., r, c) tensor and (..., m, n) offsets, "
                          f"got {ashape} and {off.shape}")
     lead = ashape[:-2]
-    try:
-        ok = np.broadcast_shapes(lead, off.shape[:-2]) == lead
-    except ValueError:
-        ok = False
-    if not ok:
+    if not _broadcasts_to(off.shape[:-2], lead):
         raise ShapeError(f"{op}: offsets {off.shape} do not pair with {ashape}")
     block = ashape[-2] * ashape[-1]
     if off.size and (off.min() < 0 or off.max() >= block):
@@ -548,11 +548,7 @@ def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
         mask = np.asarray(mask)
         if mask.dtype != bool:
             raise ContractError(f"softmax_rows: mask must be bool, got {mask.dtype}")
-        try:
-            ok = np.broadcast_shapes(a.shape, mask.shape) == a.shape
-        except ValueError:
-            ok = False
-        if not ok:
+        if not _broadcasts_to(mask.shape, a.shape):
             raise ShapeError(f"softmax_rows: mask {mask.shape} does not "
                              f"broadcast to {a.shape}")
     x = a.data * scale

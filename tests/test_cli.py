@@ -93,7 +93,7 @@ def test_load_run_config_rejects_unknown_names(tmp_path):
     ({"trainer": {"step": 1}}, "trainer.step"),
     ({"model": {"width": 8}}, "model.width"),
     ({"model": {"ablations": {"bogus": True}}}, "model.ablations.bogus"),
-    ({"sift": {"lam": 0.5, "strength": 1}}, "sift.strength"),
+    ({"sift": {"lambda": 0.5, "strength": 1}}, "sift.strength"),
 ])
 def test_unknown_keys_are_named(raw, needle):
     with pytest.raises(ConfigError) as err:
@@ -129,6 +129,19 @@ def test_lambda_key_maps_to_lam_and_back():
     doc = cfg.to_dict()
     assert doc["sift"]["lambda"] == 0.25
     assert "lam" not in doc["sift"]
+
+
+def test_lam_is_an_unknown_key(tmp_path, capsys):
+    # "lambda" is the one spelling: the field name must not be taken
+    # beside it, and lose to it, without a word
+    with pytest.raises(ConfigError) as err:
+        load_run_config("toy", ["sift.lam=3.0"])
+    assert str(err.value) == "unknown key sift.lam"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sift": {"lambda": 0.5, "lam": 2.0}}))
+    for config in (["--config", "toy", "--set", "sift.lam=3.0"], ["--config", str(path)]):
+        assert main(["audit", *config]) == 2
+        assert "error: unknown key sift.lam" in _one_line_error(capsys)
 
 
 def test_effective_config_round_trips(tmp_path):

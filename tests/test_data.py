@@ -189,15 +189,23 @@ def test_corrupt_dense_target_ends_in_the_deterministic_sweep():
 
 
 def test_make_batch_shapes():
+    # as wide as the longest packed row, 5 tokens + CLS + SEP
     rows = [[10, 11, 12], [13, 14], [15, 16, 17, 18, 19]]
     batch = make_batch(rows, 8, np.random.default_rng(8), vocab_size=64)
-    assert batch.x.shape == batch.x_tilde.shape == (3, 8)
-    assert batch.real.shape == (3, 8)
-    assert batch.predict.shape == (3, 8)
+    assert batch.x.shape == batch.x_tilde.shape == (3, 7)
+    assert batch.real.shape == (3, 7)
+    assert batch.predict.shape == (3, 7)
+    assert batch.real[:, -1].any()
     assert batch.predict.any(axis=-1).all()
     assert not (batch.predict & ~batch.real).any()
-    with pytest.raises(ContractError):
-        make_batch([], 8, np.random.default_rng(0), vocab_size=64)
+    # a row longer than n - 2 is cut, and n caps the width
+    long = make_batch(rows + [list(range(10, 20))], 8, np.random.default_rng(8),
+                      vocab_size=64)
+    assert long.x.shape == (4, 8)
+    assert long.x[3, -1] == SEP
+    for empty in ([], [[]], [[], []]):  # no rows, or no token to mask
+        with pytest.raises(ContractError):
+            make_batch(empty, 8, np.random.default_rng(0), vocab_size=64)
 
 
 def test_batch_stream_determinism_and_digest():
@@ -270,7 +278,12 @@ def test_bucketing_trims_the_toy_batches():
     vocab = build_vocab(lines, cap=512)
     stream = BatchStream(encode_corpus(lines, vocab), n=32, batch_size=16,
                          vocab_size=len(vocab), seed=0)
-    widths = [stream.next_batch().real.sum(axis=-1).max() for _ in range(200)]
+    widths = []
+    for _ in range(200):
+        batch = stream.next_batch()
+        widths.append(batch.real.sum(axis=-1).max())
+        # the batch arrives cut to that width: no column is PAD in every row
+        assert batch.x.shape[1] == widths[-1]
     assert np.mean(widths) <= 18.0
 
 

@@ -27,3 +27,9 @@ def test_traced_benchmark_pass_checks_every_workload():
     assert {c[0] for c in checks} == WORKLOADS
     failed = [" ".join(c) for c in checks if c[-1] != "ok"]
     assert not failed, failed
+    # batches come cut to their longest row, so the traced padding share
+    # is what the model computes on (a seq_len-wide batch reads about 0.48)
+    pad = {line.split()[0]: float(line.split()[2]) for line in proc.stdout.splitlines()
+           if line.split()[1:2] == ["data.pad_fraction"]}
+    for workload in ("mlm-train", "sift-joint"):
+        assert pad[workload] < 0.25, pad

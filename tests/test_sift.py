@@ -290,6 +290,27 @@ def test_ascent_holds_parameters_constant(monkeypatch):
     assert all(p.requires_grad for p in m.params.values())
 
 
+@pytest.mark.parametrize("mode,row", [("mlm", "mlm_row"), ("arlm", "arlm_row")])
+def test_sift_perturbs_exactly_the_batch_columns(monkeypatch, mode, row):
+    # make_batch cuts the batch to its longest row, so each perturbed
+    # forward gets noise of the batch's own shape and no dead column
+    m = cfg_model()
+    rows = [[5, 6, 7], [8, 9, 10, 11, 12], [6, 7]]
+    batch = make_batch(rows, n=12, rng=np.random.default_rng(3), vocab_size=13)
+    assert batch.x.shape == (3, 7)
+    shapes = []
+    real_row = getattr(m, row)
+
+    def spy(*args, perturb=None, **kwargs):
+        shapes.append(None if perturb is None else perturb.shape)
+        return real_row(*args, perturb=perturb, **kwargs)
+
+    monkeypatch.setattr(m, row, spy)
+    cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=2, lam=1.0)
+    sift_loss(batch, m, cfg, mode=mode, seed=13)
+    assert shapes == [None] + [batch.x.shape + (m.cfg.d,)] * 3
+
+
 def test_sift_stops_when_no_row_can_move(monkeypatch):
     # epsilon = 0 keeps the perturbation at zero, so the perturbed logits
     # are the clean ones and every row's ascent gradient is exactly zero:

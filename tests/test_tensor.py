@@ -705,6 +705,25 @@ def test_broadcast_is_one_way():
         T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
 
 
+def test_broadcasts_to_agrees_with_numpy():
+    # seeded shape pairs of ranks 0-4 and extents 0-3, so 0 and 1 are common
+    rng = np.random.default_rng(22)
+
+    def draw():
+        return tuple(int(e) for e in rng.integers(0, 4, size=rng.integers(0, 5)))
+
+    broadcast = 0
+    for _ in range(2000):
+        shape, target = draw(), draw()
+        try:
+            want = np.broadcast_shapes(shape, target) == target
+        except ValueError:
+            want = False
+        assert T._broadcasts_to(shape, target) == want, (shape, target)
+        broadcast += want
+    assert 100 < broadcast < 1900  # both answers are exercised
+
+
 def test_fully_masked_row_named_in_a_stack():
     mask = np.zeros((2, 3, 4), dtype=bool)
     mask[1, 2] = True
