@@ -19,10 +19,18 @@ noise.  A batch is perturbed as one (b, n, d) tensor, n being the
 batch's own width, so no noise is drawn for a column nobody computes
 (make_batch cuts a batch to its longest row); the ascent's
 normalisation, early exit and epsilon-ball projection stay per row.
+
+A step holds one forward graph at a time.  When a tape records the
+call, the clean pass runs on its own nested tape, whose backward puts
+the task loss's gradient on the parameters' .grad at once; that graph
+is freed before the first ascent forward.  The returned loss records
+only the perturbed pass, with the task loss added as a constant, so the
+caller's one backward of it completes the same gradient.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +131,15 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     epsilon ball.  seed pins the perturbation draws and the paired
     dropout stream.  Disabled (or lambda = 0) reduces to exactly the
     plain task loss: same ops, same rng consumption, bitwise identical.
+
+    Enabled, under a recording tape, the task loss's gradient is
+    accumulated into the parameters' .grad before this returns, and
+    the returned loss records only the perturbed pass: the task loss
+    enters it as a constant.  One backward of the returned loss on the
+    caller's tape then leaves .grad holding the gradient of the whole
+    loss.  Without a recording tape no .grad is touched.  With
+    return_parts the result is (loss, task, r_adv); enabled, task is
+    that constant.
     """
     if mode == "mlm":
         def forward(perturb, rng):
@@ -140,18 +157,27 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
         # all see the same dropout masks
         return rng_for(seed, "sift/dropout")
 
-    nll, count, clean_logits = forward(None, drop_rng())
-    task = T.mul(nll, 1.0 / count)
     if not cfg.enabled or cfg.lam == 0.0:
+        nll, count, _ = forward(None, drop_rng())
+        task = T.mul(nll, 1.0 / count)
         if return_parts:
             return task, task, None
         return task
 
-    # A frozen copy of the clean distribution drives both the ascent and
-    # the outer divergence; gradients only ever flow through the
-    # perturbed branch.
+    # The clean pass gets its own tape, backed out at once, so its graph
+    # is gone before the ascent builds the next one.
+    recorded = T.recording()
+    with (Tape() if recorded else contextlib.nullcontext()) as clean_tape:
+        nll, count, clean_logits = forward(None, drop_rng())
+        task = T.mul(nll, 1.0 / count)
+    if recorded and len(clean_tape):
+        clean_tape.backward(task)
+    # From here the task loss is a constant, and a frozen copy of the
+    # clean distribution drives both the ascent and the outer
+    # divergence; gradients only ever flow through the perturbed branch.
+    task = Tensor(task.data)
     clean_const = Tensor(clean_logits.data)
-    del clean_logits
+    del nll, clean_logits, clean_tape
 
     delta0 = rng_for(seed, "sift/init").normal(
         0.0, 1.0, batch.x.shape + (model.cfg.d,))

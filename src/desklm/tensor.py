@@ -15,7 +15,7 @@ softmaxes, symmetric_kl, layer_norm) on the last axis, and gather_flat
 and add_gathered on each trailing (r, c) block, so an (n, d) row and a
 (b, h, n, d) batch run through the same code.
 
-Broadcasting has one rule: in add, sub and mul the second operand
+Broadcasting has one rule: in add and mul the second operand
 broadcasts to the first operand's shape (numpy rules), and the backward
 pass sums its gradient over the broadcast axes.  Only mul takes a
 python scalar as its second operand.  matmul broadcasts the leading dims
@@ -43,6 +43,7 @@ No computed number depends on this.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Sequence
 
@@ -291,6 +292,12 @@ def _broadcasts_to(shape: tuple, target: tuple) -> bool:
     return all(s == 1 or s == t for s, t in zip(reversed(shape), reversed(target)))
 
 
+def _broadcastable(a: tuple, b: tuple) -> bool:
+    """Whether two shapes broadcast together, that is whether
+    np.broadcast_shapes(a, b) succeeds, minus its exception."""
+    return all(s == t or s == 1 or t == 1 for s, t in zip(reversed(a), reversed(b)))
+
+
 def _check_broadcast(op: str, a: Tensor, b) -> None:
     """The second operand must be a tensor broadcasting to the first
     operand's shape; ShapeError naming b's type or both shapes otherwise."""
@@ -317,7 +324,7 @@ def _scatter_add(g: np.ndarray, off: np.ndarray, shape: tuple, block: int) -> np
     """Gradient of a gather that took offsets off from every block of
     block consecutive elements: g summed back into a zero array of shape.
     Repeated offsets accumulate."""
-    size = int(np.prod(shape, dtype=np.int64))
+    size = math.prod(shape)
     flat = (np.arange(size // block, dtype=np.int64)[:, None] * block + off).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=size).reshape(shape)
 
@@ -332,15 +339,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
     return _record(out, (a, b), lambda g: [g if ga else None,
                                            _unbroadcast(g, bshape) if gb else None])
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """a - b; same shape rules as add."""
-    _check_broadcast("sub", a, b)
-    out = Tensor._from_data(a.data - b.data)
-    ga, gb, bshape = a.requires_grad, b.requires_grad, b.shape
-    return _record(out, (a, b), lambda g: [g if ga else None,
-                                           -_unbroadcast(g, bshape) if gb else None])
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -378,12 +376,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (..., k, n); the leading dims broadcast."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul expects two tensors")
-    try:
-        ok = a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        ok = False
-    if not ok:
+    if not (a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
+            and _broadcastable(a.shape[:-2], b.shape[:-2])):
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor._from_data(_mm(a.data, b.data))
     # each operand's gradient reads only the other operand
@@ -414,7 +408,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     orig = a.shape
     out = Tensor._from_data(np.ascontiguousarray(a.data.reshape(shape)))
@@ -490,7 +484,7 @@ def _flat_offsets(op: str, ashape: tuple, offsets) -> tuple[np.ndarray, int, tup
     off = off.astype(np.int64, copy=False)
     if any(s != 1 for s in off.shape[:-2]):
         # a table per block: offsets into a taken as one block
-        blocks = np.arange(int(np.prod(lead, dtype=np.int64)), dtype=np.int64)
+        blocks = np.arange(math.prod(lead), dtype=np.int64)
         off, block = blocks.reshape(lead + (1, 1)) * block + off, blocks.size * block
     return off.reshape(-1), block, lead + off.shape[-2:]
 

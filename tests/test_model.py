@@ -492,15 +492,15 @@ def test_restricted_head_equals_full_head(over):
         npt.assert_allclose(picked.data, want, rtol=0, atol=1e-12)
 
 
-def _untrimmed_nll(m, ids, targets, predict, real, causal):
-    """The loss from full-width encode and decode, nothing trimmed."""
-    logits = m.decode(m.encode(ids, real=real, causal=causal), real=real,
-                      causal=causal).data
+def _full_width_mlm_nll(m, x, xt, predict, real):
+    """The masked loss from a full-width decode, every slot's logits
+    computed and the predicted ones picked after the head."""
+    logits = m.decode(m.encode(xt, real=real), real=real).data
     picks = np.flatnonzero(predict)
     rows = logits.reshape(-1, logits.shape[-1])[picks]
     shifted = rows - rows.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return -logp[np.arange(picks.size), targets.reshape(-1)[picks]].sum()
+    return -logp[np.arange(picks.size), x.reshape(-1)[picks]].sum()
 
 
 def test_trailing_pad_columns_do_not_change_the_loss():
@@ -510,17 +510,19 @@ def test_trailing_pad_columns_do_not_change_the_loss():
     narrow, _, _ = m.mlm_row(x, xt, predict, real)
     wide, _, _ = m.mlm_row(wx, wxt, wpredict, wreal)
     npt.assert_allclose(wide.item(), narrow.item(), rtol=0, atol=1e-12)
-    npt.assert_allclose(wide.item(), _untrimmed_nll(m, wxt, wx, wpredict, wreal, False),
+    # the head narrowed to the predicted slots scores what a full-width
+    # decode scores there
+    npt.assert_allclose(wide.item(), _full_width_mlm_nll(m, wx, wxt, wpredict, wreal),
                         rtol=0, atol=1e-12)
     narrow, _, _ = m.arlm_row(x, real=real)
     wide, _, _ = m.arlm_row(wx, real=wreal)
     npt.assert_allclose(wide.item(), narrow.item(), rtol=0, atol=1e-12)
-    next_real = np.roll(wreal, -1, axis=-1)
-    next_real[:, -1] = False
-    npt.assert_allclose(wide.item(), _untrimmed_nll(m, wx, np.roll(wx, -1, axis=-1),
-                                                    next_real, wreal, True),
-                        rtol=0, atol=1e-12)
-    # a full-width perturbation still gets its gradient through the trim
+    # each row scored alone, unpadded, adds up to the padded batch
+    alone = sum(m.arlm_row(row[:length])[0].item()
+                for row, length in zip(wx, wreal.sum(axis=-1)))
+    npt.assert_allclose(wide.item(), alone, rtol=0, atol=1e-12)
+    # a perturbation over the padded width gets its gradient at the real
+    # columns and none at the trailing PAD ones, which nothing scored reads
     delta = Tensor(np.zeros(wx.shape + (8,)), requires_grad=True)
     with Tape() as tape:
         nll, _, _ = m.mlm_row(wx, wxt, wpredict, wreal, perturb=delta)

@@ -244,7 +244,7 @@ def test_softmax_blocked_entries_are_positive_zero_and_match_the_skip_formula():
     assert (y[..., 1, 1:3] == 0.0).all() and (y[..., 1, 0] == 1.0).all()
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("op", [T.add, T.mul])
 def test_constant_operand_gets_no_gradient(op):
     rng = np.random.default_rng(44)
     a, b = rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (3, 4))
@@ -256,8 +256,7 @@ def test_constant_operand_gets_no_gradient(op):
     none_a, gb = right._node.bwd(g)
     assert none_a is None and none_b is None
     want_a = g * b if op is T.mul else g
-    want_b = {T.add: g.sum(axis=0), T.sub: -g.sum(axis=0),
-              T.mul: (g * a).sum(axis=0)}[op]
+    want_b = {T.add: g.sum(axis=0), T.mul: (g * a).sum(axis=0)}[op]
     assert np.array_equal(ga, want_a) and np.array_equal(gb, want_b)
 
 
@@ -399,17 +398,18 @@ def test_grad_add_variants():
 def test_grad_sub_neg():
     rng = np.random.default_rng(23)
     a, b = rng.normal(0, 1, (2, 5)), rng.normal(0, 1, (2, 5))
-    _fd_check(lambda x, y: T.sum_all(T.mul(T.sub(x, y), _probe((2, 5), 4))), [a, b])
+    # subtraction is spelled add(x, mul(y, -1.0))
+    _fd_check(lambda x, y: T.sum_all(T.mul(T.add(x, T.mul(y, -1.0)), _probe((2, 5), 4))),
+              [a, b])
     # negation is spelled mul(x, -1.0)
     _fd_check(lambda x: T.sum_all(T.mul(T.mul(x, -1.0), _probe((2, 5), 5))), [a])
 
 
-def test_add_and_sub_refuse_a_python_scalar():
+def test_add_refuses_a_python_scalar():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
-    for op in (T.add, T.sub):
-        for scalar in (1.0, 2, np.float64(0.5)):
-            with pytest.raises(ShapeError):
-                op(x, scalar)
+    for scalar in (1.0, 2, np.float64(0.5)):
+        with pytest.raises(ShapeError):
+            T.add(x, scalar)
 
 
 def test_mul_by_minus_one_is_bitwise_negation():
@@ -685,12 +685,12 @@ def test_add_gathered_rejects_bad_offsets():
         T.add_gathered(base, m, np.array([[0], [1]]))
 
 
-def test_grad_broadcast_add_sub_mul():
+def test_grad_broadcast_add_mul():
     rng = np.random.default_rng(65)
     a = rng.normal(0, 1, (2, 3, 4, 4))
     for bshape in ((4,), (4, 4), (2, 1, 4, 4), (3, 1, 1), (1, 4, 1)):
         b = rng.normal(0, 1, bshape)
-        for op in (T.add, T.sub, T.mul):
+        for op in (T.add, T.mul):
             _fd_check(lambda x, y, op=op: T.sum_all(T.mul(op(x, y), _probe(a.shape, 76))),
                       [a, b])
 
@@ -722,6 +722,26 @@ def test_broadcasts_to_agrees_with_numpy():
         assert T._broadcasts_to(shape, target) == want, (shape, target)
         broadcast += want
     assert 100 < broadcast < 1900  # both answers are exercised
+
+
+def test_broadcastable_agrees_with_numpy():
+    # matmul's leading-dims check: seeded shape pairs as above
+    rng = np.random.default_rng(23)
+
+    def draw():
+        return tuple(int(e) for e in rng.integers(0, 4, size=rng.integers(0, 5)))
+
+    together = 0
+    for _ in range(2000):
+        a, b = draw(), draw()
+        try:
+            np.broadcast_shapes(a, b)
+            want = True
+        except ValueError:
+            want = False
+        assert T._broadcastable(a, b) == want, (a, b)
+        together += want
+    assert 100 < together < 1900  # both answers are exercised
 
 
 def test_fully_masked_row_named_in_a_stack():
@@ -938,7 +958,7 @@ def test_shape_errors():
         T.layer_norm(a, Tensor(np.ones(2)), Tensor(np.zeros(3)))
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("op", [T.add, T.mul])
 def test_unsupported_operand_names_its_type(op):
     with pytest.raises(ShapeError) as err:
         op(Tensor(np.zeros((2, 3))), "x")
