@@ -59,17 +59,22 @@ past the last key its mask leaves open to any of its rows, so a causal
 row never builds, gathers, exponentiates or mixes the masked upper
 triangle: at n = 256 the blocks cover 56% of the square.  The
 projections and the c2p and p2c products are made once per call and
-shared by the blocks; each block gathers at offsets cut to its rows
-and keys, runs softmax_rows on its (..., heads, m, e) slice and mixes
-V[:e].  The score assembly is one function (_block_scores) and the
-whole square is its one-block case, as every scores_efficient call
-is.  A recorded call (every training step), and one with dropout,
-collected probabilities or query slots, is that one block and makes
-exactly the ops of the whole-square path, so no trained byte depends
-on the blocking.  A shorter row can sum in a different order (numpy's
-pairwise row sums, BLAS blocking over e keys instead of n), so blocked
-outputs may differ from the whole-square ones in the last bit; the
-tests hold them to 1e-12 relative.
+shared by the blocks.  The blocks then run as a pipeline: each is
+scored (its c2c product, then its c2p and p2c gathers at offsets cut to
+its rows and keys), softmaxed and mixed with V[:e] into its own rows of
+one preallocated (..., heads, n, head_size) output, and dropped before
+the next block is scored.  Such a call holds both position products,
+2 * heads * n * 2k floats, plus one block of at most heads * 32 * n,
+so its memory grows with n, not n^2.  The score assembly is one
+generator (_block_scores) and the whole square is its one-block case,
+as every scores_efficient call is.  A recorded call (every training
+step), and one with dropout, collected probabilities or query slots,
+is that one block and makes exactly the ops of the whole-square path,
+in its order, so no trained byte depends on the blocking.  A shorter
+row can sum in a different order (numpy's pairwise row sums, BLAS
+blocking over e keys instead of n), so blocked outputs may differ from
+the whole-square ones in the last bit; the tests hold them to 1e-12
+relative.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -257,6 +262,7 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor | None,
         # query i for each (i, j) pair, in row-major (i, j) order
         c2p = per_head(T.mul(T.gather_rows(qc, np.repeat(np.arange(n), n)), kr_pairs))
         _meter_release(meter, kr_pairs)
+        del kr_pairs
         total = T.add(total, c2p)
 
     if params.w_qr is not None:
@@ -268,6 +274,7 @@ def scores_naive(h: Tensor, params: AttentionParams, table: Tensor | None,
         # key j for each (i, j) pair
         p2c = per_head(T.mul(T.gather_rows(kc, np.tile(np.arange(n), n)), qr_pairs))
         _meter_release(meter, qr_pairs)
+        del qr_pairs
         total = T.add(total, p2c)
 
     if params.w_kr is not None:
@@ -287,52 +294,61 @@ def _cut(t: Tensor, rows: slice, cols: slice) -> Tensor:
 
 def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: AttentionParams,
                   table: Tensor | None, blocks: list[tuple[int, int, int]], meter=None,
-                  fault: str | None = None, positions=None) -> list[Tensor]:
-    """The unscaled score sum of each query block (r0, r1, e): query rows
-    [r0, r1) against keys [0, e), as (..., heads, r1 - r0, e).
+                  fault: str | None = None, positions=None):
+    """Yield the unscaled score sum of each query block (r0, r1, e) in
+    turn: query rows [r0, r1) against keys [0, e), as
+    (..., heads, r1 - r0, e).
 
-    The projections and the c2p and p2c products are made once and
-    shared by every block; each block adds its c2p and p2c terms at the
-    offsets cut to its rows and keys.  One block (0, m, n) is the whole
-    score sum.
+    The projections are made once, and the c2p and p2c products once,
+    while the first block is scored, so one block (0, m, n) makes the
+    ops of the whole score sum in their order.  Each block adds its
+    c2p and p2c terms at the offsets cut to its rows and keys, and a
+    product is released once the last block has added it.  No name
+    here holds a block once it is handed over: a suspended generator
+    keeps whatever its names hold, so the consumer alone decides when
+    a block dies.
     """
-    heads = params.heads
-    cuts = [(slice(r0, r1), slice(0, e)) for r0, r1, e in blocks]
-    every = slice(None)
-
+    heads, every, last = params.heads, slice(None), len(blocks) - 1
     qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
     kc_t = _heads_t(T.matmul(h, params.w_kc), heads)       # (..., h, hs, n)
-    totals = [T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))
-              for rows, keys in cuts]
+    for i, (r0, r1, e) in enumerate(blocks):
+        rows, keys = slice(r0, r1), slice(0, e)
+        block = [T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))]
 
-    if params.w_kr is not None:
-        # All m * 2k query/position-key products of every head, then
-        # add column delta(i, j) of row i at (i, j).
-        kr = T.matmul(table, params.w_kr)
-        _meter_alloc(meter, kr)
-        prod = T.matmul(qc_h, _heads_t(kr, heads))
-        _meter_alloc(meter, prod)
-        totals = [T.add_gathered(t, prod, _c2p_offsets(dm, positions, rows, keys))
-                  for t, (rows, keys) in zip(totals, cuts)]
-        _meter_release(meter, prod)
+        if params.w_kr is not None:
+            if i == 0:
+                # All m * 2k query/position-key products of every head;
+                # each block adds column delta(i, j) of row i at (i, j).
+                kr = T.matmul(table, params.w_kr)
+                _meter_alloc(meter, kr)
+                c2p = T.matmul(qc_h, _heads_t(kr, heads))
+                _meter_alloc(meter, c2p)
+            block[0] = T.add_gathered(block[0], c2p, _c2p_offsets(dm, positions, rows, keys))
+            if i == last:
+                _meter_release(meter, c2p)
+                del c2p
 
-    if params.w_qr is not None:
-        # Column j of the product holds Q_r[*] . K_c[j], from the keys'
-        # (hs, n) layout as it is; the offsets place
-        # Q_r[delta(j, i)] . K_c[j] straight at (i, j).
-        qr = T.matmul(table, params.w_qr)
-        _meter_alloc(meter, qr)
-        prod = T.matmul(_heads(qr, heads), kc_t)
-        _meter_alloc(meter, prod)
-        totals = [T.add_gathered(t, prod, _p2c_offsets(dm, positions, fault, rows, keys))
-                  for t, (rows, keys) in zip(totals, cuts)]
-        _meter_release(meter, prod)
+        if params.w_qr is not None:
+            if i == 0:
+                # Column j of the product holds Q_r[*] . K_c[j], from the
+                # keys' (hs, n) layout as it is; the offsets place
+                # Q_r[delta(j, i)] . K_c[j] straight at (i, j).
+                qr = T.matmul(table, params.w_qr)
+                _meter_alloc(meter, qr)
+                p2c = T.matmul(_heads(qr, heads), kc_t)
+                _meter_alloc(meter, p2c)
+            block[0] = T.add_gathered(block[0], p2c,
+                                      _p2c_offsets(dm, positions, fault, rows, keys))
+            if i == last:
+                _meter_release(meter, p2c)
+                del p2c
 
-    if params.w_kr is not None:
-        _meter_release(meter, kr)
-    if params.w_qr is not None:
-        _meter_release(meter, qr)
-    return totals
+        if i == last:
+            if params.w_kr is not None:
+                _meter_release(meter, kr)
+            if params.w_qr is not None:
+                _meter_release(meter, qr)
+        yield block.pop()  # the slot empties, so nothing here keeps the block
 
 
 def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
@@ -353,7 +369,7 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
         raise ConfigError(f"unknown fault {fault!r}")
     q_in, dm = _check_inputs(h, params, table, query, positions)
     whole = [(0, q_in.shape[-2], h.shape[-2])]
-    return _block_scores(q_in, h, dm, params, table, whole, meter, fault, positions)[0]
+    return next(_block_scores(q_in, h, dm, params, table, whole, meter, fault, positions))
 
 
 def _query_blocks(mask: np.ndarray | None, n: int) -> list[tuple[int, int, int]]:
@@ -395,7 +411,12 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     A call that no tape records, with no rng, collect or positions,
     scores each block of _QUERY_BLOCK query rows only against the keys
     its mask leaves open to it (_query_blocks): a causal row skips the
-    blocked upper triangle.  Every other call is one block.
+    blocked upper triangle.  It scores, softmaxes and mixes one block
+    at a time, so besides O(n d) projections it holds the two position
+    products (2 * heads * n * 2k floats) and one block's scores and
+    probabilities, each (..., heads, 32, e), never every block at once.
+    Every other call is one block, with the ops and op order of the
+    whole-square path.
     """
     q_in, dm = _check_inputs(h, params, table, query, positions)
     n = h.shape[-2]
@@ -403,20 +424,29 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     blocks = [(0, q_in.shape[-2], n)] if whole else _query_blocks(mask, n)
     # every head reads the same mask: a head axis as a view, not a copy
     head_mask = None if mask is None else mask[..., None, :, :]
-    masks = [head_mask] if len(blocks) == 1 else \
-        [head_mask[..., r0:r1, :e] for r0, r1, e in blocks]
-    # no name holds the scores, so they are freed once the softmaxes return
-    probs = [T.softmax_rows(s, params.scale, m) for s, m in zip(
-        _block_scores(q_in, h, dm, params, table, blocks, positions=positions), masks)]
-    if collect is not None:
-        collect.append(probs[0].data.copy())
-    probs = [T.dropout(p, dropout_p, rng) for p in probs]
-    v = _heads(T.matmul(h, params.w_vc), params.heads)
-    mixed = [T.matmul(p, _cut(v, slice(0, e), slice(None)))
-             for p, (_, _, e) in zip(probs, blocks)]
-    if len(mixed) > 1:  # unrecorded blocks: their rows back in one tensor
-        mixed = [Tensor._from_data(np.concatenate([m.data for m in mixed], axis=-2))]
-    return T.matmul(_merge_heads(mixed[0]), params.w_o)
+    if len(blocks) == 1:
+        # The generator is dropped once next returns, and with it every
+        # name it held; no name holds the scores, so they are freed once
+        # the softmax returns.
+        probs = T.softmax_rows(next(_block_scores(q_in, h, dm, params, table, blocks,
+                                                  positions=positions)),
+                               params.scale, head_mask)
+        if collect is not None:
+            collect.append(probs.data.copy())
+        probs = T.dropout(probs, dropout_p, rng)
+        mixed = T.matmul(probs, _heads(T.matmul(h, params.w_vc), params.heads))
+    else:
+        # One block at a time: its scores die in its softmax and its
+        # probabilities once its rows of the output are written.
+        scores = _block_scores(q_in, h, dm, params, table, blocks)
+        v = _heads(T.matmul(h, params.w_vc), params.heads)
+        out = np.empty(v.shape)
+        for r0, r1, e in blocks:
+            out[..., r0:r1, :] = T.matmul(
+                T.softmax_rows(next(scores), params.scale, head_mask[..., r0:r1, :e]),
+                _cut(v, slice(0, e), slice(None))).data
+        mixed = Tensor._from_data(out)
+    return T.matmul(_merge_heads(mixed), params.w_o)
 
 
 def extra_param_count(config) -> int:

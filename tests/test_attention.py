@@ -1,6 +1,8 @@
 """Attention kernels against a from-the-definition loop-nest oracle."""
 
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +12,10 @@ from desklm import tensor as T
 from desklm.attention import (
     AttentionParams,
     _c2p_offsets,
+    _cut,
     _heads,
     _heads_t,
+    _merge_heads,
     _p2c_offsets,
     _query_blocks,
     attend,
@@ -369,6 +373,108 @@ def test_fully_masked_row_in_a_later_block_is_named_by_its_row():
     assert "0, 70" in messages[0]  # head 0, query 70
 
 
+def _peak_bytes(fn):
+    """tracemalloc's peak while fn runs, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unrecorded_causal_attend_memory_grows_linearly():
+    # Each block is scored, softmaxed and mixed before the next is
+    # scored, so a call holds the two position products and one block:
+    # O(n k) and O(32 n), not the O(n^2) of every block's scores at once
+    # (35.6 MiB at n = 1024, 3.6 times the n = 512 peak).
+    params, table, _ = _make(1, 16, 64, 4, seed=45)
+    rng = np.random.default_rng(46)
+    peaks = {}
+    for n in (512, 1024):
+        h, mask = Tensor(rng.normal(0, 1, (n, 64))), _causal(n)
+        with T.no_grad():
+            peaks[n] = _peak_bytes(lambda: attend(h, params, table, mask=mask))
+    assert peaks[1024] <= 2.5 * peaks[512]
+    assert peaks[1024] < 16 * 2**20
+
+
+def _attend_all_blocks_then_concatenate(h, params, table, mask):
+    """The unrecorded blocked attend as a plain chain: every block
+    scored, then every block softmaxed and mixed with V[:e], then the
+    rows concatenated."""
+    n, heads, every = h.shape[-2], params.heads, slice(None)
+    dm = build_delta_matrix(n, table.shape[0] // 2)
+    blocks = _query_blocks(mask, n)
+    assert len(blocks) > 1
+    qc_h = _heads(T.matmul(h, params.w_qc), heads)
+    kc_t = _heads_t(T.matmul(h, params.w_kc), heads)
+    c2p = T.matmul(qc_h, _heads_t(T.matmul(table, params.w_kr), heads))
+    p2c = T.matmul(_heads(T.matmul(table, params.w_qr), heads), kc_t)
+    scores = []
+    for r0, r1, e in blocks:
+        rows, keys = slice(r0, r1), slice(0, e)
+        s = T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))
+        s = T.add_gathered(s, c2p, _c2p_offsets(dm, None, rows, keys))
+        scores.append(T.add_gathered(s, p2c, _p2c_offsets(dm, None, None, rows, keys)))
+    probs = [T.softmax_rows(s, params.scale, mask[..., None, r0:r1, :e])
+             for s, (r0, r1, e) in zip(scores, blocks)]
+    v = _heads(T.matmul(h, params.w_vc), heads)
+    mixed = np.concatenate([T.matmul(p, _cut(v, slice(0, e), every)).data
+                            for p, (_, _, e) in zip(probs, blocks)], axis=-2)
+    return T.matmul(_merge_heads(Tensor(mixed)), params.w_o)
+
+
+@pytest.mark.parametrize("n", [33, 100, 256])
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("causal", [True, False])
+def test_streamed_blocks_equal_all_blocks_then_concatenate(n, lead, causal):
+    params, table, _ = _make(n, 4, 8, 2, seed=n)
+    h = Tensor(np.random.default_rng(n + 1).normal(0, 1, lead + (n, 8)))
+    real = np.arange(n) < (np.array([[n], [n // 2]]) if lead else n - 5)
+    mask = np.broadcast_to(~real[..., None, :], lead + (n, n))
+    if causal:
+        mask = mask | _causal(n)
+    with T.no_grad():
+        streamed = attend(h, params, table, mask=mask)
+        reference = _attend_all_blocks_then_concatenate(h, params, table, mask)
+    assert np.array_equal(streamed.data, reference.data)
+
+
+def test_score_blocks_die_in_their_softmax(monkeypatch):
+    # A block's scores are freed when its softmax returns, checked as its
+    # probabilities are mixed with V; an unrecorded block's
+    # probabilities are freed once its rows of the output are written,
+    # checked as the next softmax begins.
+    n = 70
+    params, table, h = _make(n, 4, 8, 2, seed=47)
+    refs, live = [], []
+    softmax, matmul = T.softmax_rows, T.matmul
+
+    def watched_softmax(a, *args):
+        live.append(any(r() is not None for r in refs))
+        refs.append(weakref.ref(a))
+        probs = softmax(a, *args)
+        refs.append(weakref.ref(probs))
+        return probs
+
+    def watched_matmul(a, b):
+        if refs and refs[-1]() is a:  # the mix of the block just softmaxed
+            live.append(refs[-2]() is not None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(T, "softmax_rows", watched_softmax)
+    monkeypatch.setattr(T, "matmul", watched_matmul)
+    with T.no_grad():
+        attend(h, params, table, mask=_causal(n))
+    assert live == [False] * 6  # three blocks of rows
+    live.clear()
+    with Tape():
+        attend(h, params, table, mask=_causal(n))
+    assert live == [False, False]
+
+
 def test_attend_single_token():
     params, table, h = _make(1, 4, 8, 2, seed=11)
     out = attend(h, params, table)
@@ -563,3 +669,15 @@ def test_allocation_audit_budget_and_growth():
     ratio32 = r32.naive_peak / r32.efficient_peak
     ratio128 = r128.naive_peak / r128.efficient_peak
     assert ratio128 / ratio32 > 4.0
+
+
+def test_naive_kernel_frees_each_pair_gather_with_its_meter():
+    # At the audit's n = 128, while the p2c term is formed, Q_r's pair
+    # rows, the gathered key rows and their product are live: three
+    # (n^2, d) arrays, as the meter counts.  K_r's pair rows kept past
+    # their release made it four.
+    n, k, d = 128, 8, 16
+    params, table, h = _make(n, k, d, 1, seed=48)
+    with T.no_grad():
+        peak = _peak_bytes(lambda: scores_naive(h, params, table))
+    assert peak <= 3.5 * n * n * d * 8
