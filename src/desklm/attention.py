@@ -52,29 +52,32 @@ Two kernels produce the same scores; attend always runs the efficient one:
     storage is O(k d) for the projected tables plus one (heads, n, 2k)
     or (heads, 2k, n) product at a time, freed once it is added.
 
-attend scores a call that no tape records (evaluation, under no_grad)
-in blocks of _QUERY_BLOCK = 32 query rows when its (..., n, n) mask can
-shorten them.  Block [r0, r1) is scored only against keys [0, e), e one
-past the last key its mask leaves open to any of its rows, so a causal
-row never builds, gathers, exponentiates or mixes the masked upper
-triangle: at n = 256 the blocks cover 56% of the square.  The
+attend runs every call as one loop over query blocks.  A call that no
+tape records (evaluation, under no_grad) is cut into blocks of
+_QUERY_BLOCK = 32 query rows when its (..., n, n) mask can shorten
+them.  Block [r0, r1) is scored only against keys [0, e), e one past
+the last key its mask leaves open to any of its rows, so a causal row
+never builds, gathers, exponentiates or mixes the masked upper
+triangle: at n = 256 the blocks cover 56% of the square.  Every other
+call (every training step, and one with dropout, collected
+probabilities or query slots) is the one block (0, m, n).  The
 projections and the c2p and p2c products are made once per call and
-shared by the blocks.  The blocks then run as a pipeline: each is
-scored (its c2c product, then its c2p and p2c gathers at offsets cut to
-its rows and keys), softmaxed and mixed with V[:e] into its own rows of
-one preallocated (..., heads, n, head_size) output, and dropped before
-the next block is scored.  Such a call holds both position products,
-2 * heads * n * 2k floats, plus one block of at most heads * 32 * n,
-so its memory grows with n, not n^2.  The score assembly is one
-generator (_block_scores) and the whole square is its one-block case,
-as every scores_efficient call is.  A recorded call (every training
-step), and one with dropout, collected probabilities or query slots,
-is that one block and makes exactly the ops of the whole-square path,
-in its order, so no trained byte depends on the blocking.  A shorter
-row can sum in a different order (numpy's pairwise row sums, BLAS
-blocking over e keys instead of n), so blocked outputs may differ from
-the whole-square ones in the last bit; the tests hold them to 1e-12
-relative.
+shared by the blocks.  Each block is scored (its c2c product, then its
+c2p and p2c gathers at offsets cut to its rows and keys), softmaxed
+and mixed with V[:e], and dropped before the next block is scored; the
+mixed rows of several blocks are concatenated.  Such a call holds both
+position products, 2 * heads * n * 2k floats, plus one block of at
+most heads * 32 * n, so its memory grows with n, not n^2.  The score
+assembly is one generator (_block_scores) and the whole square is its
+one-block case, as every scores_efficient call is.  V is made after
+the first softmax: h feeds the Q, K and V projections, and the tape
+sums their gradients into h in reverse op order, so a V made before
+the scores would move every trained byte.  The one block is thus the
+whole-square computation, op for op, and no trained byte depends on
+the blocking.  A shorter row can sum in a different order (numpy's
+pairwise row sums, BLAS blocking over e keys instead of n), so blocked
+outputs may differ from the whole-square ones in the last bit; the
+tests hold them to 1e-12 relative.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -408,45 +411,41 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     numpy array of post-softmax probabilities.  Dropout on the
     probabilities runs only when rng is given.
 
-    A call that no tape records, with no rng, collect or positions,
-    scores each block of _QUERY_BLOCK query rows only against the keys
-    its mask leaves open to it (_query_blocks): a causal row skips the
-    blocked upper triangle.  It scores, softmaxes and mixes one block
-    at a time, so besides O(n d) projections it holds the two position
-    products (2 * heads * n * 2k floats) and one block's scores and
+    Every call is one loop over query blocks (_query_blocks): a call
+    that no tape records, with no rng, collect or positions, scores
+    each block of _QUERY_BLOCK query rows only against the keys its
+    mask leaves open to it, so a causal row skips the blocked upper
+    triangle; every other call is the one block (0, m, n).  Each block
+    is scored, softmaxed and mixed before the next is scored, so
+    besides O(n d) projections a call holds the two position products
+    (2 * heads * n * 2k floats) and one block's scores and
     probabilities, each (..., heads, 32, e), never every block at once.
-    Every other call is one block, with the ops and op order of the
-    whole-square path.
+    V is made after the first softmax; the module docstring says why.
     """
     q_in, dm = _check_inputs(h, params, table, query, positions)
-    n = h.shape[-2]
+    n, m = h.shape[-2], q_in.shape[-2]
+    if mask is not None and mask.shape[-2:] not in ((1, n), (m, n)):
+        raise ShapeError(f"mask must end in (1, {n}) or ({m}, {n}), got {mask.shape}")
     whole = T.recording() or rng is not None or collect is not None or positions is not None
-    blocks = [(0, q_in.shape[-2], n)] if whole else _query_blocks(mask, n)
+    blocks = [(0, m, n)] if whole else _query_blocks(mask, n)
     # every head reads the same mask: a head axis as a view, not a copy
     head_mask = None if mask is None else mask[..., None, :, :]
-    if len(blocks) == 1:
-        # The generator is dropped once next returns, and with it every
-        # name it held; no name holds the scores, so they are freed once
-        # the softmax returns.
-        probs = T.softmax_rows(next(_block_scores(q_in, h, dm, params, table, blocks,
-                                                  positions=positions)),
-                               params.scale, head_mask)
+    scores = _block_scores(q_in, h, dm, params, table, blocks, positions=positions)
+    v, mixed = None, []
+    for r0, r1, e in blocks:
+        # No name holds a block's scores, so they die in its softmax.
+        probs = T.softmax_rows(next(scores), params.scale,
+                               None if head_mask is None else head_mask[..., r0:r1, :e])
         if collect is not None:
             collect.append(probs.data.copy())
         probs = T.dropout(probs, dropout_p, rng)
-        mixed = T.matmul(probs, _heads(T.matmul(h, params.w_vc), params.heads))
-    else:
-        # One block at a time: its scores die in its softmax and its
-        # probabilities once its rows of the output are written.
-        scores = _block_scores(q_in, h, dm, params, table, blocks)
-        v = _heads(T.matmul(h, params.w_vc), params.heads)
-        out = np.empty(v.shape)
-        for r0, r1, e in blocks:
-            out[..., r0:r1, :] = T.matmul(
-                T.softmax_rows(next(scores), params.scale, head_mask[..., r0:r1, :e]),
-                _cut(v, slice(0, e), slice(None))).data
-        mixed = Tensor._from_data(out)
-    return T.matmul(_merge_heads(mixed), params.w_o)
+        if v is None:  # after the first softmax, or trained bytes move
+            v = _heads(T.matmul(h, params.w_vc), params.heads)
+        mixed.append(T.matmul(probs, _cut(v, slice(0, e), slice(None))))
+        del probs  # unrecorded, a block's probabilities die with its mix
+    out = mixed[0] if len(mixed) == 1 else Tensor._from_data(
+        np.concatenate([part.data for part in mixed], axis=-2))
+    return T.matmul(_merge_heads(out), params.w_o)
 
 
 def extra_param_count(config) -> int:

@@ -111,8 +111,14 @@ def corrupt(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
     Selects whole spans of 1..span_max consecutive maskable positions,
     never letting two spans touch, until the target count
     max(1, round(mask_rate * maskable)) is reached; the last span is
-    truncated to land exactly on the target.  Each selected position is
-    then independently rewritten: 80% MASK, 10% a random real token
+    truncated to land exactly on the target.  Each draw takes a start
+    among the maskable positions and a length; a start that an earlier
+    span blocks (it or a neighbour is chosen) is drawn again, until no
+    legal start is left.  So a dense target can stop short, with every
+    maskable slot chosen or next to a chosen one: spans that never
+    touch cover at most span_max of every span_max + 1 slots, and
+    random ones usually fewer.  Each selected position is then
+    independently rewritten: 80% MASK, 10% a random real token
     different from the original, 10% left as is.  PAD/CLS/SEP are never
     selected.  The returned position list is sorted.
     """
@@ -123,7 +129,7 @@ def corrupt(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
     if vocab_size <= NUM_RESERVED + 1:
         raise ConfigError("vocabulary too small for replacement sampling")
     ids = np.asarray(ids)
-    maskable = ~np.isin(ids, (PAD, CLS, SEP))
+    maskable = (ids != PAD) & (ids != CLS) & (ids != SEP)
     n_maskable = int(maskable.sum())
     if n_maskable == 0:
         raise ContractError("row has no maskable positions")
@@ -132,22 +138,13 @@ def corrupt(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
     chosen = np.zeros(ids.shape[0], dtype=bool)
     blocked = ~maskable  # grows as spans claim their neighbourhoods
     picked = 0
-    attempts = 0
     candidates = np.flatnonzero(maskable)
     while picked < target:
-        attempts += 1
-        if attempts > 200 * target + 200:
-            # Dense selections can strand isolated blocked gaps; sweep
-            # deterministically for any remaining legal start.
-            starts = np.flatnonzero(~blocked)
-            if starts.size == 0:
-                break
-            start = int(starts[0])
-            length = 1
-        else:
-            start = int(candidates[rng.integers(0, candidates.size)])
-            length = int(rng.integers(1, span_max + 1))
+        start = int(candidates[rng.integers(0, candidates.size)])
+        length = int(rng.integers(1, span_max + 1))
         if blocked[start]:
+            if blocked[candidates].all():
+                break  # a dense target: no legal start is left
             continue
         length = min(length, target - picked)
         span = [start]

@@ -561,6 +561,23 @@ def test_query_stream_and_query_slots_match_the_naive_kernel(lead, share, use_c2
                 assert np.max(np.abs(g - e)) <= 1e-8
 
 
+def test_attend_refuses_a_mask_that_does_not_fit_its_queries():
+    # A mask serves every query with one row, or has one row per query.
+    # Each block takes its rows [r0, r1) and keys [0, e) of it, so a
+    # mask with more rows or keys than that would be cut, not refused.
+    n, m = 9, 4
+    params, table, h = _make(n, 3, 8, 2, seed=22)
+    rows = np.arange(m)
+    q = T.gather_rows(h, rows)
+    column = np.zeros((1, n), dtype=bool)
+    assert attend(h, params, table, mask=column, query=q, positions=rows).shape == (m, 8)
+    for bad in (_causal(n), np.zeros((1, n + 1), dtype=bool), np.zeros(n, dtype=bool)):
+        with pytest.raises(ShapeError):
+            attend(h, params, table, mask=bad, query=q, positions=rows)
+    with pytest.raises(ShapeError):
+        attend(h, params, table, mask=_causal(n + 1))
+
+
 def test_validation_errors():
     params, table, h = _make(6, 2, 4, 1, seed=16)
     with pytest.raises(ShapeError):

@@ -172,20 +172,50 @@ def test_corrupt_determinism():
     assert a[1] == b[1]
 
 
-def test_corrupt_dense_target_ends_in_the_deterministic_sweep():
-    # 18 of 20 slots cannot be covered by spans that never touch: the
-    # random draws give up, the sweep takes every legal start left, and
-    # the selection stops short of the target
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mask_rate", [0.5, 0.6, 0.7, 0.8, 0.9])
+def test_corrupt_dense_target_stops_when_no_legal_start_is_left(seed, mask_rate):
+    # Spans that never touch cannot always cover a dense target: the
+    # selection then stops once every maskable slot is chosen or next
+    # to a chosen one, with no legal start left to draw
     row = np.array([CLS] + list(range(10, 30)) + [SEP])
-    xt, pos = corrupt(row, np.random.default_rng(0), 30, mask_rate=0.9, span_max=3)
-    assert 0 < len(pos) < 18
-    chosen = np.zeros(row.size, dtype=bool)
-    chosen[pos] = True
-    for i in range(1, row.size - 1):
-        assert chosen[i] or chosen[i - 1] or chosen[i + 1], i
-    again = corrupt(row, np.random.default_rng(0), 30, mask_rate=0.9, span_max=3)
+    xt, pos = corrupt(row, np.random.default_rng(seed), 30, mask_rate=mask_rate, span_max=3)
+    target = round(mask_rate * 20)
+    assert 0 < len(pos) <= target
+    if len(pos) < target:
+        chosen = np.zeros(row.size, dtype=bool)
+        chosen[pos] = True
+        for i in range(1, row.size - 1):
+            assert chosen[i] or chosen[i - 1] or chosen[i + 1], i
+    again = corrupt(row, np.random.default_rng(seed), 30, mask_rate=mask_rate, span_max=3)
     npt.assert_array_equal(again[0], xt)
     assert again[1] == pos
+
+
+class _CountingRng:
+    """A Generator's integers and random, counting integers calls."""
+
+    def __init__(self, seed):
+        self.rng, self.integer_draws = np.random.default_rng(seed), 0
+
+    def integers(self, *args):
+        self.integer_draws += 1
+        return self.rng.integers(*args)
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_corrupt_dense_row_draws_a_bounded_number_of_integers():
+    # 56 of 62 slots is past what non-touching spans can cover, so the
+    # selection stops once no legal start is left: 74 to 1,279 integer
+    # draws over 5,000 seeds
+    row, _ = pack(list(range(10, 72)), 64)
+    for seed in range(10):
+        rng = _CountingRng(seed)
+        _, pos = corrupt(row, rng, 128, mask_rate=0.9)
+        assert len(pos) < 56
+        assert rng.integer_draws < 4000
 
 
 def test_make_batch_shapes():

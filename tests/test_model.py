@@ -30,6 +30,7 @@ from desklm.model import (
     param_shapes,
     save_checkpoint,
 )
+from desklm.relpos import delta
 from desklm.seeding import rng_for
 from desklm.tensor import Tape, Tensor
 
@@ -595,6 +596,124 @@ def test_abs_pos_at_input_variant():
     # absolute input positions separate identical tokens even with the
     # relative table silenced
     assert np.max(np.abs(h[0] - h[1])) > 1e-9
+
+
+# ---------------------------------------------------------------------
+# A literal whole-model reference: the equations as loops.
+# ---------------------------------------------------------------------
+
+
+def _ref_layer_norm(x, g, b):
+    mu = x.mean()
+    var = ((x - mu) ** 2).mean()
+    return (x - mu) / np.sqrt(var + 1e-5) * g + b
+
+
+def _ref_block(P, cfg, prefix, xq, hk, blocked, swap_p2c):
+    """One post-norm block for one row: query stream xq, keys and
+    values from hk, every score term and pair written out."""
+    w = lambda name: P[f"{prefix}_{name}"].data
+    on, heads, k = cfg.ablations, cfg.heads, cfg.k
+    hs = cfg.d // heads
+    qc, kc, v = xq @ w("att_wqc"), hk @ w("att_wkc"), hk @ w("att_wvc")
+    shared = cfg.share_projection
+    if on.c2p:
+        kr = P["pos_table"].data @ w("att_wkc" if shared else "att_wkr")
+    if on.p2c:
+        qr = P["pos_table"].data @ w("att_wqc" if shared else "att_wqr")
+    tau = 1 + on.c2p + on.p2c
+    mixed = np.zeros((len(xq), cfg.d))
+    for a in range(heads):
+        c = slice(a * hs, (a + 1) * hs)
+        for i in range(len(xq)):
+            scores = []
+            for j in range(len(hk)):
+                s = qc[i, c] @ kc[j, c]
+                if on.c2p:
+                    s += qc[i, c] @ kr[delta(i, j, k), c]
+                if on.p2c:
+                    # section 3.1: the key's distance to the query, delta(j, i)
+                    s += kc[j, c] @ qr[delta(i, j, k) if swap_p2c else delta(j, i, k), c]
+                scores.append(-np.inf if blocked[i][j] else s / np.sqrt(tau * hs))
+            top = max(scores)
+            e = [np.exp(s - top) for s in scores]
+            for j in range(len(hk)):
+                mixed[i, c] += e[j] / sum(e) * v[j, c]
+    out = []
+    for i in range(len(xq)):
+        x = _ref_layer_norm(xq[i] + mixed[i] @ w("att_wo"), w("ln1_g"), w("ln1_b"))
+        u = x @ w("ffn_w1") + w("ffn_b1")
+        hidden = 0.5 * u * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (u + 0.044715 * u ** 3)))
+        out.append(_ref_layer_norm(x + hidden @ w("ffn_w2") + w("ffn_b2"),
+                                   w("ln2_g"), w("ln2_b")))
+    return np.array(out)
+
+
+def _ref_row(P, cfg, ids, real, causal, predict, targets, swap_p2c=False):
+    """(nll sum, logit rows at the predicted slots) for one padded row."""
+    n = len(ids)
+    blocked = [[(causal and j > i) or not real[j] for j in range(n)] for i in range(n)]
+    h = []
+    for i in range(n):
+        e = P["tok_emb"].data[ids[i]]
+        if cfg.abs_pos_at_input:
+            e = e + P["abs_in"].data[i]
+        h.append(_ref_layer_norm(e, P["emb_ln_g"].data, P["emb_ln_b"].data))
+    h = np.array(h)
+    for layer in range(cfg.L):
+        h = _ref_block(P, cfg, f"enc{layer}", h, h, blocked, swap_p2c)
+    # the enhanced mask decoder: H plus absolute rows as the first query
+    x = h + P["dec_abs"].data[:n] if cfg.ablations.emd else h
+    for prefix in cfg.decode_blocks:
+        x = _ref_block(P, cfg, prefix, x, h, blocked, swap_p2c)
+    nll, logits = 0.0, []
+    for i in range(n):
+        if predict[i]:
+            z = P["tok_emb"].data @ x[i] + P["out_bias"].data
+            top = z.max()
+            nll -= z[targets[i]] - top - np.log(np.exp(z - top).sum())
+            logits.append(z)
+    return nll, np.array(logits)
+
+
+def _ref_batch(P, cfg, ids, real, causal, predict, targets, swap_p2c=False):
+    rows = [_ref_row(P, cfg, i, r, causal, p, t, swap_p2c)
+            for i, r, p, t in zip(ids, real, predict, targets)]
+    return sum(nll for nll, _ in rows), np.concatenate([z for _, z in rows])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_model_equals_the_literal_loop_reference(seed):
+    # Each drawn config runs a padded batch of 3 through mlm_row and
+    # arlm_row, with weights jittered off their init.  The reference
+    # with the p2c orientation swapped must miss the same 1e-12 bound.
+    rng = np.random.default_rng(900 + seed)
+    draw = lambda: bool(rng.integers(2))
+    cfg = tiny_cfg(L=int(rng.integers(3)), heads=int(rng.choice([1, 2, 4])),
+                   k=int(rng.integers(1, 5)), n_emd=int(rng.integers(1, 3)),
+                   emd_shared=draw(), share_projection=draw(), abs_pos_at_input=draw(),
+                   ablations={"emd": draw(), "c2p": draw(), "p2c": draw()})
+    m = Model(cfg, seed=seed)
+    for p in m.params.values():
+        p.data += rng.normal(0, 0.3, p.shape)
+    n = int(rng.integers(4, 10))
+    real = np.arange(n) < np.array([[n], [rng.integers(2, n)], [rng.integers(2, n)]])
+    x = np.where(real, rng.integers(1, cfg.vocab_size, (3, n)), 0)
+    predict = real & (rng.random((3, n)) < 0.4)
+    predict[:, 1] = True
+    x_tilde = np.where(predict & (rng.random((3, n)) < 0.8), 4, x)
+    causal_predict = np.roll(real, -1, axis=-1)
+    causal_predict[:, -1] = False
+    cases = [(m.mlm_row(x, x_tilde, predict, real), (x_tilde, real, False, predict, x)),
+             (m.arlm_row(x, real), (x, real, True, causal_predict, np.roll(x, -1, axis=-1)))]
+    for (nll, count, picked), args in cases:
+        want_nll, want_logits = _ref_batch(m.params, cfg, *args)
+        assert count == len(want_logits)
+        assert_close(picked.data, want_logits, atol=1e-12, rtol=1e-12)
+        assert_close(nll.item(), want_nll, atol=1e-12, rtol=1e-12)
+        if cfg.ablations.p2c:
+            _, swapped = _ref_batch(m.params, cfg, *args, swap_p2c=True)
+            assert np.abs(swapped - picked.data).max() > 1e-9
 
 
 # ---------------------------------------------------------------------
