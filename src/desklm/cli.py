@@ -2,10 +2,13 @@
 
 Subcommands: pretrain, eval, audit, dump-attention, equivalence,
 ablation-suite.  Every command accepts --config (file path or preset
-name), repeatable --set dotted overrides, --out, and --seed.  When
---out is given the resolved configuration is written there as
-effective_config.json; rerunning any command from that echoed file with
-the same seed reproduces metrics and checkpoints byte for byte.
+name), repeatable --set dotted overrides, --out, and --seed.  main
+resolves them into one RunConfig before any command work and hands it
+to the command.  When --out is given the resolved configuration is
+written there as effective_config.json; rerunning any command from
+that echoed file with the same seed reproduces metrics and checkpoints
+byte for byte.  eval and dump-attention pack their rows with
+data.pack, unpadded, so the row format has one owner.
 
 Exit codes are a stable contract: 0 success, 1 property failure,
 2 usage or configuration error, 3 runtime failure (including any
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import extra_param_count
-from .data import BatchStream, CLS, SEP, Vocab, build_vocab, encode_corpus, \
-    load_corpus, tokenize
+from .data import BatchStream, Vocab, build_vocab, encode_corpus, load_corpus, \
+    pack, tokenize
 from .equivalence import run_allocation_audit, run_equivalence_suite
 from .errors import CheckpointError, CheckpointFormatError, ConfigError, \
     DeskLMError, IngestionError
@@ -115,8 +118,7 @@ def _load_training_data(run_cfg: RunConfig):
     return vocab, seqs
 
 
-def cmd_pretrain(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_pretrain(args, run_cfg: RunConfig) -> int:
     if not args.out:
         raise ConfigError("pretrain needs --out for checkpoints and metrics")
     vocab, seqs = _load_training_data(run_cfg)
@@ -136,11 +138,12 @@ def cmd_pretrain(args) -> int:
 
 
 def _eval_rows(model, vocab: Vocab, lines: list[str]) -> list[np.ndarray]:
-    body = model.cfg.max_len - 2
-    rows = []
-    for ids in encode_corpus(lines, vocab):
-        rows.append(np.array([CLS] + list(ids[:body]) + [SEP], dtype=np.int64))
-    return rows
+    return [_row(model, ids) for ids in encode_corpus(lines, vocab)]
+
+
+def _row(model, ids: list[int]) -> np.ndarray:
+    """ids packed unpadded, truncated to the model's length."""
+    return pack(ids, min(len(ids) + 2, model.cfg.max_len))[0]
 
 
 def _model_from_eval_config(run_cfg: RunConfig):
@@ -160,8 +163,7 @@ def _model_from_eval_config(run_cfg: RunConfig):
     return model, vocab
 
 
-def cmd_eval(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_eval(args, run_cfg: RunConfig) -> int:
     model, vocab = _model_from_eval_config(run_cfg)
     if run_cfg.eval.corpus:
         lines = _read_corpus(run_cfg.eval.corpus, "eval.corpus")
@@ -176,8 +178,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_audit(args, run_cfg: RunConfig) -> int:
     cfg = run_cfg.audit_model_config()
     _echo(args, run_cfg, cfg)
     print(f"total_params={count_params(cfg)}")
@@ -192,16 +193,14 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def cmd_dump_attention(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
     if not args.out:
         raise ConfigError("dump-attention needs --out for the CSV files")
     tokens = tokenize(args.text)
     if not tokens:
         raise ConfigError("input text produced no tokens")
     model, vocab = _model_from_eval_config(run_cfg)
-    ids = np.array([CLS] + vocab.encode(tokens)[: model.cfg.max_len - 2]
-                   + [SEP], dtype=np.int64)
+    ids = _row(model, vocab.encode(tokens))
     collected: dict = {}
     with T.no_grad():
         model.encode(ids, collect=collected)
@@ -233,8 +232,7 @@ def cmd_dump_attention(args) -> int:
     return EXIT_OK
 
 
-def cmd_equivalence(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_equivalence(args, run_cfg: RunConfig) -> int:
     if args.sweep_seeds < 0:
         raise ConfigError(f"--sweep-seeds must be >= 0, got {args.sweep_seeds}")
     _echo(args, run_cfg)
@@ -281,15 +279,14 @@ def cmd_equivalence(args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def cmd_ablation_suite(args) -> int:
-    run_cfg = load_run_config(args.config, args.sets, args.seed)
+def cmd_ablation_suite(args, run_cfg: RunConfig) -> int:
     if not args.out:
         raise ConfigError("ablation-suite needs --out for the CSV table")
     vocab, seqs = _load_training_data(run_cfg)
     model_cfg = run_cfg.build_model_config(len(vocab))
     _echo(args, run_cfg, model_cfg)
     rows = run_ablation_suite(model_cfg, seqs, run_cfg.trainer, run_cfg.sift,
-                              out_dir=args.out)
+                              out_dir=args.out, meta_extra={"vocab": vocab.tokens})
     for row in rows:
         print(f"{row['variant']}: final_mlm_loss={row['final_mlm_loss']:.6f} "
               f"final_ppl={row['final_ppl']:.4f}")
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_run_config(args.config, args.sets, args.seed))
     except (ConfigError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -110,12 +110,14 @@ def corrupt(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
 
     Selects whole spans of 1..span_max consecutive maskable positions,
     never letting two spans touch, until the target count
-    max(1, round(mask_rate * maskable)) is reached; the last span is
-    truncated to land exactly on the target.  Each draw takes a start
-    among the maskable positions and a length; a start that an earlier
-    span blocks (it or a neighbour is chosen) is drawn again, until no
-    legal start is left.  So a dense target can stop short, with every
-    maskable slot chosen or next to a chosen one: spans that never
+    max(1, round(mask_rate * maskable)) is reached.  Each draw takes a
+    start among the maskable positions and a length; a start that an
+    earlier span blocks (it or a neighbour is chosen) is drawn again,
+    until no legal start is left.  A span is the interval from its
+    start to whichever comes first: the drawn length, the target's
+    remainder, the first blocked slot or the row end, so the last span
+    lands exactly on the target.  A dense target can stop short, with
+    every maskable slot chosen or next to a chosen one: spans that never
     touch cover at most span_max of every span_max + 1 slots, and
     random ones usually fewer.  Each selected position is then
     independently rewritten: 80% MASK, 10% a random real token
@@ -146,19 +148,13 @@ def corrupt(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
             if blocked[candidates].all():
                 break  # a dense target: no legal start is left
             continue
-        length = min(length, target - picked)
-        span = [start]
-        pos = start
-        while len(span) < length:
-            pos += 1
-            if pos >= ids.shape[0] or blocked[pos]:
-                break
-            span.append(pos)
-        chosen[span] = True
-        picked += len(span)
-        lo = max(0, span[0] - 1)
-        hi = min(ids.shape[0], span[-1] + 2)
-        blocked[lo:hi] = True
+        # start is not blocked, so argmax is 0 exactly when no slot of
+        # run is blocked
+        run = blocked[start:start + min(length, target - picked)]
+        stop = start + (int(run.argmax()) or run.size)
+        chosen[start:stop] = True
+        picked += stop - start
+        blocked[max(0, start - 1):stop + 1] = True
 
     out = ids.copy()
     positions = np.flatnonzero(chosen)

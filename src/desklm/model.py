@@ -498,7 +498,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         meta_len = read_int("<Q")
         try:
             meta = json.loads(read(meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointFormatError(f"metadata is not valid JSON: {e}") from e
         if not isinstance(meta, dict):
             raise CheckpointFormatError("metadata is not a JSON object")

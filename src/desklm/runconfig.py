@@ -140,8 +140,9 @@ class RunConfig:
 def parse_override(text: str) -> tuple[str, object]:
     """One --set argument: dotted.key=value with JSON-style values.
 
-    Values that fail to parse as JSON are taken as bare strings, so
-    --set data.corpus=some/path.txt works without quoting gymnastics.
+    Values that fail to parse as JSON, or nest too deeply to parse, are
+    taken as bare strings, so --set data.corpus=some/path.txt works
+    without quoting gymnastics.
     """
     key, sep, value = text.partition("=")
     key = key.strip()
@@ -149,7 +150,7 @@ def parse_override(text: str) -> tuple[str, object]:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     try:
         parsed = json.loads(value)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         parsed = value
     return key, parsed
 
@@ -186,7 +187,7 @@ def load_run_config(config: str | None, sets: list[str] | None = None,
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")

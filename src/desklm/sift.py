@@ -129,17 +129,18 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     is normalised by its own gradient norm, a row whose gradient
     vanishes stops moving, and every token row is clipped into its own
     epsilon ball.  seed pins the perturbation draws and the paired
-    dropout stream.  Disabled (or lambda = 0) reduces to exactly the
-    plain task loss: same ops, same rng consumption, bitwise identical.
+    dropout stream.  Disabled (or lambda = 0), the clean pass is the
+    whole call: it records on the caller's tape, if any, and its task
+    loss is returned as is, so both cases are the plain task loss.
 
-    Enabled, under a recording tape, the task loss's gradient is
-    accumulated into the parameters' .grad before this returns, and
-    the returned loss records only the perturbed pass: the task loss
-    enters it as a constant.  One backward of the returned loss on the
-    caller's tape then leaves .grad holding the gradient of the whole
-    loss.  Without a recording tape no .grad is touched.  With
-    return_parts the result is (loss, task, r_adv); enabled, task is
-    that constant.
+    Enabled, under a recording tape, the clean pass records on a
+    nested tape whose backward accumulates the task loss's gradient
+    into the parameters' .grad before this returns, and the returned
+    loss records only the perturbed pass: the task loss enters it as a
+    constant.  One backward of the returned loss on the caller's tape
+    then leaves .grad holding the gradient of the whole loss.  Without
+    a recording tape no .grad is touched.  With return_parts the result
+    is (loss, task, r_adv); enabled, task is that constant.
     """
     if mode == "mlm":
         def forward(perturb, rng):
@@ -157,20 +158,16 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
         # all see the same dropout masks
         return rng_for(seed, "sift/dropout")
 
-    if not cfg.enabled or cfg.lam == 0.0:
-        nll, count, _ = forward(None, drop_rng())
-        task = T.mul(nll, 1.0 / count)
-        if return_parts:
-            return task, task, None
-        return task
-
-    # The clean pass gets its own tape, backed out at once, so its graph
-    # is gone before the ascent builds the next one.
-    recorded = T.recording()
-    with (Tape() if recorded else contextlib.nullcontext()) as clean_tape:
+    on = cfg.enabled and cfg.lam != 0.0
+    # Enabled, the clean pass gets its own tape, backed out at once, so
+    # its graph is gone before the ascent builds the next one.
+    nested = on and T.recording()
+    with (Tape() if nested else contextlib.nullcontext()) as clean_tape:
         nll, count, clean_logits = forward(None, drop_rng())
         task = T.mul(nll, 1.0 / count)
-    if recorded and len(clean_tape):
+    if not on:
+        return (task, task, None) if return_parts else task
+    if nested and len(clean_tape):
         clean_tape.backward(task)
     # From here the task loss is a constant, and a frozen copy of the
     # clean distribution drives both the ascent and the outer

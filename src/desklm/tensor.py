@@ -91,9 +91,7 @@ _tape_stack: list = []
 
 
 def _active_tape():
-    if _tape_stack and isinstance(_tape_stack[-1], Tape):
-        return _tape_stack[-1]
-    return None
+    return _tape_stack[-1] if _tape_stack else None
 
 
 class Tape:

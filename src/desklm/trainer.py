@@ -255,7 +255,8 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
 
 
 def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
-    """Causal perplexity: exp of the mean next-token NLL over all rows."""
+    """Causal perplexity: exp of the mean next-token NLL over all rows,
+    or inf when that is past the float range."""
     total = 0.0
     count = 0
     with T.no_grad():
@@ -268,7 +269,10 @@ def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
             count += c
     if count == 0:
         raise IngestionError("evaluation rows contained no predictable tokens")
-    return math.exp(total / count)
+    try:
+        return math.exp(total / count)
+    except OverflowError:
+        return math.inf
 
 
 ABLATION_VARIANTS: tuple = (
@@ -283,13 +287,15 @@ ABLATION_VARIANTS: tuple = (
 
 def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig,
                        scfg: SiftConfig | None = None,
-                       out_dir: str | None = None) -> list[dict]:
+                       out_dir: str | None = None,
+                       meta_extra: dict | None = None) -> list[dict]:
     """Train six component-ablated variants on identical batch streams.
 
     Every variant reuses the same data seed; the streams' digests are
     compared afterwards so "the data was the same" is a checked fact,
     not an assumption.  Results land in ablation.csv with one row per
-    variant.
+    variant.  meta_extra goes into every variant's checkpoints, as in
+    train.
     """
     vocab_size = base_cfg.vocab_size
     results = []
@@ -303,7 +309,8 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
                              vocab_size=vocab_size, seed=tcfg.seed,
                              mask_rate=tcfg.mask_rate, span_max=tcfg.span_max)
         sub_dir = os.path.join(out_dir, name) if out_dir else None
-        res = train(model, stream, tcfg, scfg, out_dir=sub_dir)
+        res = train(model, stream, tcfg, scfg, out_dir=sub_dir,
+                    meta_extra=meta_extra)
         digests.add(res.batch_digest)
         final = res.final_loss_avg
         results.append({

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -666,6 +667,31 @@ def test_ablation_suite_command(tmp_path, capsys):
     assert "ordering_full_le_double_ablated=" in stdout
 
 
+def test_ablation_suite_checkpoints_carry_the_vocabulary(tmp_path, capsys):
+    out = tmp_path / "abl"
+    assert main(["ablation-suite", "--config", "toy", *PRETRAIN_FAST,
+                 "--set", "trainer.steps=2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    ckpt = out / "-(EMD+P2C)" / "checkpoint_final.ckpt"
+    assert main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                 "--set", "eval.max_rows=4"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_config_is_loaded_once_before_any_command_work(monkeypatch, capsys):
+    loads, runs = [], []
+    real_load = cli.load_run_config
+    monkeypatch.setattr(cli, "load_run_config",
+                        lambda *a: loads.append(a) or real_load(*a))
+    monkeypatch.setattr(cli, "cmd_audit",
+                        lambda args, run_cfg: runs.append(run_cfg) or 0)
+    assert main(["audit", "--config", "toy", "--seed", "9"]) == 0
+    assert len(loads) == 1 and runs[0].trainer.seed == 9
+    assert main(["audit", "--config", "toy", "--set", "trainer.bogus=1"]) == 2
+    assert "trainer.bogus" in _one_line_error(capsys)
+    assert len(loads) == 2 and len(runs) == 1
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -673,7 +699,7 @@ def test_unknown_command_is_usage_error():
 
 
 def test_unexpected_exception_is_runtime_failure(monkeypatch, capsys):
-    def boom(args):
+    def boom(args, run_cfg):
         raise RuntimeError("unexpected")
 
     monkeypatch.setattr(cli, "cmd_audit", boom)
@@ -681,3 +707,244 @@ def test_unexpected_exception_is_runtime_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: unexpected" in err
+
+
+# ---------------------------------------------------------------------
+# Deep nesting and seeded fuzzing of the input surfaces.
+# ---------------------------------------------------------------------
+
+def _nested(depth: int, leaf: str = "1", obj: bool = False) -> str:
+    if obj:
+        return '{"a": ' * depth + leaf + "}" * depth
+    return "[" * depth + leaf + "]" * depth
+
+
+def test_deeply_nested_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(100_000, ""))
+    assert main(["audit", "--config", str(path)]) == 2
+    assert "not valid JSON" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("obj", [False, True], ids=["list", "object"])
+def test_deeply_nested_override_is_config_error(capsys, obj):
+    # too deep to parse, the value is taken as a bare string
+    value = _nested(5000, obj=obj)
+    assert parse_override(f"model.vocab_size={value}") == ("model.vocab_size", value)
+    assert main(["audit", "--config", "large",
+                 "--set", f"model.vocab_size={value}"]) == 2
+    assert "ModelConfig.vocab_size must be int" in _one_line_error(capsys)
+
+
+def _with_metadata(ckpt: str, meta: bytes) -> None:
+    """Replace a checkpoint's metadata bytes, keeping its tensors."""
+    with open(ckpt, "rb") as fh:
+        data = fh.read()
+    (old_len,) = struct.unpack("<Q", data[4:12])
+    with open(ckpt, "wb") as fh:
+        fh.write(data[:4] + struct.pack("<Q", len(meta)) + meta + data[12 + old_len:])
+
+
+def test_deeply_nested_checkpoint_metadata_is_format_error(tmp_path, capsys):
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    _with_metadata(ckpt, ('{"config": ' + _nested(5000, obj=True) + "}").encode())
+    rc = main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+               "--set", f"eval.corpus={corpus}"])
+    assert rc == 2
+    assert "metadata is not valid JSON" in _one_line_error(capsys)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(ckpt)
+
+
+# Leaves and nesting depths the fuzzers draw from: every JSON kind, the
+# values each field rejects, and depths past the parser's recursion limit.
+# Integers stay small so that no drawn model is slow to count or build.
+_LEAVES = ["0", "1", "2", "-1", "3", "8", "0.5", "0.15", "-0.0", "1e300",
+           "NaN", "-Infinity", "true", "false", "null", '"mlm"', '"arlm"',
+           '"x"', '""', "[]", "{}", '{"c2p": false}', "[1, 2]", "tru", '"a',
+           "{", "}"]
+_DEPTHS = [0, 0, 0, 1, 2, 3, 50, 900, 5000]
+
+
+def _fuzz_json(rng) -> str:
+    """A drawn leaf, nested in lists or objects to a drawn depth."""
+    depth = int(rng.choice(_DEPTHS))
+    return _nested(depth, str(rng.choice(_LEAVES)), bool(rng.integers(0, 2)))
+
+
+def _check_exit(rc: int, _out: str, err: str, case) -> None:
+    """rc 0 without an error line, or rc 2 with exactly one; never a
+    traceback."""
+    assert "Traceback" not in err, (case, err[-2000:])
+    errors = [line for line in err.splitlines()
+              if line.startswith("error: ") or ": error: " in line]
+    if rc == 0:
+        assert not errors, (case, errors)
+    else:
+        assert rc == 2 and len(errors) == 1, (case, rc, err[-2000:])
+
+
+def _run(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse: usage errors and --help
+        return e.code
+
+
+def test_config_file_fuzz_ends_in_exit_0_or_2(tmp_path, capsys):
+    # Seeded edits of the large preset through `desklm audit`: up to two
+    # keys (known, unknown or whole sections) take a drawn value,
+    # and a fifth of the files then lose their tail or have bytes flipped.
+    with open(preset_path("large"), encoding="utf-8") as fh:
+        base = json.load(fh)
+    keys = [(sec, key) for sec, body in base.items() for key in body]
+    keys += [("model", "bogus"), ("sift", "lam"), ("nope", "x"), ("model", None),
+             ("trainer", None)]
+    rng = np.random.default_rng(20261020)
+    path = tmp_path / "fuzz.json"
+    exits = []
+    for case in range(300):
+        doc = json.loads(json.dumps(base))
+        slots = {}
+        for i in range(int(rng.integers(0, 3))):
+            sec, key = keys[int(rng.integers(0, len(keys)))]
+            slot = f"@{i}@"
+            body = doc.setdefault(sec, {})
+            if key is None or not isinstance(body, dict):
+                doc[sec] = slot
+            else:
+                body[key] = slot
+            slots[f'"{slot}"'] = _fuzz_json(rng)
+        text = json.dumps(doc)
+        for slot, value in slots.items():
+            text = text.replace(slot, value)
+        data = text.encode("utf-8")
+        if rng.random() < 0.1:
+            data = data[:int(rng.integers(0, len(data)))]
+        elif rng.random() < 0.1:
+            data = bytearray(data)
+            for bit in rng.integers(0, 8 * len(data), int(rng.integers(1, 5))):
+                data[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(data))
+        rc = _run(["audit", "--config", str(path)])
+        _check_exit(rc, *capsys.readouterr(), case)
+        exits.append(rc)
+    assert exits.count(0) > 40 and exits.count(2) > 100
+
+
+# Override keys the --set fuzzer draws: fields, sections, unknown names
+# and malformed paths.
+_SET_KEYS = ["model.vocab_size", "model.d", "model.heads", "model.L", "model.k",
+             "model.mode", "model.dropout", "model.ablations", "model.ablations.c2p",
+             "model.ablations.emd", "model.ablations.x", "model", "trainer.steps",
+             "trainer.mask_rate", "trainer.span_max", "trainer.seed", "sift.lambda",
+             "sift.lam", "sift.enabled", "data.vocab_cap", "data", "eval.max_rows",
+             "eval", "bogus.key", "model..d", "model.d.x", ".", " ", "model.d "]
+
+
+_VALID_SETS = ["model.d=96", "model.L=3", "model.k=8", 'model.mode="arlm"',
+               "model.mode=joint", "model.ablations.c2p=false",
+               'model.ablations={"emd": false}', "model.dropout=0",
+               "sift.lambda=0.5", "trainer.mask_rate=0.3", "data.vocab_cap=100",
+               "eval.max_rows=3", "data.corpus=some/path.txt"]
+
+
+def test_override_fuzz_ends_in_exit_0_or_2(capsys):
+    # Seeded --set lists through `desklm audit --config large`: valid
+    # settings, or drawn keys with drawn JSON values or with raw text
+    # that is not JSON.
+    rng = np.random.default_rng(20261021)
+    exits = []
+    for case in range(300):
+        argv = ["audit", "--config", "large"]
+        for _ in range(int(rng.integers(1, 4))):
+            u = rng.random()
+            if u < 0.5:
+                argv += ["--set", str(rng.choice(_VALID_SETS))]
+                continue
+            key = str(rng.choice(_SET_KEYS))
+            if u < 0.6:
+                value = "".join(rng.choice(list("ab1.=[]{}\" é\t")) for _ in range(8))
+            else:
+                value = _fuzz_json(rng)
+            sep = "" if rng.random() < 0.05 else "="
+            argv += ["--set", f"{key}{sep}{value}"]
+        rc = _run(argv)
+        _check_exit(rc, *capsys.readouterr(), (case, [a[:80] for a in argv]))
+        exits.append(rc)
+    assert exits.count(0) > 40 and exits.count(2) > 100
+
+
+def test_argv_fuzz_ends_in_exit_0_or_2(tmp_path, capsys):
+    # Seeded command lines: a command (or none, or an unknown one), then
+    # drawn flags and values.  Training is bounded by settings appended
+    # last (last one wins): 1 step of a toy model; sweeps by
+    # --sweep-seeds <= 1.
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    commands = ["pretrain", "eval", "audit", "dump-attention", "equivalence",
+                "ablation-suite", "frobnicate", "", "-h"]
+    weights = np.array([1, 4, 6, 4, 1, 0.3, 1, 1, 0.5])
+    pool = [["--config", "toy"], ["--config", "large"], ["--config", "nope"],
+            ["--config", str(tmp_path)], ["--config"], ["--seed", "3"],
+            ["--seed", "-1"], ["--seed", "x"], ["--out", str(tmp_path / "o")],
+            ["--out", str(blocker)], ["--out"], ["--set", f"eval.checkpoint={ckpt}"],
+            ["--set", f"eval.corpus={corpus}"], ["--set", "eval.max_rows=2"],
+            ["--set", "model.vocab_size=40"], ["--set", "trainer.steps=x"],
+            ["--set", "nope"], ["--set"], ["--sweep-seeds", "-1"],
+            ["--sweep-seeds", "0"], ["--sweep-seeds", "x"], ["--fault", "nope"],
+            ["--bogus"], ["-x"], ["w01 w02"], [""], ["--"], ["=", "--set=a=1"]]
+    one_step = ["--config", "toy", *PRETRAIN_FAST, "--set", "trainer.steps=1"]
+    bound = {"pretrain": one_step, "ablation-suite": one_step,
+             "equivalence": ["--sweep-seeds", "1"]}
+    rng = np.random.default_rng(20261022)
+    exits = []
+    for case in range(300):
+        command = str(rng.choice(commands, p=weights / weights.sum()))
+        argv = [command] if command else []
+        for i in rng.integers(0, len(pool), int(rng.integers(0, 6))):
+            argv += pool[i]
+        argv += bound.get(command, [])
+        rc = _run(argv)
+        _check_exit(rc, *capsys.readouterr(), (case, argv))
+        exits.append(rc)
+    assert exits.count(0) > 8 and exits.count(2) > 150
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # flipped floats overflow
+def test_checkpoint_bytes_fuzz_ends_in_exit_0_or_2(tmp_path, capsys):
+    # Seeded spoilings of a small checkpoint through `desklm eval`: cut
+    # short, bits flipped anywhere, or drawn JSON in the metadata.  A
+    # flipped float loads as it is; a checksum is still to come.
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    _, meta = load_checkpoint(ckpt)
+    model = Model(ModelConfig(**meta["config"]), seed=1)
+    save_checkpoint(ckpt, model.params, meta)
+    with open(ckpt, "rb") as fh:
+        good = fh.read()
+    fields = ["config", "vocab", "seed", "nope"]
+    rng = np.random.default_rng(20261023)
+    args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+            "--set", f"eval.corpus={corpus}", "--set", "eval.max_rows=2"]
+    exits = []
+    for case in range(240):
+        kind = case % 3
+        if kind == 0:
+            data = good[:int(rng.integers(0, len(good)))]
+        elif kind == 1:
+            data = bytearray(good)
+            for bit in rng.integers(0, 8 * len(data), int(rng.integers(1, 9))):
+                data[bit // 8] ^= 1 << (bit % 8)
+        with open(ckpt, "wb") as fh:
+            fh.write(good if kind == 2 else bytes(data))
+        if kind == 2:
+            spoiled = dict(meta)
+            field = fields[int(rng.integers(0, len(fields)))]
+            spoiled[field] = "@"
+            _with_metadata(ckpt, json.dumps(spoiled).replace(
+                '"@"', _fuzz_json(rng)).encode("utf-8"))
+        rc = _run(args)
+        _check_exit(rc, *capsys.readouterr(), case)
+        exits.append(rc)
+    assert exits.count(0) > 40 and exits.count(2) > 80

@@ -218,6 +218,33 @@ def test_corrupt_dense_row_draws_a_bounded_number_of_integers():
         assert rng.integer_draws < 4000
 
 
+class _ScriptedRng:
+    """integers() hands out a fixed script; random() always reads 0.0,
+    so every chosen slot becomes MASK."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def integers(self, lo, hi):
+        value = self.script.pop(0)
+        assert lo <= value < hi
+        return value
+
+    def random(self):
+        return 0.0
+
+
+def test_corrupt_span_that_reaches_the_row_end_stops_there():
+    # six maskable slots and no specials, target 3: a 3-slot span drawn
+    # at slot 4 keeps slots 4 and 5 only, and the next span, cut to the
+    # one slot left of the target, takes slot 0
+    row = np.arange(10, 16)
+    rng = _ScriptedRng([4, 3, 0, 3])
+    xt, pos = corrupt(row, rng, 30, mask_rate=0.5, span_max=3)
+    assert pos == [0, 4, 5] and rng.script == []
+    npt.assert_array_equal(xt, [MASK, 11, 12, 13, MASK, MASK])
+
+
 def test_make_batch_shapes():
     # as wide as the longest packed row, 5 tokens + CLS + SEP
     rows = [[10, 11, 12], [13, 14], [15, 16, 17, 18, 19]]

@@ -130,6 +130,23 @@ def test_disabled_and_lambda_zero_are_bitwise_identical():
     assert losses["off"] == losses["lam0"]  # bitwise
 
 
+@pytest.mark.parametrize("cfg", [SiftConfig(enabled=False),
+                                 SiftConfig(enabled=True, lam=0.0)],
+                         ids=["off", "lam0"])
+def test_disabled_sift_loss_records_on_the_callers_tape(cfg):
+    # no nested tape: the task loss is a node of the caller's tape, and
+    # no gradient lands before the caller's backward
+    m = cfg_model()
+    with Tape() as tape:
+        loss, task, r_adv = sift_loss(small_batch(), m, cfg, mode="mlm", seed=5,
+                                      return_parts=True)
+    assert loss is task and r_adv is None
+    assert len(tape) > 0 and loss._node is not None
+    assert all(p.grad is None for p in m.params.values())
+    tape.backward(loss)
+    assert all(p.grad is not None for p in m.params.values())
+
+
 def test_plain_path_matches_forward_mlm_when_no_dropout():
     m = cfg_model(dropout=0.0)
     batch = small_batch()

@@ -406,6 +406,14 @@ def test_evaluate_ppl_matches_row_forwards():
         math.exp(total / count), rel=1e-12)
 
 
+def test_evaluate_ppl_past_the_float_range_is_inf():
+    # a checkpoint with a blown-up weight can score a mean NLL past 709
+    model, _, _, seqs = tiny_setup()
+    model.params["out_bias"].data[5] = 1e6
+    rows = [np.asarray([2] + seqs[0][:6] + [3])]
+    assert evaluate_ppl(model, rows) == math.inf
+
+
 def test_evaluate_ppl_rejects_unusable_rows():
     model, _, _, _ = tiny_setup()
     with pytest.raises(IngestionError):

@@ -19,10 +19,8 @@ import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-import numpy as np  # noqa: E402
-
 from desklm import tensor as T  # noqa: E402
-from desklm.data import CLS, SEP, build_vocab, encode_corpus, load_corpus  # noqa: E402
+from desklm.data import build_vocab, encode_corpus, load_corpus, pack  # noqa: E402
 from desklm.model import Model  # noqa: E402
 from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
 
@@ -36,7 +34,7 @@ def main() -> int:
     model = Model(run_cfg.build_model_config(len(vocab)), seed=1)
     ids = [t for seq in encode_corpus(lines, vocab) for t in seq]
     for n in LENGTHS:
-        row = np.array([CLS] + ids[:n - 2] + [SEP], dtype=np.int64)
+        row = pack(ids, n)[0]
         with T.no_grad():
             model.arlm_row(row)
             tracemalloc.start()

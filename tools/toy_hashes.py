@@ -35,7 +35,7 @@ import numpy as np  # noqa: E402
 
 from desklm import tensor as T  # noqa: E402
 from desklm.cli import main  # noqa: E402
-from desklm.data import CLS, SEP, build_vocab, encode_corpus, load_corpus  # noqa: E402
+from desklm.data import build_vocab, encode_corpus, load_corpus, pack  # noqa: E402
 from desklm.model import Model  # noqa: E402
 from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
 
@@ -87,7 +87,7 @@ def eval_hash() -> str:
     digest = hashlib.sha256()
     with T.no_grad():
         for r in range(EVAL_ROWS):
-            row = np.array([CLS] + ids[r * body:(r + 1) * body] + [SEP], dtype=np.int64)
+            row = pack(ids[r * body:(r + 1) * body], EVAL_LEN)[0]
             nll, _, _ = model.arlm_row(row)
             digest.update(np.float64(nll.item()).tobytes())
     return digest.hexdigest()
