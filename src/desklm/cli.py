@@ -180,6 +180,9 @@ def cmd_eval(args, run_cfg: RunConfig) -> int:
 
 def cmd_audit(args, run_cfg: RunConfig) -> int:
     cfg = run_cfg.audit_model_config()
+    if cfg.L < 1:
+        # the per-layer figures below divide by L
+        raise ConfigError(f"audit needs model.L >= 1, got {cfg.L}")
     _echo(args, run_cfg, cfg)
     print(f"total_params={count_params(cfg)}")
     print(f"extra_position_params={extra_param_count(cfg)}")
@@ -187,7 +190,7 @@ def cmd_audit(args, run_cfg: RunConfig) -> int:
     # slot; joint mode alternates the two
     mlm = run_cfg.trainer.mask_rate
     share = {"mlm": mlm, "arlm": 1.0, "joint": (mlm + 1.0) / 2}[cfg.mode]
-    decoded = len(cfg.decode_blocks) * share
+    decoded = cfg.decode_runs * share
     print(f"emd_decode_cost={decoded / cfg.L:.6g}")
     print(f"max_reach={max_reach(cfg.k, cfg.L)}")
     return EXIT_OK

@@ -10,6 +10,13 @@ something compares them routinely.  This module holds that machinery:
   * run_allocation_audit, which runs both kernels under the meter and
     checks the efficient kernel's peak against its O(k d) budget.
 
+A case seed's inputs are drawn once, from named streams: the position
+table, the hidden rows h, the probe, w_qc and w_kc, and, unshared,
+w_qr when some term mix runs p2c and w_kr when some runs c2p.  The
+term mixes run on that seed (one for an edge shape, all four for a
+sweep draw) each wrap the same draws in fresh tensors.  The score
+kernels never read the value side, w_vc and w_o, so it is not drawn.
+
 The suite accepts a fault name so it can demonstrate that it would
 catch a mis-oriented position-to-content gather; a passing suite with
 the fault injected is itself a failure.
@@ -61,18 +68,22 @@ def efficient_peak_budget(n: int, k: int, d: int) -> int:
     return n * 2 * k + 2 * (2 * k * d)
 
 
-def _make_params(d: int, heads: int, seed: int, share: bool,
-                 enable_c2p: bool, enable_p2c: bool) -> AttentionParams:
-    def w(name):
-        return Tensor(truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d)),
-                      requires_grad=True)
+def _draw_weights(seed: int, d: int, names) -> dict[str, np.ndarray]:
+    return {name: truncated_normal(rng_for(seed, f"equiv/{name}"), (d, d))
+            for name in names}
 
-    # The model's wiring; as in the model, a shared set has no position
-    # projections of its own.  Draws are per name, so none shifts another.
-    w_qr, w_kr = (None, None) if share else (w("w_qr"), w("w_kr"))
+
+def _wired(heads: int, weights: dict[str, np.ndarray], share: bool,
+           c2p: bool, p2c: bool) -> AttentionParams:
+    """The model's wiring over fresh tensors, so no gradient crosses
+    cases; as in the model, a shared set has no position projections of
+    its own."""
+    w = {name: Tensor(a, requires_grad=True) for name, a in weights.items()}
+    # The score kernels never read the value side: one zero stand-in.
+    value_side = Tensor(np.zeros_like(weights["w_qc"]))
     return AttentionParams.wired(
-        heads, w("w_qc"), w("w_kc"), w("w_vc"), w("w_o"), c2p=enable_c2p,
-        p2c=enable_p2c, share=share, w_qr=w_qr, w_kr=w_kr)
+        heads, w["w_qc"], w["w_kc"], value_side, value_side, c2p=c2p,
+        p2c=p2c, share=share, w_qr=w.get("w_qr"), w_kr=w.get("w_kr"))
 
 
 @dataclass
@@ -142,18 +153,8 @@ _EDGE_SHAPES = [
 ]
 
 
-def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
-              score_tol, grad_tol, fault) -> EquivalenceCase:
-    params = _make_params(d, heads, case_seed, share, enable_c2p, enable_p2c)
-    table = Tensor(
-        truncated_normal(rng_for(case_seed, "equiv/table"), (2 * k, d)),
-        requires_grad=True,
-    )
-    h = Tensor(rng_for(case_seed, "equiv/h").normal(0.0, 1.0, (n, d)))
-    # A fixed random functional of the scores; any nonzero choice
-    # exposes gradient disagreements.
-    probe = rng_for(case_seed, "equiv/probe").normal(0.0, 1.0, (n, n))
-
+def _diffs(h, params, table, probe, fault) -> tuple[float, float]:
+    """Largest score and gradient differences between the two kernels."""
     gdiffs = []
     grads, combined = {}, {}
     for kernel in ("naive", "efficient"):
@@ -163,7 +164,7 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
             else:
                 scores = scores_efficient(h, params, table, fault=fault)
             # the probe broadcasts over the heads
-            loss = T.sum_all(T.mul(scores, Tensor(probe)))
+            loss = T.sum_all(T.mul(scores, probe))
         tape.backward(loss)
         grads[kernel] = _grad_map(params, table)
         combined[kernel] = scores.data
@@ -178,14 +179,38 @@ def _run_case(n, k, d, heads, share, enable_c2p, enable_p2c, case_seed,
         gdiffs.append(np.max(np.abs(gn - ge)))
 
     max_s = float(np.max(np.abs(combined["efficient"] - combined["naive"])))
-    max_g = float(max(gdiffs, default=0.0))
-    return EquivalenceCase(
-        n=n, k=k, d=d, heads=heads, share=share,
-        enable_c2p=enable_c2p, enable_p2c=enable_p2c,
-        max_score_diff=max_s, max_grad_diff=max_g,
-        passed=(max_s <= score_tol and max_g <= grad_tol),
-        seed=case_seed,
-    )
+    return max_s, float(max(gdiffs, default=0.0))
+
+
+def _run_cases(n, k, d, heads, share, mixes, case_seed, score_tol,
+               grad_tol, fault) -> list[EquivalenceCase]:
+    """One case per (c2p, p2c) mix, all on the case seed's one draw.
+    Draws are per stream name, so one left undrawn shifts no other."""
+    names = ["w_qc", "w_kc"]
+    if not share and any(p2c for _, p2c in mixes):
+        names.append("w_qr")
+    if not share and any(c2p for c2p, _ in mixes):
+        names.append("w_kr")
+    weights = _draw_weights(case_seed, d, names)
+    table = truncated_normal(rng_for(case_seed, "equiv/table"), (2 * k, d))
+    h = Tensor(rng_for(case_seed, "equiv/h").normal(0.0, 1.0, (n, d)))
+    # A fixed random functional of the scores; any nonzero choice
+    # exposes gradient disagreements.
+    probe = Tensor(rng_for(case_seed, "equiv/probe").normal(0.0, 1.0, (n, n)))
+
+    cases = []
+    for enable_c2p, enable_p2c in mixes:
+        params = _wired(heads, weights, share, enable_c2p, enable_p2c)
+        max_s, max_g = _diffs(h, params, Tensor(table, requires_grad=True),
+                              probe, fault)
+        cases.append(EquivalenceCase(
+            n=n, k=k, d=d, heads=heads, share=share,
+            enable_c2p=enable_c2p, enable_p2c=enable_p2c,
+            max_score_diff=max_s, max_grad_diff=max_g,
+            passed=(max_s <= score_tol and max_g <= grad_tol),
+            seed=case_seed,
+        ))
+    return cases
 
 
 def run_equivalence_suite(seed: int = 0, score_tol: float = 1e-10,
@@ -200,20 +225,22 @@ def run_equivalence_suite(seed: int = 0, score_tol: float = 1e-10,
     Fixed edge shapes cover the single-token case and lengths on both
     sides of the 2k boundary; n_seeds > 0 adds that many randomized
     draws with n in [1, 64], d in {8, 16}, k in {2, 4, 8}, and every
-    case runs all four term combinations.  Failed cases carry the seed
-    that reproduces them.
+    draw runs all four term combinations on one set of inputs.  Each
+    edge case seed draws its inputs once, and so does each sweep draw;
+    the value side, which the score kernels never read, is not drawn.
+    Failed cases carry the seed that reproduces them.
     """
     report = EquivalenceReport()
 
     case_no = 0
     for n, k, d, heads in _EDGE_SHAPES:
         for share in (False, True):
-            for enable_c2p, enable_p2c in _TERM_COMBOS:
+            for mix in _TERM_COMBOS:
                 case_no += 1
-                report.cases.append(_run_case(
-                    n, k, d, heads, share, enable_c2p, enable_p2c,
+                report.cases += _run_cases(
+                    n, k, d, heads, share, [mix],
                     case_seed=seed * 1000 + case_no,
-                    score_tol=score_tol, grad_tol=grad_tol, fault=fault))
+                    score_tol=score_tol, grad_tol=grad_tol, fault=fault)
 
     for s in range(n_seeds):
         draw = rng_for(seed, f"equiv/sweep/{s}")
@@ -222,11 +249,10 @@ def run_equivalence_suite(seed: int = 0, score_tol: float = 1e-10,
         k = int(draw.choice([2, 4, 8]))
         heads = int(draw.choice([1, 2, 4]))
         share = bool(draw.integers(0, 2))
-        for enable_c2p, enable_p2c in _TERM_COMBOS:
-            report.cases.append(_run_case(
-                n, k, d, heads, share, enable_c2p, enable_p2c,
-                case_seed=seed * 1_000_000 + 1000 + s,
-                score_tol=score_tol, grad_tol=grad_tol, fault=fault))
+        report.cases += _run_cases(
+            n, k, d, heads, share, _TERM_COMBOS,
+            case_seed=seed * 1_000_000 + 1000 + s,
+            score_tol=score_tol, grad_tol=grad_tol, fault=fault)
     return report
 
 
@@ -251,7 +277,8 @@ def run_allocation_audit(ns=(32, 64, 128), k: int = 8, d: int = 16,
     Runs without a tape; the meter audits forward allocations only.
     """
     rows = []
-    params = _make_params(d, 1, seed, share=False, enable_c2p=True, enable_p2c=True)
+    params = _wired(1, _draw_weights(seed, d, ("w_qc", "w_kc", "w_qr", "w_kr")),
+                    share=False, c2p=True, p2c=True)
     table = Tensor(truncated_normal(rng_for(seed, "audit/table"), (2 * k, d)))
     for n in ns:
         h = Tensor(rng_for(seed, f"audit/h{n}").normal(0.0, 1.0, (n, d)))

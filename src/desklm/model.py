@@ -36,7 +36,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -127,10 +127,14 @@ class ModelConfig:
         return self.n_emd
 
     @property
+    def decode_runs(self) -> int:
+        """How many decode blocks run: len(decode_blocks)."""
+        return self.n_emd if self.ablations.emd else 1
+
+    @property
     def decode_blocks(self) -> list[str]:
         """Parameter prefixes of the decode blocks that run, in order."""
-        runs = self.n_emd if self.ablations.emd else 1
-        return [f"dec{j % self.decoder_sets}" for j in range(runs)]
+        return [f"dec{j % self.decoder_sets}" for j in range(self.decode_runs)]
 
 
 def _block_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple]:
@@ -180,8 +184,17 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
+def _size(shapes: dict[str, tuple]) -> int:
+    return sum(math.prod(s) for s in shapes.values())
+
+
 def count_params(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
+    """Exact at any size, in time independent of L and n_emd: the set
+    with no encoder block and one decoder set, plus one block's size for
+    each block it leaves out."""
+    outside = param_shapes(replace(cfg, L=0, n_emd=1))
+    block = _size(_block_shapes("", cfg))
+    return _size(outside) + (cfg.L + cfg.decoder_sets - 1) * block
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:

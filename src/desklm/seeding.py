@@ -10,6 +10,7 @@ process and must not be used here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=1024)
 def stream_key(name: str) -> int:
     """Stable 64-bit key for a stream name."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -32,10 +34,12 @@ def rng_for(root_seed: int, name: str) -> np.random.Generator:
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) with draws beyond two standard deviations redrawn."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    # Redraw only the offending entries; the loop terminates fast since
-    # each redraw keeps ~95% of its draws.
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)  # a view: a fresh draw is contiguous
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    # Redraw only the offending entries, in index order, and re-test only
+    # those: the rest already lie within 2 std.  The loop terminates fast
+    # since each redraw keeps ~95% of its draws.
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * std]
     return out

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus
 from desklm.equivalence import run_equivalence_suite
 from desklm.errors import CheckpointError, CheckpointFormatError, ConfigError
-from desklm.model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from desklm.model import (Model, ModelConfig, load_checkpoint, param_shapes,
+                          save_checkpoint)
 from desklm.runconfig import (EvalConfig, RunConfig, apply_override,
                               bundled_corpus_path, effective_config_text,
                               load_run_config, parse_override, preset_path)
@@ -562,6 +564,49 @@ def test_audit_counts_only_the_enabled_position_terms(capsys):
     assert out["extra_position_params"] == "0"
 
 
+def _audit(capsys, *sets) -> dict[str, str]:
+    assert main(["audit", "--config", "toy", "--set", "model.vocab_size=100",
+                 *(a for s in sets for a in ("--set", s))]) == 0
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def _registry_count(**over) -> int:
+    cfg = ModelConfig(**{**load_run_config("toy").model, "vocab_size": 100, **over})
+    return sum(math.prod(s) for s in param_shapes(cfg).values())
+
+
+def test_audit_counts_past_int64_exactly(capsys):
+    out = _audit(capsys, "model.d=4000000000", "model.heads=1")
+    assert int(out["total_params"]) == _registry_count(d=4_000_000_000, heads=1)
+    assert int(out["total_params"]) > 2**64
+
+
+def test_audit_of_a_billion_blocks_is_fast_and_exact(capsys):
+    # the count is linear in L and in the decoder sets; its slopes come
+    # from the registry at two and three blocks
+    base = _registry_count(L=1, n_emd=1, emd_shared=False)
+    block = _registry_count(L=2, n_emd=1, emd_shared=False) - base
+    assert _registry_count(L=1, n_emd=2, emd_shared=False) - base == block
+    start = time.perf_counter()
+    out = _audit(capsys, "model.L=1000000000", "model.n_emd=1000000000",
+                 "model.emd_shared=false")
+    assert time.perf_counter() - start < 1.0
+    assert int(out["total_params"]) == base + 2 * (10**9 - 1) * block
+    assert out["emd_decode_cost"] == "0.15"
+
+
+def test_audit_refuses_zero_layers_before_printing(tmp_path, capsys):
+    # a zero-layer model trains, but its audit figures are per layer
+    assert main(["pretrain", "--config", "toy", *PRETRAIN_FAST,
+                 "--set", "model.L=0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--config", "toy", "--set", "model.vocab_size=100",
+                 "--set", "model.L=0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: audit needs model.L >= 1"), err
+
+
 def test_dump_attention_matrices(tmp_path, capsys):
     ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
     out = tmp_path / "dump"
@@ -757,9 +802,10 @@ def test_deeply_nested_checkpoint_metadata_is_format_error(tmp_path, capsys):
 
 
 # Leaves and nesting depths the fuzzers draw from: every JSON kind, the
-# values each field rejects, and depths past the parser's recursion limit.
-# Integers stay small so that no drawn model is slow to count or build.
-_LEAVES = ["0", "1", "2", "-1", "3", "8", "0.5", "0.15", "-0.0", "1e300",
+# values each field rejects, integers past int32 and int64 counts, and
+# depths past the parser's recursion limit.
+_LEAVES = ["0", "1", "2", "-1", "3", "8", "4000000000", "1000000000000",
+           "0.5", "0.15", "-0.0", "1e300",
            "NaN", "-Infinity", "true", "false", "null", '"mlm"', '"arlm"',
            '"x"', '""', "[]", "{}", '{"c2p": false}', "[1, 2]", "tru", '"a',
            "{", "}"]

@@ -1,5 +1,7 @@
 """Model forward passes, decode head behaviour, checkpoint format."""
 
+import itertools
+import math
 import struct
 
 import numpy as np
@@ -117,6 +119,18 @@ def test_param_shapes_and_count():
     # fully ablated position terms drop the table
     cfg4 = tiny_cfg(ablations={"emd": True, "c2p": False, "p2c": False})
     assert "pos_table" not in param_shapes(cfg4)
+
+
+def test_count_params_is_the_exact_sum_over_the_shape_registry():
+    # the closed form against the registry it shortcuts, on every switch
+    # that adds or drops a parameter
+    for c2p, p2c, emd, shared, share_proj, abs_in, L, n_emd in itertools.product(
+            *[(False, True)] * 6, (0, 1, 3), (1, 3)):
+        cfg = tiny_cfg(ablations={"c2p": c2p, "p2c": p2c, "emd": emd},
+                       emd_shared=shared, share_projection=share_proj,
+                       abs_pos_at_input=abs_in, L=L, n_emd=n_emd)
+        want = sum(math.prod(s) for s in param_shapes(cfg).values())
+        assert count_params(cfg) == want, cfg
 
 
 def test_init_is_deterministic_and_per_name():
