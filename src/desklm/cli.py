@@ -165,12 +165,9 @@ def _model_from_eval_config(run_cfg: RunConfig):
 
 def cmd_eval(args, run_cfg: RunConfig) -> int:
     model, vocab = _model_from_eval_config(run_cfg)
-    if run_cfg.eval.corpus:
-        lines = _read_corpus(run_cfg.eval.corpus, "eval.corpus")
-    elif run_cfg.data.corpus:
-        lines = _read_corpus(run_cfg.data.corpus, "data.corpus")
-    else:
-        lines = _read_corpus(bundled_corpus_path(), "data.corpus")
+    corpus = run_cfg.eval.corpus
+    lines = _read_corpus(corpus or run_cfg.data.corpus or bundled_corpus_path(),
+                         "eval.corpus" if corpus else "data.corpus")
     _echo(args, run_cfg, model.cfg)
     rows = _eval_rows(model, vocab, lines)
     ppl = evaluate_ppl(model, rows[:run_cfg.eval.max_rows])
@@ -204,15 +201,14 @@ def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
         raise ConfigError("input text produced no tokens")
     model, vocab = _model_from_eval_config(run_cfg)
     ids = _row(model, vocab.encode(tokens))
-    collected: dict = {}
+    collected: list = []
     with T.no_grad():
         model.encode(ids, collect=collected)
     _echo(args, run_cfg, model.cfg)
 
     manifest = {"tokens": [vocab.id_to_token(i) for i in ids.tolist()],
                 "files": []}
-    for li in range(model.cfg.L):
-        per_head = collected[f"enc{li}"]
+    for li, per_head in enumerate(collected):
         for h, probs in enumerate(per_head):
             fname = f"attention_layer{li}_head{h}.csv"
             with open(os.path.join(args.out, fname), "w", encoding="utf-8",

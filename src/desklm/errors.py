@@ -86,7 +86,11 @@ class CheckpointError(DeskLMError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """The file does not start with the expected magic bytes."""
+    """The file does not follow the checkpoint layout: bad magic bytes,
+    metadata that is not valid JSON or not a JSON object, a tensor name
+    that is not UTF-8, trailing bytes after the last tensor, metadata
+    without a config object or with a config or seed no model can be
+    built from, or a vocabulary that is not a list of strings."""
 
 
 class CheckpointVersionError(CheckpointError):

@@ -223,8 +223,8 @@ def build_mask(n: int, real: np.ndarray | None, causal: bool) -> np.ndarray | No
     """
     if real is None and not causal:
         return None
-    blocked = np.triu(np.ones((n, n), dtype=bool), k=1) if causal \
-        else np.zeros((1, n), dtype=bool)
+    slots = np.arange(n)
+    blocked = slots[:, None] < slots if causal else np.zeros((1, n), dtype=bool)
     if real is not None:
         real = np.asarray(real, dtype=bool)
         if real.shape[-1:] != (n,):
@@ -269,16 +269,13 @@ class Model:
             share=cfg.share_projection, w_qr=w("wqr"), w_kr=w("wkr"))
 
     def _block(self, prefix: str, query: Tensor, content: Tensor, mask, rng,
-               collect: dict | None = None, positions=None) -> Tensor:
+               collect: list | None = None, positions=None) -> Tensor:
         p, drop = self.params, self.cfg.dropout
-        probs: list | None = [] if collect is not None else None
         # No pos_table when both position terms are ablated; attend
         # then never reads it.
         a = attend(content, self._attn_params(prefix), p.get("pos_table"),
                    mask=mask, query=query, dropout_p=drop, rng=rng,
-                   collect=probs, positions=positions)
-        if collect is not None:
-            collect[prefix] = probs[0]
+                   collect=collect, positions=positions)
         a = T.dropout(a, drop, rng)
         x = T.layer_norm(T.add(query, a), p[f"{prefix}_ln1_g"], p[f"{prefix}_ln1_b"])
         hidden = T.gelu(T.add(T.matmul(x, p[f"{prefix}_ffn_w1"]), p[f"{prefix}_ffn_b1"]))
@@ -290,15 +287,16 @@ class Model:
 
     def encode(self, ids: np.ndarray, real: np.ndarray | None = None,
                causal: bool = False, rng=None, perturb: Tensor | None = None,
-               collect: dict | None = None, mask: np.ndarray | None = None) -> Tensor:
+               collect: list | None = None) -> Tensor:
         """Token ids (..., n) to hidden states (..., n, d).
 
         Dropout runs exactly when rng is given, drawing its masks from it.
-        real, when given, has the shape of ids and is False at PAD.
-        mask, when given, replaces build_mask(n, real, causal).
+        real, when given, has the shape of ids and is False at PAD; the
+        attention mask is build_mask(n, real, causal).
         perturb, when given, is added to the normalised embeddings and
-        has the shape of the output.  collect receives, per block
-        prefix, the (..., heads, n, n) attention probabilities.
+        has the shape of the output.  collect, when given, receives one
+        (..., heads, n, n) array of attention probabilities per encoder
+        layer, in order.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim < 1 or ids.shape[-1] < 1:
@@ -318,29 +316,28 @@ class Model:
                 )
             h = T.add(h, perturb)
         h = T.dropout(h, self.cfg.dropout, rng)
-        if mask is None:
-            mask = build_mask(n, real, causal)
+        mask = build_mask(n, real, causal)
         for i in range(self.cfg.L):
             h = self._block(f"enc{i}", h, h, mask, rng, collect=collect)
         return h
 
     def decode(self, h: Tensor, real: np.ndarray | None = None,
-               causal: bool = False, rng=None, mask: np.ndarray | None = None,
+               causal: bool = False, rng=None,
                predict: np.ndarray | None = None) -> Tensor:
         """Hidden states (..., n, d) to logits (..., n, vocab).
 
-        rng, as for encode, turns dropout on.  mask, when given, replaces
-        build_mask(n, real, causal).  predict, when given, is a bool
-        array (..., n): only the logits at its True slots are returned,
-        as (count, vocab) rows in row-major order.
+        real, causal and rng mean what they do for encode, and the
+        head's mask is the same build_mask(n, real, causal).  predict,
+        when given, is a bool array (..., n): only the logits at its
+        True slots are returned, as (count, vocab) rows in row-major
+        order.
         The head's keys and values stay h, so a query row depends only
         on its own slot and h; without causal, the head then runs at the
         predicted slots alone.
         """
         cfg = self.cfg
         *lead, n, d = h.shape
-        if mask is None:
-            mask = build_mask(n, real, causal)
+        mask = build_mask(n, real, causal)
         x, rows, picks = h, None, None
         if predict is not None:
             predict = np.asarray(predict, dtype=bool)
@@ -381,9 +378,8 @@ class Model:
         if not predict.any():
             raise ContractError("no slot to predict: the predict mask is all False")
         targets = np.asarray(targets, dtype=np.int64)
-        mask = build_mask(ids.shape[-1], real, causal)
-        h = self.encode(ids, rng=rng, perturb=perturb, mask=mask)
-        picked = self.decode(h, causal=causal, rng=rng, mask=mask, predict=predict)
+        h = self.encode(ids, real, causal, rng, perturb)
+        picked = self.decode(h, real, causal, rng, predict)
         wanted = targets.reshape(-1)[np.flatnonzero(predict)]
         vocab = picked.shape[-1]
         if wanted.size and not 0 <= wanted.min() <= wanted.max() < vocab:
@@ -472,18 +468,6 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
         raise
 
 
-def _read_exact(fh, n: int, size: int) -> bytes:
-    """n bytes from fh, or CheckpointTruncatedError when fewer than n
-    remain in the file of size bytes: a length field is never trusted
-    beyond what the file can hold."""
-    left = size - fh.tell()
-    if n > left:
-        raise CheckpointTruncatedError(
-            f"expected {n} more bytes, file ends after {left}"
-        )
-    return fh.read(n)
-
-
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (arrays by name, metadata).  Strict about every byte."""
     try:
@@ -503,7 +487,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointFormatError(f"bad magic {magic!r}")
 
         def read(n: int) -> bytes:
-            return _read_exact(fh, n, size)
+            # a length field is never trusted beyond what the file holds
+            left = size - fh.tell()
+            if n > left:
+                raise CheckpointTruncatedError(
+                    f"expected {n} more bytes, file ends after {left}"
+                )
+            return fh.read(n)
 
         def read_int(fmt: str) -> int:
             return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]

@@ -15,7 +15,8 @@ sift.lam is an unknown key.
 model.vocab_size is special: training commands derive it from the
 corpus (the table has to match the vocabulary actually built), so
 configs may omit it.  The audit command works from the config alone
-and requires it.
+and requires it.  The model section is still checked in full when the
+config loads, with a stand-in vocab_size where it has none.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
+from .data import NUM_RESERVED
 from .errors import ConfigError, check_field_types
 from .model import AblationFlags, ModelConfig
 from .sift import SiftConfig
@@ -39,7 +41,7 @@ class DataConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.vocab_cap <= 5:
+        if self.vocab_cap <= NUM_RESERVED:
             raise ConfigError("data.vocab_cap must exceed the reserved ids")
 
 
@@ -97,6 +99,10 @@ class RunConfig:
         if "ablations" in model:
             _checked_kwargs("model.ablations", model["ablations"], AblationFlags)
         try:
+            # types and ranges are checked here, before any command runs;
+            # training derives vocab_size from the corpus, so 2, the
+            # smallest legal one, stands in when the section has none
+            ModelConfig(**{"vocab_size": 2, **model})
             return cls(
                 model=model,
                 trainer=TrainConfig(**_checked_kwargs(

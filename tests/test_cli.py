@@ -310,6 +310,30 @@ def test_pretrain_mistyped_value_is_config_error(tmp_path, capsys, override,
     assert not (out / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("command,sets,needle", [
+    ("equivalence", ['model.d="foo"', "model.heads=-3"], "ModelConfig.d"),
+    ("eval", ['model.d="foo"', "model.heads=0"], "ModelConfig.d"),
+    ("eval", ["model.heads=0"], "0 heads"),
+    ("dump-attention", ["model.k=-4"], "k must be >= 1"),
+])
+def test_malformed_model_section_fails_before_any_command_work(tmp_path, capsys,
+                                                               command, sets, needle):
+    # commands that never build a model from the config still check it
+    ckpt, _, _ = _uniform_checkpoint(tmp_path)
+    out = tmp_path / "x"
+    args = [command, "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+            "--out", str(out)]
+    for item in sets:
+        args += ["--set", item]
+    args += {"equivalence": ["--sweep-seeds", "0"], "dump-attention": ["w01 w02"]}.get(
+        command, [])
+    assert main(args) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+    assert not out.exists()
+
+
 def test_pretrain_ablation_override_lands_in_echo(tmp_path):
     out = tmp_path / "run"
     rc = main(["pretrain", "--config", "toy", *PRETRAIN_FAST,
@@ -389,22 +413,61 @@ def test_unreadable_checkpoint_is_checkpoint_error(tmp_path, capsys, where):
         load_checkpoint(str(path))
 
 
-def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
+def _random_checkpoint(tmp_path):
+    """The uniform checkpoint with seed-1 weights, so that rows and
+    corpora differ in perplexity."""
     ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
     _, meta = load_checkpoint(ckpt)
-    # random weights, so that rows differ in perplexity
     model = Model(ModelConfig(**meta["config"]), seed=1)
     save_checkpoint(ckpt, model.params, meta)
+    return ckpt, corpus, model, Vocab(meta["vocab"])
+
+
+def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
+    ckpt, corpus, model, vocab = _random_checkpoint(tmp_path)
     args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
             "--set", f"eval.corpus={corpus}"]
     printed = []
     for extra in ([], ["--set", "eval.max_rows=2"]):
         assert main(args + extra) == 0
         printed.append(capsys.readouterr().out)
-    rows = cli._eval_rows(model, Vocab(meta["vocab"]), load_corpus(corpus))
+    rows = cli._eval_rows(model, vocab, load_corpus(corpus))
     assert len(rows) > 2
     assert printed[1] == f"{evaluate_ppl(model, rows[:2]):.6f}\n"
     assert printed[0] == f"{evaluate_ppl(model, rows):.6f}\n" != printed[1]
+
+
+@pytest.mark.parametrize("given,key", [("eval", "eval.corpus"), ("data", "data.corpus"),
+                                       ("neither", "data.corpus")])
+def test_eval_corpus_is_eval_then_data_then_bundled(tmp_path, capsys, monkeypatch,
+                                                    given, key):
+    ckpt, first, model, vocab = _random_checkpoint(tmp_path)
+    second = tmp_path / "second.txt"
+    second.write_text("w09 w03 w27 w14 w01\nw20 w20 w05 w11\n")
+    corpora = {"eval": first, "data": str(second), "neither": bundled_corpus_path()}
+    def printed(path) -> str:
+        rows = cli._eval_rows(model, vocab, load_corpus(path))[:3]
+        return f"{evaluate_ppl(model, rows):.6f}\n"
+
+    ppl = {name: printed(path) for name, path in corpora.items()}
+    assert len(set(ppl.values())) == 3
+
+    def run(path) -> int:
+        sets = {"eval": [f"eval.corpus={path}", f"data.corpus={second}"],
+                "data": [f"data.corpus={path}"], "neither": []}[given]
+        args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                "--set", "eval.max_rows=3"]
+        for item in sets:
+            args += ["--set", item]
+        return main(args)
+
+    assert run(corpora[given]) == 0
+    assert capsys.readouterr().out == ppl[given]
+    # an unreadable file is named by the key that chose it
+    missing = str(tmp_path / "absent.txt")
+    monkeypatch.setattr(cli, "bundled_corpus_path", lambda: missing)
+    assert run(missing) == 2
+    assert key in _one_line_error(capsys)
 
 
 def _one_line_error(capsys) -> str:

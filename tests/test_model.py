@@ -180,6 +180,19 @@ def test_build_mask():
     npt.assert_array_equal(rows, [[[False, False]], [[False, True]]])
 
 
+def test_build_mask_triangle_is_the_strict_upper_one():
+    # a bool (n, n) triangle is what lets attend block a causal row
+    for n in range(1, 71):
+        triu = np.triu(np.ones((n, n), dtype=bool), k=1)
+        causal = build_mask(n, None, True)
+        assert causal.dtype == bool and causal.shape == (n, n)
+        npt.assert_array_equal(causal, triu)
+        real = np.arange(n) < np.array([[n], [(n + 1) // 2]])  # one padded row
+        both = build_mask(n, real, True)
+        assert both.dtype == bool and both.shape == (2, n, n)
+        npt.assert_array_equal(both, triu | ~real[:, None, :])
+
+
 # ---------------------------------------------------------------------
 # Encoder behaviour.
 # ---------------------------------------------------------------------
@@ -244,11 +257,13 @@ def test_pad_columns_never_receive_attention():
     m = Model(tiny_cfg(), seed=6)
     ids = np.array([2, 5, 6, 3, 0, 0])
     real = np.array([True, True, True, True, False, False])
-    collect = {}
+    collect = []
     m.encode(ids, real=real, collect=collect)
-    for prefix, heads in collect.items():
+    assert len(collect) == m.cfg.L  # one (heads, n, n) array per encoder layer
+    for layer, heads in enumerate(collect):
+        assert heads.shape == (m.cfg.heads, 6, 6)
         for p in heads:
-            npt.assert_array_equal(p[:, 4:], np.zeros((6, 2)), err_msg=prefix)
+            npt.assert_array_equal(p[:, 4:], np.zeros((6, 2)), err_msg=f"layer {layer}")
 
 
 def test_pad_content_cannot_leak():

@@ -8,7 +8,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_toy_hashes_prints_six_stable_lines():
+def test_toy_hashes_prints_seven_stable_lines():
     script = os.path.join(ROOT, "tools", "toy_hashes.py")
     outs = [subprocess.run([sys.executable, script, "--steps", "2"], cwd=ROOT,
                            capture_output=True, text=True, timeout=300)
@@ -16,10 +16,11 @@ def test_toy_hashes_prints_six_stable_lines():
     for proc in outs:
         assert proc.returncode == 0, proc.stderr[-2000:]
         lines = proc.stdout.splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(re.fullmatch(r"\S+ [0-9a-f]{64} [0-9a-f]{64}", line) for line in lines[:4])
         assert re.fullmatch(r"equivalence [0-9a-f]{64}", lines[4])
         assert re.fullmatch(r"eval [0-9a-f]{64}", lines[5])
+        assert re.fullmatch(r"attention [0-9a-f]{64}", lines[6])
     assert outs[0].stdout == outs[1].stdout
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the outputs of four short toy pretraining runs
-and of the kernel equivalence report.
+"""Print the sha256 of the outputs of four short toy pretraining runs,
+of the kernel equivalence report, of an eval pass and of attention maps.
 
 A change that should leave every computed number alone must leave these
 hashes alone.  Each variant runs
@@ -16,7 +16,10 @@ stderr is left out.  A sixth, "eval <sha256>", hashes the float64 bytes
 of the causal NLL sum (`Model.arlm_row` under no_grad) of each of 8
 rows of 256 tokens, packed in order from the bundled corpus, on a
 seed-1 toy model with model.max_len=256: the eval path, which no
-training run takes.
+training run takes.  A seventh, "attention <sha256>", hashes the bytes
+of the manifest.json and CSV files that `desklm dump-attention` writes
+for a fixed sentence on the as-given run's final checkpoint, in the
+order of their names.
 
 Usage: python3 tools/toy_hashes.py [--steps N]   (N defaults to 12)
 """
@@ -40,6 +43,7 @@ from desklm.model import Model  # noqa: E402
 from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
 
 EVAL_ROWS, EVAL_LEN = 8, 256
+SENTENCE = "a golden tower overlooks every ancient paddock beside the wharf."
 
 VARIANTS = {
     "as-given": [],
@@ -54,18 +58,33 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_variant(settings: list[str], steps: int) -> tuple[str, str]:
+def run_variant(settings: list[str], steps: int, out: str) -> tuple[str, str]:
+    argv = ["pretrain", "--config", "toy", "--seed", "1", "--out", out,
+            "--set", f"trainer.steps={steps}", "--set", "trainer.warmup_steps=1"]
+    for s in settings:
+        argv += ["--set", s]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    if rc != 0:
+        raise SystemExit(f"pretrain {' '.join(settings)} exited {rc}")
+    return (_sha256(os.path.join(out, "metrics.jsonl")),
+            _sha256(os.path.join(out, "checkpoint_final.ckpt")))
+
+
+def attention_hash(ckpt: str) -> str:
     with tempfile.TemporaryDirectory() as out:
-        argv = ["pretrain", "--config", "toy", "--seed", "1", "--out", out,
-                "--set", f"trainer.steps={steps}", "--set", "trainer.warmup_steps=1"]
-        for s in settings:
-            argv += ["--set", s]
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = main(argv)
+            rc = main(["dump-attention", "--config", "toy", "--set",
+                       f"eval.checkpoint={ckpt}", "--out", out, SENTENCE])
         if rc != 0:
-            raise SystemExit(f"pretrain {' '.join(settings)} exited {rc}")
-        return (_sha256(os.path.join(out, "metrics.jsonl")),
-                _sha256(os.path.join(out, "checkpoint_final.ckpt")))
+            raise SystemExit(f"dump-attention exited {rc}")
+        digest = hashlib.sha256()
+        # effective_config.json names the temporary checkpoint path
+        for name in sorted(os.listdir(out)):
+            if name == "manifest.json" or name.endswith(".csv"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def equivalence_hash() -> str:
@@ -98,10 +117,14 @@ def main_cli() -> int:
     parser.add_argument("--steps", type=int, default=12)
     args = parser.parse_args()
     for name, settings in VARIANTS.items():
-        metrics, ckpt = run_variant(settings, args.steps)
+        with tempfile.TemporaryDirectory() as out:
+            metrics, ckpt = run_variant(settings, args.steps, out)
+            if name == "as-given":
+                attention = attention_hash(os.path.join(out, "checkpoint_final.ckpt"))
         print(f"{name} {metrics} {ckpt}")
     print(f"equivalence {equivalence_hash()}")
     print(f"eval {eval_hash()}")
+    print(f"attention {attention}")
     return 0
 
 
