@@ -409,18 +409,8 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     columns; every head and, for a one-row mask, every query gets the
     same mask.  collect, when given, receives one (..., heads, m, n)
     numpy array of post-softmax probabilities.  Dropout on the
-    probabilities runs only when rng is given.
-
-    Every call is one loop over query blocks (_query_blocks): a call
-    that no tape records, with no rng, collect or positions, scores
-    each block of _QUERY_BLOCK query rows only against the keys its
-    mask leaves open to it, so a causal row skips the blocked upper
-    triangle; every other call is the one block (0, m, n).  Each block
-    is scored, softmaxed and mixed before the next is scored, so
-    besides O(n d) projections a call holds the two position products
-    (2 * heads * n * 2k floats) and one block's scores and
-    probabilities, each (..., heads, 32, e), never every block at once.
-    V is made after the first softmax; the module docstring says why.
+    probabilities runs only when rng is given.  Returns the output
+    projection of the mixed values, (..., m, d).
     """
     q_in, dm = _check_inputs(h, params, table, query, positions)
     n, m = h.shape[-2], q_in.shape[-2]

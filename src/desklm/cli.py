@@ -11,14 +11,14 @@ byte for byte.  eval and dump-attention pack their rows with
 data.pack, unpadded, so the row format has one owner.
 
 Exit codes are a stable contract: 0 success, 1 property failure,
-2 usage or configuration error, 3 runtime failure (including any
+2 usage or configuration error (including a configuration that needs
+more memory than the machine has), 3 runtime failure (including any
 unexpected exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -28,32 +28,20 @@ import numpy as np
 
 from . import tensor as T
 from .attention import extra_param_count
-from .data import BatchStream, Vocab, build_vocab, encode_corpus, load_corpus, \
-    pack, tokenize
+from .data import Vocab, build_vocab, encode_corpus, load_corpus, pack, tokenize
 from .equivalence import run_allocation_audit, run_equivalence_suite
 from .errors import CheckpointError, CheckpointFormatError, ConfigError, \
     DeskLMError, IngestionError
-from .model import Model, count_params, load_model
+from .model import count_params, load_model
 from .relpos import max_reach
 from .runconfig import RunConfig, bundled_corpus_path, \
     effective_config_text, load_run_config
-from .trainer import evaluate_ppl, run_ablation_suite, train
+from .trainer import evaluate_ppl, run_ablation_suite, train_fresh
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None,
-                     help="config JSON path or preset name (toy/base/large)")
-    sub.add_argument("--set", dest="sets", action="append", default=[],
-                     metavar="KEY=VALUE",
-                     help="dotted config override, repeatable, last wins")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override trainer.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,24 +51,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "relative-position attention.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, extra in (
-        ("pretrain", cmd_pretrain, None),
-        ("eval", cmd_eval, None),
-        ("audit", cmd_audit, None),
-        ("dump-attention", cmd_dump_attention, "text"),
-        ("equivalence", cmd_equivalence, "fault"),
-        ("ablation-suite", cmd_ablation_suite, None),
+    for name, fn in (
+        ("pretrain", cmd_pretrain),
+        ("eval", cmd_eval),
+        ("audit", cmd_audit),
+        ("dump-attention", cmd_dump_attention),
+        ("equivalence", cmd_equivalence),
+        ("ablation-suite", cmd_ablation_suite),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
-        if extra == "text":
-            p.add_argument("text", help="input text to run through the model")
-        if extra == "fault":
-            p.add_argument("--fault", default=None,
-                           help="inject a named kernel fault (test only)")
-            p.add_argument("--sweep-seeds", type=int, default=100,
-                           help="number of randomized equivalence draws")
+        p.add_argument("--config", default=None,
+                       help="config JSON path or preset name (toy/base/large)")
+        p.add_argument("--set", dest="sets", action="append", default=[],
+                       metavar="KEY=VALUE",
+                       help="dotted config override, repeatable, last wins")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override trainer.seed")
         p.set_defaults(fn=fn)
+    sub.choices["dump-attention"].add_argument(
+        "text", help="input text to run through the model")
+    equivalence = sub.choices["equivalence"]
+    equivalence.add_argument("--fault", default=None,
+                             help="inject a named kernel fault (test only)")
+    equivalence.add_argument("--sweep-seeds", type=int, default=100,
+                             help="number of randomized equivalence draws")
     return parser
 
 
@@ -123,15 +118,10 @@ def cmd_pretrain(args, run_cfg: RunConfig) -> int:
         raise ConfigError("pretrain needs --out for checkpoints and metrics")
     vocab, seqs = _load_training_data(run_cfg)
     model_cfg = run_cfg.build_model_config(len(vocab))
-    tcfg = run_cfg.trainer
-    model = Model(model_cfg, seed=tcfg.seed)
-    stream = BatchStream(seqs, n=tcfg.seq_len, batch_size=tcfg.batch_size,
-                         vocab_size=len(vocab), seed=tcfg.seed,
-                         mask_rate=tcfg.mask_rate, span_max=tcfg.span_max)
     _echo(args, run_cfg, model_cfg)
-    result = train(model, stream, tcfg, run_cfg.sift, out_dir=args.out,
-                   meta_extra={"vocab": vocab.tokens})
-    print(f"steps={tcfg.steps}")
+    result = train_fresh(model_cfg, seqs, run_cfg.trainer, run_cfg.sift,
+                         out_dir=args.out, meta_extra={"vocab": vocab.tokens})
+    print(f"steps={run_cfg.trainer.steps}")
     print(f"final_loss_avg={result.final_loss_avg:.6f}")
     print(f"checkpoint={result.checkpoint_path}")
     return EXIT_OK
@@ -169,8 +159,8 @@ def cmd_eval(args, run_cfg: RunConfig) -> int:
     lines = _read_corpus(corpus or run_cfg.data.corpus or bundled_corpus_path(),
                          "eval.corpus" if corpus else "data.corpus")
     _echo(args, run_cfg, model.cfg)
-    rows = _eval_rows(model, vocab, lines)
-    ppl = evaluate_ppl(model, rows[:run_cfg.eval.max_rows])
+    # every line load_corpus keeps encodes to a row, so row i is line i
+    ppl = evaluate_ppl(model, _eval_rows(model, vocab, lines[:run_cfg.eval.max_rows]))
     print(f"{ppl:.6f}")
     return EXIT_OK
 
@@ -213,11 +203,9 @@ def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
             fname = f"attention_layer{li}_head{h}.csv"
             with open(os.path.join(args.out, fname), "w", encoding="utf-8",
                       newline="") as fh:
-                writer = csv.writer(fh)
                 # 10 significant digits: per-entry rounding error stays
                 # below 5e-11 so row sums hold 1 within 1e-6 at any n
-                for row in probs:
-                    writer.writerow([f"{v:.10g}" for v in row])
+                np.savetxt(fh, probs, fmt="%.10g", delimiter=",", newline="\r\n")
             manifest["files"].append({
                 "layer": li,
                 "head": h,
@@ -238,14 +226,11 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
     seed = run_cfg.trainer.seed
     report = run_equivalence_suite(seed=seed, fault=args.fault,
                                    n_seeds=args.sweep_seeds)
-    ok = True
-
     if report.passed:
         print(f"PASS kernel_equivalence cases={len(report.cases)} "
               f"worst_score_diff={report.worst_score_diff:.3e} "
               f"worst_grad_diff={report.worst_grad_diff:.3e}")
     else:
-        ok = False
         first = report.failures[0]
         print(f"FAIL kernel_equivalence failures={len(report.failures)} "
               f"counterexample_seed={first.seed} n={first.n} k={first.k} "
@@ -255,11 +240,11 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
               f"grad_diff={first.max_grad_diff:.3e}")
 
     audit = run_allocation_audit(seed=seed)
-    if all(r.within_budget for r in audit):
+    budget_held = all(r.within_budget for r in audit)
+    if budget_held:
         print("PASS allocation_budget " + " ".join(
             f"n={r.n}:{r.efficient_peak}<={r.budget}" for r in audit))
     else:
-        ok = False
         bad = next(r for r in audit if not r.within_budget)
         print(f"FAIL allocation_budget n={bad.n} "
               f"peak={bad.efficient_peak} budget={bad.budget}")
@@ -267,15 +252,11 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
     first, last = audit[0], audit[-1]
     ratio_small = first.naive_peak / first.efficient_peak
     ratio_large = last.naive_peak / last.efficient_peak
-    if ratio_large > 4 * ratio_small:
-        print(f"PASS allocation_growth ratio_n{first.n}={ratio_small:.2f} "
-              f"ratio_n{last.n}={ratio_large:.2f}")
-    else:
-        ok = False
-        print(f"FAIL allocation_growth ratio_n{first.n}={ratio_small:.2f} "
-              f"ratio_n{last.n}={ratio_large:.2f}")
+    growth_held = ratio_large > 4 * ratio_small
+    print(f"{'PASS' if growth_held else 'FAIL'} allocation_growth "
+          f"ratio_n{first.n}={ratio_small:.2f} ratio_n{last.n}={ratio_large:.2f}")
 
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return EXIT_OK if report.passed and budget_held and growth_held else EXIT_PROPERTY
 
 
 def cmd_ablation_suite(args, run_cfg: RunConfig) -> int:
@@ -307,6 +288,11 @@ def main(argv=None) -> int:
         return args.fn(args, load_run_config(args.config, args.sets, args.seed))
     except (ConfigError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        # the configuration asks for more memory than the machine has
+        print(f"error: {args.command} ran out of memory: "
+              f"{str(e) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except DeskLMError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,7 +31,6 @@ shifts the draws of any other.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -442,26 +441,24 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict) -> None:
     temporary file beside path that then replaces path, so a failed
     write leaves any previous checkpoint at path intact.
     """
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf.write(struct.pack("<Q", len(meta_bytes)))
-    buf.write(meta_bytes)
-    buf.write(struct.pack("<I", len(params)))
-    for name in sorted(params):
-        t = params[name]
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<I", t.ndim))
-        for extent in t.shape:
-            buf.write(struct.pack("<Q", extent))
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     tmp = f"{os.fspath(path)}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(buf.getvalue())
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name in sorted(params):
+                t = params[name]
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<I", t.ndim))
+                for extent in t.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

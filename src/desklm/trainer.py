@@ -254,6 +254,18 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     )
 
 
+def train_fresh(cfg: ModelConfig, sequences: list, tcfg: TrainConfig,
+                scfg: SiftConfig | None = None, out_dir: str | None = None,
+                meta_extra: dict | None = None) -> TrainResult:
+    """Train a new model of cfg on a new batch stream over sequences,
+    both seeded with tcfg.seed: the one recipe behind `pretrain` and
+    every ablation variant."""
+    stream = BatchStream(sequences, n=tcfg.seq_len, batch_size=tcfg.batch_size,
+                         vocab_size=cfg.vocab_size, seed=tcfg.seed,
+                         mask_rate=tcfg.mask_rate, span_max=tcfg.span_max)
+    return train(Model(cfg, seed=tcfg.seed), stream, tcfg, scfg, out_dir, meta_extra)
+
+
 def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
     """Causal perplexity: exp of the mean next-token NLL over all rows,
     or inf when that is past the float range."""
@@ -297,20 +309,12 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
     variant.  meta_extra goes into every variant's checkpoints, as in
     train.
     """
-    vocab_size = base_cfg.vocab_size
     results = []
     digests = set()
     for name, toggles in ABLATION_VARIANTS:
-        flags = replace(base_cfg.ablations, **toggles)
-        cfg = replace(base_cfg, ablations=flags)
-        model = Model(cfg, seed=tcfg.seed)
-        stream = BatchStream(sequences, n=tcfg.seq_len,
-                             batch_size=tcfg.batch_size,
-                             vocab_size=vocab_size, seed=tcfg.seed,
-                             mask_rate=tcfg.mask_rate, span_max=tcfg.span_max)
+        cfg = replace(base_cfg, ablations=replace(base_cfg.ablations, **toggles))
         sub_dir = os.path.join(out_dir, name) if out_dir else None
-        res = train(model, stream, tcfg, scfg, out_dir=sub_dir,
-                    meta_extra=meta_extra)
+        res = train_fresh(cfg, sequences, tcfg, scfg, sub_dir, meta_extra)
         digests.add(res.batch_digest)
         final = res.final_loss_avg
         results.append({

@@ -3,25 +3,30 @@
 import csv
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from desklm import cli
+from desklm import tensor as T
 from desklm.cli import main
-from desklm.data import Vocab, build_vocab, load_corpus
+from desklm.data import Vocab, build_vocab, load_corpus, tokenize
 from desklm.equivalence import run_equivalence_suite
 from desklm.errors import CheckpointError, CheckpointFormatError, ConfigError
-from desklm.model import (Model, ModelConfig, load_checkpoint, param_shapes,
-                          save_checkpoint)
+from desklm.model import (Model, ModelConfig, load_checkpoint, load_model,
+                          param_shapes, save_checkpoint)
 from desklm.runconfig import (EvalConfig, RunConfig, apply_override,
                               bundled_corpus_path, effective_config_text,
                               load_run_config, parse_override, preset_path)
 from desklm.tensor import Tensor
 from desklm.trainer import evaluate_ppl
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PRETRAIN_FAST = ["--set", "trainer.steps=3", "--set", "trainer.warmup_steps=1",
                  "--set", "trainer.batch_size=2", "--set", "trainer.seq_len=16"]
 
@@ -437,6 +442,19 @@ def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
     assert printed[0] == f"{evaluate_ppl(model, rows):.6f}\n" != printed[1]
 
 
+def test_eval_max_rows_packs_only_the_rows_it_scores(tmp_path, capsys, monkeypatch):
+    ckpt, corpus, _, _ = _random_checkpoint(tmp_path)
+    packed = []
+    real = cli._eval_rows
+    monkeypatch.setattr(cli, "_eval_rows",
+                        lambda model, vocab, lines: packed.append(lines) or
+                        real(model, vocab, lines))
+    assert main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                 "--set", f"eval.corpus={corpus}", "--set", "eval.max_rows=3"]) == 0
+    assert [len(lines) for lines in packed] == [3]
+    assert packed[0] == load_corpus(corpus)[:3]
+
+
 @pytest.mark.parametrize("given,key", [("eval", "eval.corpus"), ("data", "data.corpus"),
                                        ("neither", "data.corpus")])
 def test_eval_corpus_is_eval_then_data_then_bundled(tmp_path, capsys, monkeypatch,
@@ -689,6 +707,33 @@ def test_dump_attention_matrices(tmp_path, capsys):
         assert sum(map(float, r)) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_dump_attention_writes_each_collected_map_as_csv(tmp_path, capsys):
+    # each file is the map encode collects, one CRLF-ended row per query,
+    # its entries at 10 significant digits joined by commas
+    _, corpus, _ = _uniform_checkpoint(tmp_path)
+    vocab = build_vocab(load_corpus(corpus), cap=512)
+    cfg = ModelConfig(vocab_size=len(vocab), max_len=16, L=2, d=8, heads=2,
+                      ffn=8, k=2, n_emd=1, dropout=0.0)
+    ckpt = str(tmp_path / "random.ckpt")
+    save_checkpoint(ckpt, Model(cfg, seed=1).params,
+                    {"config": cfg.to_dict(), "vocab": vocab.tokens})
+    out = tmp_path / "dump"
+    text = "w03 w01 w04 w01 w05"
+    assert main(["dump-attention", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                 "--out", str(out), text]) == 0
+    model, _ = load_model(ckpt)
+    collected = []
+    with T.no_grad():
+        model.encode(cli._row(model, vocab.encode(tokenize(text))), collect=collected)
+    assert len(collected) == 2
+    for li, per_head in enumerate(collected):
+        assert len(per_head) == 2
+        for h, probs in enumerate(per_head):
+            want = "".join(",".join(f"{v:.10g}" for v in row) + "\r\n" for row in probs)
+            assert (out / f"attention_layer{li}_head{h}.csv").read_bytes() == \
+                want.encode("utf-8")
+
+
 def test_dump_attention_rerun_matches(tmp_path):
     ckpt, _, _ = _uniform_checkpoint(tmp_path)
     outs = []
@@ -775,6 +820,16 @@ def test_ablation_suite_command(tmp_path, capsys):
     assert "ordering_full_le_double_ablated=" in stdout
 
 
+def test_ablation_full_variant_is_the_pretrain_run(tmp_path, capsys):
+    # pretrain and every ablation variant share one training recipe
+    run = ["--config", "toy", "--seed", "3", *PRETRAIN_FAST]
+    assert main(["pretrain", *run, "--out", str(tmp_path / "pre")]) == 0
+    assert main(["ablation-suite", *run, "--out", str(tmp_path / "abl")]) == 0
+    for name in ("metrics.jsonl", "checkpoint_final.ckpt"):
+        assert (tmp_path / "pre" / name).read_bytes() == \
+            (tmp_path / "abl" / "full" / name).read_bytes()
+
+
 def test_ablation_suite_checkpoints_carry_the_vocabulary(tmp_path, capsys):
     out = tmp_path / "abl"
     assert main(["ablation-suite", "--config", "toy", *PRETRAIN_FAST,
@@ -815,6 +870,29 @@ def test_unexpected_exception_is_runtime_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: unexpected" in err
+
+
+def test_a_config_too_large_for_memory_is_one_error_line(tmp_path):
+    # the child caps its own address space at 1.5 GB before it runs the
+    # command; a d = 200000 model asks numpy for hundreds of GiB
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from desklm.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "pretrain", "--config", "toy",
+         "--set", "model.d=200000", "--set", "model.heads=1",
+         "--set", "trainer.steps=1", "--set", "trainer.warmup_steps=1",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: pretrain ran out of memory: Unable to allocate")
 
 
 # ---------------------------------------------------------------------

@@ -227,6 +227,19 @@ def test_encode_l0_is_normalised_embedding():
     npt.assert_allclose(h.data, expect, atol=1e-12)
 
 
+def test_encode_drops_embeddings_exactly_when_given_an_rng():
+    # at L = 0 the output is the embedding after its dropout, so inverted
+    # dropout shows as exact zeros and a 1 / (1 - p) scale on the rest
+    m = Model(tiny_cfg(L=0, d=32, dropout=0.1), seed=4)
+    ids = np.random.default_rng(5).integers(5, 13, size=(4, 16))
+    plain = m.encode(ids).data
+    dropped = m.encode(ids, rng=np.random.default_rng(6)).data
+    assert not (plain == 0.0).any()
+    zero = dropped == 0.0
+    assert 0.05 < zero.mean() < 0.15
+    npt.assert_allclose(dropped[~zero], plain[~zero] / 0.9, rtol=1e-14)
+
+
 def test_encode_token_identity_with_zero_positions():
     # with the position table zeroed and no absolute positions anywhere,
     # hidden rows are a function of the token id alone

@@ -445,6 +445,30 @@ def test_sift_perturbs_exactly_the_batch_columns(monkeypatch, mode, row):
     assert shapes == [None] + [batch.x.shape + (m.cfg.d,)] * 3
 
 
+def test_sift_perturbation_stays_in_the_epsilon_ball(monkeypatch):
+    # two full-size ascent steps push rows past epsilon; the projection
+    # must bring every token row of the final perturbation back onto
+    # the ball
+    m = cfg_model()
+    rows = [[5, 6, 7], [8, 9, 10, 11, 12], [6, 7]]
+    batch = make_batch(rows, n=12, rng=np.random.default_rng(3), vocab_size=13)
+    perturbs = []
+    real_row = m.mlm_row
+
+    def spy(*args, perturb=None, **kwargs):
+        perturbs.append(perturb)
+        return real_row(*args, perturb=perturb, **kwargs)
+
+    monkeypatch.setattr(m, "mlm_row", spy)
+    eps = 0.01
+    cfg = SiftConfig(enabled=True, epsilon=eps, ascent_steps=2, ascent_lr=1.0,
+                     lam=1.0)
+    sift_loss(batch, m, cfg, seed=13)
+    norms = np.sqrt((perturbs[-1].data ** 2).sum(axis=-1))
+    assert norms.max() <= eps * (1 + 1e-12)
+    assert np.isclose(norms, eps, rtol=1e-12).any()
+
+
 def test_sift_stops_when_no_row_can_move(monkeypatch):
     # epsilon = 0 keeps the perturbation at zero, so the perturbed logits
     # are the clean ones and every row's ascent gradient is exactly zero:

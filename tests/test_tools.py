@@ -37,3 +37,48 @@ def test_eval_memory_prints_a_peak_per_length_that_grows_linearly():
     # one query block of scores at a time: doubling n about doubles the
     # peak (it was 3.5 times when every block was held at once)
     assert 0 < peaks[1024] <= 2.5 * peaks[512]
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring.
+
+Second paragraph.
+"""
+
+import os  # a trailing comment does not stop a line counting
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    size = 3
+
+    def grow(self, by: int) -> int:
+        """Function docstring,
+        on two lines."""
+        # a comment inside a function
+        total = os.path.join(
+            "a",
+            "b",
+        )
+        text = """a string that is not a docstring
+on two lines"""
+        return total, text
+
+
+def f(): return 1
+'''
+
+
+def test_code_lines_counts_lines_with_a_token_outside_comments_and_docstrings(tmp_path):
+    # counted by hand: import, class, size, def, the four lines of the
+    # call, the two lines of the string, return, and f
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "only_doc.py").write_text('"""Nothing but a docstring."""\n')
+    script = os.path.join(ROOT, "tools", "code_lines.py")
+    proc = subprocess.run([sys.executable, script, str(tmp_path)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "fixture.py 12\nsub/only_doc.py 0\ntotal 12\n"

@@ -163,6 +163,12 @@ def test_clip_reports_norm_and_rescales():
     after = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
     assert after == pytest.approx(1.0)
     assert a.grad[0, 0] == pytest.approx(0.6)
+    # a norm just above the bound is clipped too
+    a.grad = np.array([[0.9, 0.0], [0.0, 0.0]])
+    b.grad = np.array([[1.2, 0.0], [0.0, 0.0]])
+    assert clip_gradients({"a": a, "b": b}, 1.0) == pytest.approx(1.5)
+    assert a.grad[0, 0] == pytest.approx(0.6)
+    assert b.grad[0, 0] == pytest.approx(0.8)
 
 
 def test_clip_leaves_small_gradients_alone():
