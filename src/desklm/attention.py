@@ -90,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, IndexBoundsError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .relpos import DeltaMatrix, build_delta_matrix
 from .tensor import Tensor
 
@@ -195,8 +195,8 @@ def _check_inputs(h: Tensor, params: AttentionParams, table, query: Tensor | Non
             q_in.shape[:-2] + q_in.shape[-1:] != h.shape[:-2] + h.shape[-1:]:
         raise ShapeError(f"query {q_in.shape} at positions {np.shape(positions)} "
                          f"does not pair with content {h.shape}")
-    elif np.size(positions) and not 0 <= np.min(positions) <= np.max(positions) < h.shape[-2]:
-        raise IndexBoundsError(f"query positions outside [0, {h.shape[-2]})")
+    else:
+        T.check_indices("query position", positions, h.shape[-2])
     if params.w_kr is None and params.w_qr is None:
         return q_in, None
     if table is None or table.shape[1:] != (params.d,) or not table.shape[0] \

@@ -264,9 +264,10 @@ class BatchStream:
     mask_rate: float = 0.15
     span_max: int = 3
     _rng: np.random.Generator = field(init=False, repr=False)
-    _order: list[int] = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)
+    _lengths: np.ndarray = field(init=False, repr=False)
     _cursor: int = field(init=False, default=0, repr=False)
-    _queue: list[list[int]] = field(init=False, default_factory=list, repr=False)
+    _queue: list[np.ndarray] = field(init=False, default_factory=list, repr=False)
     _hash: "hashlib._Hash" = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -275,21 +276,30 @@ class BatchStream:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         self._rng = rng_for(self.seed, "data/batches")
-        self._order = []
+        self._order = np.empty(0, dtype=np.int64)
+        self._lengths = np.array([len(s) for s in self.sequences], dtype=np.int64)
         self._hash = hashlib.sha256()
 
-    def _next_index(self) -> int:
-        if self._cursor >= len(self._order):
-            self._order = list(self._rng.permutation(len(self.sequences)))
-            self._cursor = 0
-        idx = self._order[self._cursor]
-        self._cursor += 1
-        return idx
+    def _draw(self, count: int) -> np.ndarray:
+        """The next count indices of the order, cut into one array by
+        slices; a new permutation is drawn exactly when the cursor
+        reaches the end of the current one."""
+        pool = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            if self._cursor >= self._order.size:
+                self._order = self._rng.permutation(len(self.sequences))
+                self._cursor = 0
+            part = self._order[self._cursor:self._cursor + count - filled]
+            pool[filled:filled + part.size] = part
+            filled += part.size
+            self._cursor += part.size
+        return pool
 
     def next_batch(self) -> MaskedBatch:
         if not self._queue:
-            pool = [self._next_index() for _ in range(_POOL * self.batch_size)]
-            pool.sort(key=lambda i: len(self.sequences[i]))  # stable
+            pool = self._draw(_POOL * self.batch_size)
+            pool = pool[np.argsort(self._lengths[pool], kind="stable")]
             size = self.batch_size
             self._queue = [pool[b * size:(b + 1) * size]
                            for b in self._rng.permutation(_POOL)]

@@ -49,7 +49,6 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
-    IndexBoundsError,
     check_field_types,
 )
 from .seeding import rng_for, truncated_normal
@@ -297,12 +296,13 @@ class Model:
         (..., heads, n, n) array of attention probabilities per encoder
         layer, in order.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if ids.ndim < 1 or ids.shape[-1] < 1:
             raise ContractError(f"encode wants rows of token ids, got shape {ids.shape}")
         n = ids.shape[-1]
         if n > self.cfg.max_len:
             raise ContractError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
+        ids = T.check_indices("token id", ids, self.cfg.vocab_size)
         p = self.params
         e = T.gather_rows(p["tok_emb"], ids)
         if self.cfg.abs_pos_at_input:
@@ -372,17 +372,14 @@ class Model:
         Every column given is computed: make_batch already cuts a batch
         to its longest row, and a trailing PAD column, which nothing
         real attends into, leaves the loss as it is."""
-        ids = np.asarray(ids, dtype=np.int64)
         predict = np.asarray(predict, dtype=bool)
         if not predict.any():
             raise ContractError("no slot to predict: the predict mask is all False")
-        targets = np.asarray(targets, dtype=np.int64)
         h = self.encode(ids, real, causal, rng, perturb)
         picked = self.decode(h, real, causal, rng, predict)
-        wanted = targets.reshape(-1)[np.flatnonzero(predict)]
         vocab = picked.shape[-1]
-        if wanted.size and not 0 <= wanted.min() <= wanted.max() < vocab:
-            raise IndexBoundsError(f"target id outside [0, {vocab})")
+        wanted = T.check_indices(
+            "target id", np.asarray(targets).reshape(-1)[np.flatnonzero(predict)], vocab)
         # row r's target is at flat offset r * vocab + wanted[r]
         offsets = np.arange(wanted.size, dtype=np.int64) * vocab + wanted
         chosen = T.gather_flat(T.log_softmax_rows(picked), offsets[:, None])
@@ -413,7 +410,7 @@ class Model:
         tokens is one row (n,) or a batch (b, n).  Padded rows must be
         left-packed with real False at PAD; only real targets count.
         """
-        ids = np.asarray(tokens, dtype=np.int64)
+        ids = np.asarray(tokens)
         if ids.ndim < 1 or ids.shape[-1] < 2:
             raise ContractError("causal prediction needs at least two tokens")
         # Slot i predicts token i + 1 if real; the rolled last column is never

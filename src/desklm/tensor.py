@@ -39,6 +39,13 @@ On glibc, importing this module raises the mmap threshold to 32 MiB and
 the trim threshold to 1 GiB (process-wide mallopt), so freed arrays are
 reused in-process.  Resident memory then stays at its high-water mark.
 No computed number depends on this.
+
+Thread policy: OpenBLAS splits a matrix product over its threads, and
+the bits of a long reduction (the weight gradient X^T G in matmul's
+backward) depend on how many there are.  Importing this module sets the
+OpenBLAS that numpy bundles (scipy-openblas) to one thread, so a run's
+bytes do not depend on OPENBLAS_NUM_THREADS or on the core count.  A
+numpy without a bundled OpenBLAS is left alone.
 """
 
 from __future__ import annotations
@@ -85,6 +92,27 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, finding the library
+    as perfbench's machine() does; no such library, nothing to do."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for fn in ("scipy_openblas_set_num_threads64_",
+                   "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            if hasattr(lib, fn):
+                setter = getattr(lib, fn)
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                setter(1)
+                return
+
+
+_one_blas_thread()
 
 # Active tapes, innermost last; no_grad pushes None.
 _tape_stack: list = []
@@ -434,6 +462,21 @@ def row_sum(a: Tensor) -> Tensor:
 # -- gathers -----------------------------------------------------------
 
 
+def check_indices(name: str, values, limit: int) -> np.ndarray:
+    """values as an int64 array, once they are known to be integers in
+    [0, limit): ContractError for any other dtype (floats, bools,
+    strings), IndexBoundsError naming the first value out of range.
+    The gathers, and the token ids, targets and query slots that the
+    model and attention take, are read through here."""
+    idx = np.asarray(values)
+    if idx.dtype.kind not in "iu":
+        raise ContractError(f"{name}: dtype {idx.dtype} is not an integer type")
+    if idx.size and (idx.min() < 0 or idx.max() >= limit):
+        bad = idx[(idx < 0) | (idx >= limit)].flat[0]
+        raise IndexBoundsError(f"{name} {bad} out of range [0, {limit})")
+    return idx.astype(np.int64, copy=False)
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Row lookup along the second-to-last axis: table[..., indices, :].
 
@@ -444,14 +487,8 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     """
     if table.ndim < 2:
         raise ShapeError(f"gather_rows expects a table of rows, got {table.shape}")
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        raise ContractError("gather_rows indices must be integers")
     rows, cols = table.shape[-2:]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        bad = idx[(idx < 0) | (idx >= rows)].flat[0]
-        raise IndexBoundsError(f"gather_rows index {bad} out of range [0, {rows})")
-    idx = idx.astype(np.int64)
+    idx = check_indices("gather_rows index", indices, rows)
     out = Tensor._from_data(np.take(table.data, idx, axis=-2))
     tshape = table.shape
 
@@ -467,8 +504,6 @@ def _flat_offsets(op: str, ashape: tuple, offsets) -> tuple[np.ndarray, int, tup
     (see gather_flat); return the flat int64 offsets, the block size
     they index and the gathered shape."""
     off = np.asarray(offsets)
-    if off.dtype.kind not in "iu":
-        raise ContractError(f"{op} offsets must be integers")
     if len(ashape) < 2 or off.ndim < 2:
         raise ShapeError(f"{op} needs a (..., r, c) tensor and (..., m, n) offsets, "
                          f"got {ashape} and {off.shape}")
@@ -476,10 +511,7 @@ def _flat_offsets(op: str, ashape: tuple, offsets) -> tuple[np.ndarray, int, tup
     if not _broadcasts_to(off.shape[:-2], lead):
         raise ShapeError(f"{op}: offsets {off.shape} do not pair with {ashape}")
     block = ashape[-2] * ashape[-1]
-    if off.size and (off.min() < 0 or off.max() >= block):
-        bad = off[(off < 0) | (off >= block)].flat[0]
-        raise IndexBoundsError(f"{op} offset {bad} out of range [0, {block})")
-    off = off.astype(np.int64, copy=False)
+    off = check_indices(f"{op} offset", off, block)
     if any(s != 1 for s in off.shape[:-2]):
         # a table per block: offsets into a taken as one block
         blocks = np.arange(math.prod(lead), dtype=np.int64)

@@ -363,6 +363,26 @@ def test_pretrain_rerun_is_bitwise_identical(tmp_path):
         (out2 / "effective_config.json").read_bytes()
 
 
+def test_pretrain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS sums a long product in pieces that depend on its thread
+    # count; left at the environment's count, this run's metrics and
+    # checkpoint differ between one thread and two
+    code = "import sys\nfrom desklm.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        outs.append(tmp_path / f"threads{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "pretrain", "--config", "toy", "--seed", "1",
+             "--set", "trainer.steps=12", "--set", "trainer.warmup_steps=1",
+             "--out", str(outs[-1])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    for name in ("metrics.jsonl", "checkpoint_final.ckpt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_seed_flag_changes_the_run(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["pretrain", "--config", "toy", *PRETRAIN_FAST,

@@ -302,13 +302,14 @@ def _spied_stream(seed):
     stream = BatchStream(seqs, n=10, batch_size=3, vocab_size=NUM_RESERVED + 24,
                          seed=seed)
     drawn = []
-    next_index = stream._next_index
+    draw = stream._draw
 
-    def spy():
-        drawn.append(int(next_index()))
-        return drawn[-1]
+    def spy(count):
+        pool = draw(count)
+        drawn.extend(int(i) for i in pool)
+        return pool
 
-    stream._next_index = spy
+    stream._draw = spy
     return stream, seqs, drawn
 
 

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from desklm import model as model_mod
+from desklm.attention import attend, scores_efficient
 from desklm import tensor as T
 from desklm.data import MaskedBatch
 from desklm.errors import (
@@ -448,6 +449,58 @@ def test_target_outside_the_vocabulary_is_index_error():
         targets[0, 1] = bad_id
         with pytest.raises(IndexBoundsError):
             m.mlm_row(targets, ids, predict, ids != 0)
+
+
+def _index_case(entry, bad):
+    # one call per entry point, with bad in the index it reads
+    m = Model(tiny_cfg(), seed=26)
+    ids = np.array([[2, 5, 6, 3], [2, 7, 8, 3]])
+    predict = np.zeros(ids.shape, dtype=bool)
+    predict[:, 1] = True
+    if entry == "encode":
+        return lambda: m.encode(bad)
+    if entry == "arlm_row":
+        return lambda: m.arlm_row(bad)
+    if entry == "mlm_row":
+        return lambda: m.mlm_row(bad, ids, predict, ids != 0)
+    h = Tensor(rng_for(26, "h").normal(size=(4, 8)))
+    query = Tensor(rng_for(26, "q").normal(size=(2, 8)))
+    kernel = attend if entry == "attend" else scores_efficient
+    return lambda: kernel(h, m._attn_params("dec0"), m.params["pos_table"],
+                          query=query, positions=bad)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("encode", np.array([2.0, 7.9, 3.2])),
+    ("encode", np.array(["2", "7"])),
+    ("encode", np.array([True, False, True])),
+    ("arlm_row", np.array([2.0, 7.5, 3.0])),
+    ("arlm_row", np.array(["2", "7", "3"])),
+    ("arlm_row", np.array([True, False, True])),
+    ("mlm_row", np.array([[2, 5, 6, 3], [2, 7, 8, 3]]) + 0.5),
+    ("attend", np.array([0.0, 1.0])),
+    ("attend", np.array([True, False])),
+    ("scores_efficient", np.array([0.0, 1.0])),
+    ("scores_efficient", np.array([True, False])),
+])
+def test_non_integer_indices_are_contract_errors(entry, bad):
+    # a float id was truncated and string ids were accepted; float and
+    # bool query slots raised numpy's IndexError
+    with pytest.raises(ContractError):
+        _index_case(entry, bad)()
+
+
+@pytest.mark.parametrize("entry, bad, value", [
+    ("encode", np.array([2, 13, 3]), "13"),
+    ("arlm_row", np.array([2, 5, 17]), "17"),
+    ("mlm_row", np.array([[2, 21, 6, 3], [2, 7, 8, 3]]), "21"),
+    ("attend", np.array([1, 9]), "9"),
+    ("scores_efficient", np.array([-3, 1]), "-3"),
+])
+def test_out_of_range_indices_name_the_value(entry, bad, value):
+    with pytest.raises(IndexBoundsError) as err:
+        _index_case(entry, bad)()
+    assert value in str(err.value)
 
 
 def test_shared_projection_is_the_content_projection():

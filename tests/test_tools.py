@@ -8,11 +8,23 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_toy_hashes_prints_seven_stable_lines():
+def test_toy_hashes_prints_seven_stable_lines(tmp_path):
     script = os.path.join(ROOT, "tools", "toy_hashes.py")
-    outs = [subprocess.run([sys.executable, script, "--steps", "2"], cwd=ROOT,
-                           capture_output=True, text=True, timeout=300)
-            for _ in range(2)]
+
+    def run(*extra):
+        return subprocess.run([sys.executable, script, "--steps", "2", *extra], cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+
+    outs = [run()]
+    # the second run checks itself against the first run's lines, and a
+    # third against a copy with the eval line edited
+    same, edited = tmp_path / "same", tmp_path / "edited"
+    same.write_text(outs[0].stdout)
+    edited.write_text(re.sub(r"^eval .", "eval -", outs[0].stdout, flags=re.M))
+    outs.append(run("--check", str(same)))
+    bad = run("--check", str(edited))
+    assert bad.returncode == 1 and bad.stdout == outs[0].stdout
+    assert bad.stderr.startswith("differs: eval:") and bad.stderr.count("\n") == 1
     for proc in outs:
         assert proc.returncode == 0, proc.stderr[-2000:]
         lines = proc.stdout.splitlines()

@@ -19,9 +19,18 @@ seed-1 toy model with model.max_len=256: the eval path, which no
 training run takes.  A seventh, "attention <sha256>", hashes the bytes
 of the manifest.json and CSV files that `desklm dump-attention` writes
 for a fixed sentence on the as-given run's final checkpoint, in the
-order of their names.
+order of their names, and then the float64 bytes of the arrays that
+`Model.encode(ids, collect=[])` collects for that sentence and
+checkpoint: the CSVs keep 10 digits and cannot show a last-bit change.
 
-Usage: python3 tools/toy_hashes.py [--steps N]   (N defaults to 12)
+With --check FILE the printed lines are compared with FILE, which holds
+lines as printed here ('#' lines are comments); every line whose hashes
+differ, or that one side lacks, is named on stderr, and the exit status
+is 1.  tools/toy_hashes.expected holds the values at the default 12
+steps.  They depend on the numpy version and the BLAS CPU kernel.
+
+Usage: python3 tools/toy_hashes.py [--steps N] [--check FILE]
+       (N defaults to 12)
 """
 
 import argparse
@@ -38,8 +47,9 @@ import numpy as np  # noqa: E402
 
 from desklm import tensor as T  # noqa: E402
 from desklm.cli import main  # noqa: E402
-from desklm.data import build_vocab, encode_corpus, load_corpus, pack  # noqa: E402
-from desklm.model import Model  # noqa: E402
+from desklm.data import (Vocab, build_vocab, encode_corpus, load_corpus, pack,  # noqa: E402
+                         tokenize)
+from desklm.model import Model, load_model  # noqa: E402
 from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
 
 EVAL_ROWS, EVAL_LEN = 8, 256
@@ -84,6 +94,13 @@ def attention_hash(ckpt: str) -> str:
             if name == "manifest.json" or name.endswith(".csv"):
                 with open(os.path.join(out, name), "rb") as fh:
                     digest.update(fh.read())
+    model, meta = load_model(ckpt)
+    ids = Vocab(meta["vocab"]).encode(tokenize(SENTENCE))
+    collected: list = []
+    with T.no_grad():
+        model.encode(pack(ids, min(len(ids) + 2, model.cfg.max_len))[0], collect=collected)
+    for probs in collected:
+        digest.update(probs.tobytes())
     return digest.hexdigest()
 
 
@@ -115,17 +132,30 @@ def eval_hash() -> str:
 def main_cli() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=12)
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the lines in FILE; exit 1 naming each one that differs")
     args = parser.parse_args()
+    lines = []
     for name, settings in VARIANTS.items():
         with tempfile.TemporaryDirectory() as out:
             metrics, ckpt = run_variant(settings, args.steps, out)
             if name == "as-given":
                 attention = attention_hash(os.path.join(out, "checkpoint_final.ckpt"))
-        print(f"{name} {metrics} {ckpt}")
-    print(f"equivalence {equivalence_hash()}")
-    print(f"eval {eval_hash()}")
-    print(f"attention {attention}")
-    return 0
+        lines.append(f"{name} {metrics} {ckpt}")
+    lines += [f"equivalence {equivalence_hash()}", f"eval {eval_hash()}",
+              f"attention {attention}"]
+    print("\n".join(lines))
+    if args.check is None:
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        want = dict(line.split(" ", 1) for line in fh.read().splitlines()
+                    if line.strip() and not line.startswith("#"))
+    got = dict(line.split(" ", 1) for line in lines)
+    differ = [name for name in {**got, **want} if got.get(name) != want.get(name)]
+    for name in differ:
+        print(f"differs: {name}: expected {want.get(name, '(none)')}, "
+              f"got {got.get(name, '(none)')}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
