@@ -32,16 +32,22 @@ from .data import Vocab, build_vocab, encode_corpus, load_corpus, pack, tokenize
 from .equivalence import run_allocation_audit, run_equivalence_suite
 from .errors import CheckpointError, CheckpointFormatError, ConfigError, \
     DeskLMError, IngestionError
-from .model import count_params, load_model
+from .model import OBJECTIVES, count_params, load_model
 from .relpos import max_reach
 from .runconfig import RunConfig, bundled_corpus_path, \
     effective_config_text, load_run_config
-from .trainer import evaluate_ppl, run_ablation_suite, train_fresh
+from .trainer import evaluate_mlm, evaluate_ppl, make_out_dir, perplexity, \
+    run_ablation_suite, train_fresh
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# the commands that cannot run without --out, and what they write there
+NEEDS_OUT = {"pretrain": "checkpoints and metrics",
+             "dump-attention": "the CSV files",
+             "ablation-suite": "the CSV table"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,18 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"--out {path}: cannot create directory: {e.strerror}") from e
-
-
 def _echo(args, run_cfg: RunConfig, model_cfg=None) -> None:
     """Write the effective config into --out (made here) or to stderr."""
     text = effective_config_text(run_cfg, model_cfg)
     if args.out:
-        _make_out_dir(args.out)
+        make_out_dir(args.out)
         with open(os.path.join(args.out, "effective_config.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
@@ -114,8 +113,6 @@ def _load_training_data(run_cfg: RunConfig):
 
 
 def cmd_pretrain(args, run_cfg: RunConfig) -> int:
-    if not args.out:
-        raise ConfigError("pretrain needs --out for checkpoints and metrics")
     vocab, seqs = _load_training_data(run_cfg)
     model_cfg = run_cfg.build_model_config(len(vocab))
     _echo(args, run_cfg, model_cfg)
@@ -160,8 +157,13 @@ def cmd_eval(args, run_cfg: RunConfig) -> int:
                          "eval.corpus" if corpus else "data.corpus")
     _echo(args, run_cfg, model.cfg)
     # every line load_corpus keeps encodes to a row, so row i is line i
-    ppl = evaluate_ppl(model, _eval_rows(model, vocab, lines[:run_cfg.eval.max_rows]))
-    print(f"{ppl:.6f}")
+    rows = _eval_rows(model, vocab, lines[:run_cfg.eval.max_rows])
+    for objective in OBJECTIVES[model.cfg.mode]:
+        if objective == "mlm":
+            nll = evaluate_mlm(model, rows, run_cfg.trainer)
+            print(f"masked_nll {nll:.6f}\nmasked_ppl {perplexity(nll):.6f}")
+        else:
+            print(f"perplexity {evaluate_ppl(model, rows):.6f}")
     return EXIT_OK
 
 
@@ -174,18 +176,16 @@ def cmd_audit(args, run_cfg: RunConfig) -> int:
     print(f"total_params={count_params(cfg)}")
     print(f"extra_position_params={extra_param_count(cfg)}")
     # the masked objective decodes its masked slots, the causal one every
-    # slot; joint mode alternates the two
-    mlm = run_cfg.trainer.mask_rate
-    share = {"mlm": mlm, "arlm": 1.0, "joint": (mlm + 1.0) / 2}[cfg.mode]
-    decoded = cfg.decode_runs * share
+    # slot; a mode's share is the mean over the objectives it trains
+    share = {"mlm": run_cfg.trainer.mask_rate, "arlm": 1.0}
+    objectives = OBJECTIVES[cfg.mode]
+    decoded = cfg.decode_runs * (sum(share[o] for o in objectives) / len(objectives))
     print(f"emd_decode_cost={decoded / cfg.L:.6g}")
     print(f"max_reach={max_reach(cfg.k, cfg.L)}")
     return EXIT_OK
 
 
 def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
-    if not args.out:
-        raise ConfigError("dump-attention needs --out for the CSV files")
     tokens = tokenize(args.text)
     if not tokens:
         raise ConfigError("input text produced no tokens")
@@ -196,8 +196,7 @@ def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
         model.encode(ids, collect=collected)
     _echo(args, run_cfg, model.cfg)
 
-    manifest = {"tokens": [vocab.id_to_token(i) for i in ids.tolist()],
-                "files": []}
+    manifest = {"tokens": vocab.decode(ids.tolist()), "files": []}
     for li, per_head in enumerate(collected):
         for h, probs in enumerate(per_head):
             fname = f"attention_layer{li}_head{h}.csv"
@@ -234,8 +233,8 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
         first = report.failures[0]
         print(f"FAIL kernel_equivalence failures={len(report.failures)} "
               f"counterexample_seed={first.seed} n={first.n} k={first.k} "
-              f"d={first.d} heads={first.heads} c2p={first.enable_c2p} "
-              f"p2c={first.enable_p2c} "
+              f"d={first.d} heads={first.heads} share={first.share} "
+              f"c2p={first.enable_c2p} p2c={first.enable_p2c} "
               f"score_diff={first.max_score_diff:.3e} "
               f"grad_diff={first.max_grad_diff:.3e}")
 
@@ -260,8 +259,6 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
 
 
 def cmd_ablation_suite(args, run_cfg: RunConfig) -> int:
-    if not args.out:
-        raise ConfigError("ablation-suite needs --out for the CSV table")
     vocab, seqs = _load_training_data(run_cfg)
     model_cfg = run_cfg.build_model_config(len(vocab))
     _echo(args, run_cfg, model_cfg)
@@ -285,7 +282,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, load_run_config(args.config, args.sets, args.seed))
+        run_cfg = load_run_config(args.config, args.sets, args.seed)
+        if args.command in NEEDS_OUT and not args.out:
+            raise ConfigError(f"{args.command} needs --out for {NEEDS_OUT[args.command]}")
+        return args.fn(args, run_cfg)
     except (ConfigError, IngestionError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -54,7 +54,10 @@ from .errors import (
 from .seeding import rng_for, truncated_normal
 from .tensor import Tensor
 
-MODES = ("mlm", "arlm", "joint")
+# The objectives each mode trains, in the order training takes them:
+# step s trains objectives[s % len(objectives)], and a run reports the
+# first.
+OBJECTIVES = {"mlm": ("mlm",), "arlm": ("arlm",), "joint": ("mlm", "arlm")}
 
 
 @dataclass
@@ -108,8 +111,8 @@ class ModelConfig:
             raise ConfigError("n_emd must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode {self.mode!r} not one of {MODES}")
+        if self.mode not in OBJECTIVES:
+            raise ConfigError(f"mode {self.mode!r} not one of {tuple(OBJECTIVES)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -527,8 +530,12 @@ def load_model(path) -> tuple[Model, dict]:
         raise CheckpointFormatError("metadata lacks a config object")
     try:
         cfg = ModelConfig(**meta["config"])
-        seed = int(meta.get("seed", 0))
-    except (TypeError, ValueError) as e:
+    except TypeError as e:
         raise CheckpointFormatError(f"malformed checkpoint metadata: {e}") from e
+    seed = meta.get("seed", 0)
+    if type(seed) is not int:
+        # a bool is an int to Python, never a seed
+        raise CheckpointFormatError(
+            f"checkpoint seed must be an integer, got {type(seed).__name__}")
     params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
     return Model(cfg, seed=seed, params=params), meta

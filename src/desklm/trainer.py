@@ -18,9 +18,10 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import tensor as T
-from .data import BatchStream
+from .data import BatchStream, corrupt
 from .errors import ConfigError, DivergenceError, IngestionError, check_field_types
-from .model import Model, ModelConfig, save_checkpoint
+from .model import OBJECTIVES, Model, ModelConfig, save_checkpoint
+from .seeding import rng_for
 from .sift import SiftConfig, sift_loss
 from .tensor import Tape
 
@@ -162,11 +163,21 @@ def _metrics_row(step, loss, objective, windows, grad_norm, lr) -> dict:
     }
 
 
+def make_out_dir(path: str) -> None:
+    """Make a run's output directory, or raise ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path}: cannot create directory: {e.strerror}") from e
+
+
 def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
           scfg: SiftConfig | None = None, out_dir: str | None = None,
           meta_extra: dict | None = None) -> TrainResult:
-    """Run the loop.  Joint mode alternates objectives: even steps take
-    the masked objective, odd steps the causal one (steps count from 1).
+    """Run the loop.  Step s (counting from 1) trains objectives[s %
+    len(objectives)], objectives being OBJECTIVES[model.cfg.mode]: joint
+    mode's even steps take the masked objective, its odd steps the
+    causal one.
 
     On a non-finite loss, or a non-finite gradient norm under a finite
     loss, the loop stops before the update, keeps whatever periodic
@@ -179,10 +190,10 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     windows = {"mlm": deque(maxlen=METRICS_WINDOW),
                "arlm": deque(maxlen=METRICS_WINDOW)}
     metrics: list[dict] = []
-    mode = model.cfg.mode
+    objectives = OBJECTIVES[model.cfg.mode]
     metrics_fh = None
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_out_dir(out_dir)
         metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), "w",
                           encoding="utf-8")
 
@@ -206,10 +217,7 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     try:
         for step in range(1, tcfg.steps + 1):
             batch = stream.next_batch()
-            if mode == "joint":
-                objective = "mlm" if step % 2 == 0 else "arlm"
-            else:
-                objective = mode
+            objective = objectives[step % len(objectives)]
             step_seed = tcfg.seed * 1_000_003 + step
 
             with Tape() as tape:
@@ -245,10 +253,9 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     if out_dir:
         final_path = save("final", tcfg.steps)
 
-    active = "mlm" if mode in ("mlm", "joint") else "arlm"
     return TrainResult(
         metrics=metrics,
-        final_loss_avg=_window_avg(windows[active]),
+        final_loss_avg=_window_avg(windows[objectives[0]]),
         batch_digest=stream.digest(),
         checkpoint_path=final_path,
     )
@@ -279,10 +286,39 @@ def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
             nll, c, _ = model.arlm_row(row)
             total += nll.item()
             count += c
+    return perplexity(_mean_nll(total, count))
+
+
+def evaluate_mlm(model: Model, rows: list[np.ndarray], tcfg: TrainConfig) -> float:
+    """Masked NLL: the NLL summed over every row's masked slots, over
+    their count.  Each row is corrupted once, as training corrupts it,
+    at tcfg's mask_rate and span_max, every row's draws coming from the
+    one stream rng_for(tcfg.seed, "eval/corrupt")."""
+    rng = rng_for(tcfg.seed, "eval/corrupt")
+    total = 0.0
+    count = 0
+    with T.no_grad():
+        for row in rows:
+            x_tilde, positions = corrupt(row, rng, model.cfg.vocab_size,
+                                         tcfg.mask_rate, tcfg.span_max)
+            predict = np.zeros(row.shape, dtype=bool)
+            predict[positions] = True
+            nll, c, _ = model.mlm_row(row, x_tilde, predict, None)
+            total += nll.item()
+            count += c
+    return _mean_nll(total, count)
+
+
+def _mean_nll(total: float, count: int) -> float:
     if count == 0:
         raise IngestionError("evaluation rows contained no predictable tokens")
+    return total / count
+
+
+def perplexity(nll: float) -> float:
+    """exp(nll), or inf when that is past the float range."""
     try:
-        return math.exp(total / count)
+        return math.exp(nll)
     except OverflowError:
         return math.inf
 
@@ -329,7 +365,6 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
             f"ablation variants consumed different data: {sorted(digests)}"
         )
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "ablation.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(

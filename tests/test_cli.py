@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from desklm import cli
+from desklm import cli, equivalence
 from desklm import tensor as T
 from desklm.cli import main
 from desklm.data import Vocab, build_vocab, load_corpus, tokenize
@@ -393,7 +393,7 @@ def test_seed_flag_changes_the_run(tmp_path):
         (out2 / "metrics.jsonl").read_bytes()
 
 
-def _uniform_checkpoint(tmp_path, vocab_words=30):
+def _uniform_checkpoint(tmp_path, vocab_words=30, mode="mlm"):
     """A checkpoint whose logits are uniform: every weight zeroed."""
     words = [f"w{i:02d}" for i in range(vocab_words)]
     corpus = tmp_path / "corpus.txt"
@@ -401,7 +401,7 @@ def _uniform_checkpoint(tmp_path, vocab_words=30):
                                 for i in range(0, vocab_words - 6, 2)) + "\n")
     vocab = build_vocab(load_corpus(str(corpus)), cap=512)
     cfg = ModelConfig(vocab_size=len(vocab), max_len=16, L=1, d=8, heads=1,
-                      ffn=8, k=2, n_emd=1, dropout=0.0)
+                      ffn=8, k=2, n_emd=1, dropout=0.0, mode=mode)
     model = Model(cfg, seed=0)
     for p in model.params.values():
         p.data[:] = 0.0
@@ -412,14 +412,16 @@ def _uniform_checkpoint(tmp_path, vocab_words=30):
 
 
 def test_eval_prints_single_decimal_line(tmp_path, capsys):
-    ckpt, corpus, v = _uniform_checkpoint(tmp_path)
+    ckpt, corpus, v = _uniform_checkpoint(tmp_path, mode="arlm")
     rc = main(["eval", "--config", "toy",
                "--set", f"eval.checkpoint={ckpt}",
                "--set", f"eval.corpus={corpus}"])
     assert rc == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert len(out_lines) == 1
-    assert float(out_lines[0]) == pytest.approx(v, rel=1e-6)
+    name, value = out_lines[0].split(" ")
+    assert name == "perplexity"
+    assert float(value) == pytest.approx(v, rel=1e-6)
 
 
 def test_eval_without_checkpoint_is_config_error(capsys):
@@ -438,18 +440,56 @@ def test_unreadable_checkpoint_is_checkpoint_error(tmp_path, capsys, where):
         load_checkpoint(str(path))
 
 
-def _random_checkpoint(tmp_path):
+def _random_checkpoint(tmp_path, mode="mlm"):
     """The uniform checkpoint with seed-1 weights, so that rows and
     corpora differ in perplexity."""
-    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path, mode=mode)
     _, meta = load_checkpoint(ckpt)
     model = Model(ModelConfig(**meta["config"]), seed=1)
     save_checkpoint(ckpt, model.params, meta)
     return ckpt, corpus, model, Vocab(meta["vocab"])
 
 
+def test_eval_of_uniform_logits_scores_the_vocabulary_size(tmp_path, capsys):
+    ckpt, corpus, v = _uniform_checkpoint(tmp_path)
+    assert main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                 "--set", f"eval.corpus={corpus}"]) == 0
+    scores = _scores(capsys.readouterr().out)
+    assert list(scores) == ["masked_nll", "masked_ppl"]
+    assert scores["masked_nll"] == pytest.approx(math.log(v), rel=1e-6)
+    assert scores["masked_ppl"] == pytest.approx(v, rel=1e-6)
+
+
+def test_eval_scores_what_the_checkpoint_trained(tmp_path, capsys):
+    # an mlm checkpoint gets the masked score, which falls with
+    # training; a joint one gets it and the causal perplexity too
+    def trained(name, steps, *sets):
+        out = tmp_path / name
+        assert main(["pretrain", "--config", "toy", "--set", f"trainer.steps={steps}",
+                     "--set", "trainer.warmup_steps=1", *sets, "--out", str(out)]) == 0
+        capsys.readouterr()
+        ckpt = out / "checkpoint_final.ckpt"
+        args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+                "--set", "eval.max_rows=8"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == printed
+        return ckpt, _scores(printed)
+
+    _, early = trained("early", 1)
+    _, late = trained("late", 60)
+    assert list(early) == list(late) == ["masked_nll", "masked_ppl"]
+    assert late["masked_nll"] < early["masked_nll"]
+    ckpt, joint = trained("joint", 2, "--set", "model.mode=joint")
+    assert list(joint) == ["masked_nll", "masked_ppl", "perplexity"]
+    model, meta = load_model(str(ckpt))
+    rows = cli._eval_rows(model, Vocab(meta["vocab"]), load_corpus(bundled_corpus_path())[:8])
+    assert f"{joint['perplexity']:.6f}" == f"{evaluate_ppl(model, rows):.6f}"
+
+
 def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
-    ckpt, corpus, model, vocab = _random_checkpoint(tmp_path)
+    ckpt, corpus, model, vocab = _random_checkpoint(tmp_path, mode="arlm")
     args = ["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
             "--set", f"eval.corpus={corpus}"]
     printed = []
@@ -458,8 +498,8 @@ def test_eval_max_rows_scores_the_first_rows(tmp_path, capsys):
         printed.append(capsys.readouterr().out)
     rows = cli._eval_rows(model, vocab, load_corpus(corpus))
     assert len(rows) > 2
-    assert printed[1] == f"{evaluate_ppl(model, rows[:2]):.6f}\n"
-    assert printed[0] == f"{evaluate_ppl(model, rows):.6f}\n" != printed[1]
+    assert printed[1] == f"perplexity {evaluate_ppl(model, rows[:2]):.6f}\n"
+    assert printed[0] == f"perplexity {evaluate_ppl(model, rows):.6f}\n" != printed[1]
 
 
 def test_eval_max_rows_packs_only_the_rows_it_scores(tmp_path, capsys, monkeypatch):
@@ -479,13 +519,13 @@ def test_eval_max_rows_packs_only_the_rows_it_scores(tmp_path, capsys, monkeypat
                                        ("neither", "data.corpus")])
 def test_eval_corpus_is_eval_then_data_then_bundled(tmp_path, capsys, monkeypatch,
                                                     given, key):
-    ckpt, first, model, vocab = _random_checkpoint(tmp_path)
+    ckpt, first, model, vocab = _random_checkpoint(tmp_path, mode="arlm")
     second = tmp_path / "second.txt"
     second.write_text("w09 w03 w27 w14 w01\nw20 w20 w05 w11\n")
     corpora = {"eval": first, "data": str(second), "neither": bundled_corpus_path()}
     def printed(path) -> str:
         rows = cli._eval_rows(model, vocab, load_corpus(path))[:3]
-        return f"{evaluate_ppl(model, rows):.6f}\n"
+        return f"perplexity {evaluate_ppl(model, rows):.6f}\n"
 
     ppl = {name: printed(path) for name, path in corpora.items()}
     assert len(set(ppl.values())) == 3
@@ -506,6 +546,12 @@ def test_eval_corpus_is_eval_then_data_then_bundled(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "bundled_corpus_path", lambda: missing)
     assert run(missing) == 2
     assert key in _one_line_error(capsys)
+
+
+def _scores(out: str) -> dict[str, float]:
+    """eval's stdout, one `name value` line per score, as a dict."""
+    return {name: float(value) for name, value in
+            (line.split(" ") for line in out.splitlines())}
 
 
 def _one_line_error(capsys) -> str:
@@ -539,8 +585,12 @@ def test_corpus_that_is_not_utf8_is_config_error(tmp_path, capsys):
     lambda meta: meta["config"].update(bogus=1),
     lambda meta: meta.update(config=[1, 2]),
     lambda meta: meta.update(seed="x"),
+    lambda meta: meta.update(seed=3.7),
+    lambda meta: meta.update(seed="12"),
+    lambda meta: meta.update(seed=True),
     lambda meta: meta.update(vocab=7),
-], ids=["config-unknown-key", "config-not-object", "seed-not-int", "vocab-not-list"])
+], ids=["config-unknown-key", "config-not-object", "seed-not-int", "seed-float",
+        "seed-digit-string", "seed-bool", "vocab-not-list"])
 def test_malformed_checkpoint_metadata_is_format_error(tmp_path, capsys, spoil):
     ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
     arrays, meta = load_checkpoint(ckpt)
@@ -609,7 +659,8 @@ def test_eval_corpus_fuzz_ends_in_exit_0_or_2(tmp_path, capsys):
         assert "Traceback" not in err, (case, data)
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         if rc == 0:
-            assert math.isfinite(float(out)) and not errors, (case, data)
+            assert _scores(out).keys() == {"masked_nll", "masked_ppl"} and not errors, case
+            assert all(map(math.isfinite, _scores(out).values())), (case, data)
         else:
             assert rc == 2 and out == "" and len(errors) == 1, (case, rc, data, err)
         exits.append(rc)
@@ -815,6 +866,21 @@ def test_equivalence_command_passes_and_fails(capsys):
     assert "counterexample_seed=" in out
 
 
+def test_equivalence_counterexample_is_rebuilt_from_its_line(capsys):
+    assert main(["equivalence", "--sweep-seeds", "2", "--fault", "swap-delta"]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL kernel_equivalence"))
+    got = dict(item.split("=") for item in line.split()[2:])
+    (case,) = equivalence._run_cases(
+        int(got["n"]), int(got["k"]), int(got["d"]), int(got["heads"]),
+        got["share"] == "True", [(got["c2p"] == "True", got["p2c"] == "True")],
+        case_seed=int(got["counterexample_seed"]), score_tol=1e-10, grad_tol=1e-8,
+        fault="swap-delta")
+    assert not case.passed
+    assert f"{case.max_score_diff:.3e}" == got["score_diff"]
+    assert f"{case.max_grad_diff:.3e}" == got["grad_diff"]
+
+
 def test_equivalence_sweep_seeds_must_not_be_negative(capsys):
     assert main(["equivalence", "--sweep-seeds", "-3"]) == 2
     printed = capsys.readouterr()
@@ -850,6 +916,19 @@ def test_ablation_full_variant_is_the_pretrain_run(tmp_path, capsys):
             (tmp_path / "abl" / "full" / name).read_bytes()
 
 
+def test_ablation_variant_that_cannot_make_its_directory_is_one_error_line(tmp_path,
+                                                                         capsys):
+    out = tmp_path / "abl"
+    out.mkdir()
+    (out / "-EMD").write_text("")
+    assert main(["ablation-suite", "--config", "toy", *PRETRAIN_FAST,
+                 "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: --out {out / '-EMD'}: cannot create directory")
+    assert printed.err.count("\n") == 1
+
+
 def test_ablation_suite_checkpoints_carry_the_vocabulary(tmp_path, capsys):
     out = tmp_path / "abl"
     assert main(["ablation-suite", "--config", "toy", *PRETRAIN_FAST,
@@ -858,7 +937,7 @@ def test_ablation_suite_checkpoints_carry_the_vocabulary(tmp_path, capsys):
     ckpt = out / "-(EMD+P2C)" / "checkpoint_final.ckpt"
     assert main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
                  "--set", "eval.max_rows=4"]) == 0
-    assert math.isfinite(float(capsys.readouterr().out))
+    assert all(map(math.isfinite, _scores(capsys.readouterr().out).values()))
 
 
 def test_config_is_loaded_once_before_any_command_work(monkeypatch, capsys):
