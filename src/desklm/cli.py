@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .model import OBJECTIVES, count_params, load_model
 from .relpos import max_reach
 from .runconfig import RunConfig, bundled_corpus_path, \
     effective_config_text, load_run_config
-from .trainer import evaluate_mlm, evaluate_ppl, make_out_dir, perplexity, \
-    run_ablation_suite, train_fresh
+from .trainer import TrainConfig, evaluate_mlm, evaluate_ppl, make_out_dir, \
+    perplexity, run_ablation_suite, train_fresh
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -104,20 +105,22 @@ def _read_corpus(path: str, key: str) -> list[str]:
         raise ConfigError(f"{key}: {e}") from e
 
 
-def _load_training_data(run_cfg: RunConfig):
+def _training_inputs(args, run_cfg: RunConfig):
+    """A training command's model config, encoded corpus and the
+    checkpoint metadata beyond the run's, after the config echo."""
     lines = _read_corpus(run_cfg.data.corpus or bundled_corpus_path(),
                          "data.corpus")
     vocab = build_vocab(lines, cap=run_cfg.data.vocab_cap)
     seqs = encode_corpus(lines, vocab)
-    return vocab, seqs
+    model_cfg = run_cfg.build_model_config(len(vocab))
+    _echo(args, run_cfg, model_cfg)
+    return model_cfg, seqs, {"vocab": vocab.tokens}
 
 
 def cmd_pretrain(args, run_cfg: RunConfig) -> int:
-    vocab, seqs = _load_training_data(run_cfg)
-    model_cfg = run_cfg.build_model_config(len(vocab))
-    _echo(args, run_cfg, model_cfg)
+    model_cfg, seqs, meta_extra = _training_inputs(args, run_cfg)
     result = train_fresh(model_cfg, seqs, run_cfg.trainer, run_cfg.sift,
-                         out_dir=args.out, meta_extra={"vocab": vocab.tokens})
+                         out_dir=args.out, meta_extra=meta_extra)
     print(f"steps={run_cfg.trainer.steps}")
     print(f"final_loss_avg={result.final_loss_avg:.6f}")
     print(f"checkpoint={result.checkpoint_path}")
@@ -147,11 +150,25 @@ def _model_from_eval_config(run_cfg: RunConfig):
         raise ConfigError(
             f"checkpoint vocabulary size {len(vocab)} does not match "
             f"model vocab_size {model.cfg.vocab_size}")
-    return model, vocab
+    return model, vocab, meta
+
+
+def _checkpoint_recipe(run_cfg: RunConfig, meta: dict) -> TrainConfig:
+    """The run's trainer settings with the mask_rate and span_max that
+    the checkpoint's train section records, where it records them."""
+    train = meta.get("train", {})
+    if not isinstance(train, dict):
+        raise CheckpointFormatError("checkpoint train section is not an object")
+    recipe = {key: train[key] for key in ("mask_rate", "span_max") if key in train}
+    try:
+        return replace(run_cfg.trainer, **recipe)
+    except ConfigError as e:
+        raise CheckpointFormatError(f"checkpoint train section: {e}") from e
 
 
 def cmd_eval(args, run_cfg: RunConfig) -> int:
-    model, vocab = _model_from_eval_config(run_cfg)
+    model, vocab, meta = _model_from_eval_config(run_cfg)
+    tcfg = _checkpoint_recipe(run_cfg, meta)
     corpus = run_cfg.eval.corpus
     lines = _read_corpus(corpus or run_cfg.data.corpus or bundled_corpus_path(),
                          "eval.corpus" if corpus else "data.corpus")
@@ -160,7 +177,7 @@ def cmd_eval(args, run_cfg: RunConfig) -> int:
     rows = _eval_rows(model, vocab, lines[:run_cfg.eval.max_rows])
     for objective in OBJECTIVES[model.cfg.mode]:
         if objective == "mlm":
-            nll = evaluate_mlm(model, rows, run_cfg.trainer)
+            nll = evaluate_mlm(model, rows, tcfg)
             print(f"masked_nll {nll:.6f}\nmasked_ppl {perplexity(nll):.6f}")
         else:
             print(f"perplexity {evaluate_ppl(model, rows):.6f}")
@@ -189,7 +206,7 @@ def cmd_dump_attention(args, run_cfg: RunConfig) -> int:
     tokens = tokenize(args.text)
     if not tokens:
         raise ConfigError("input text produced no tokens")
-    model, vocab = _model_from_eval_config(run_cfg)
+    model, vocab, _ = _model_from_eval_config(run_cfg)
     ids = _row(model, vocab.encode(tokens))
     collected: list = []
     with T.no_grad():
@@ -259,11 +276,9 @@ def cmd_equivalence(args, run_cfg: RunConfig) -> int:
 
 
 def cmd_ablation_suite(args, run_cfg: RunConfig) -> int:
-    vocab, seqs = _load_training_data(run_cfg)
-    model_cfg = run_cfg.build_model_config(len(vocab))
-    _echo(args, run_cfg, model_cfg)
+    model_cfg, seqs, meta_extra = _training_inputs(args, run_cfg)
     rows = run_ablation_suite(model_cfg, seqs, run_cfg.trainer, run_cfg.sift,
-                              out_dir=args.out, meta_extra={"vocab": vocab.tokens})
+                              out_dir=args.out, meta_extra=meta_extra)
     for row in rows:
         print(f"{row['variant']}: final_mlm_loss={row['final_mlm_loss']:.6f} "
               f"final_ppl={row['final_ppl']:.4f}")

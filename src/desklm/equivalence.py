@@ -131,10 +131,10 @@ def _grad_map(params: AttentionParams, table: Tensor) -> dict[str, np.ndarray]:
         w = getattr(params, name)
         if w is not None and w is not content:
             tensors[name] = w
+    # Tape.backward deposits a fresh array, so nothing else holds it
     out = {}
     for name, t in tensors.items():
-        out[name] = None if t.grad is None else t.grad.copy()
-        t.grad = None
+        out[name], t.grad = t.grad, None
     return out
 
 
@@ -153,24 +153,23 @@ _EDGE_SHAPES = [
 ]
 
 
+def _scored(kernel, h, params, table, probe, **kw):
+    """One kernel's scores and the gradients of the probe functional."""
+    with Tape() as tape:
+        scores = kernel(h, params, table, **kw)
+        # the probe broadcasts over the heads
+        loss = T.sum_all(T.mul(scores, probe))
+    tape.backward(loss)
+    return scores.data, _grad_map(params, table)
+
+
 def _diffs(h, params, table, probe, fault) -> tuple[float, float]:
     """Largest score and gradient differences between the two kernels."""
+    s_naive, g_naive = _scored(scores_naive, h, params, table, probe)
+    s_eff, g_eff = _scored(scores_efficient, h, params, table, probe, fault=fault)
     gdiffs = []
-    grads, combined = {}, {}
-    for kernel in ("naive", "efficient"):
-        with Tape() as tape:
-            if kernel == "naive":
-                scores = scores_naive(h, params, table)
-            else:
-                scores = scores_efficient(h, params, table, fault=fault)
-            # the probe broadcasts over the heads
-            loss = T.sum_all(T.mul(scores, probe))
-        tape.backward(loss)
-        grads[kernel] = _grad_map(params, table)
-        combined[kernel] = scores.data
-
-    for name, gn in grads["naive"].items():
-        ge = grads["efficient"][name]
+    # one _grad_map order: both kernels run on the same params
+    for gn, ge in zip(g_naive.values(), g_eff.values()):
         if gn is None and ge is None:
             continue
         if gn is None or ge is None:
@@ -178,7 +177,7 @@ def _diffs(h, params, table, probe, fault) -> tuple[float, float]:
             continue
         gdiffs.append(np.max(np.abs(gn - ge)))
 
-    max_s = float(np.max(np.abs(combined["efficient"] - combined["naive"])))
+    max_s = float(np.max(np.abs(s_eff - s_naive)))
     return max_s, float(max(gdiffs, default=0.0))
 
 

@@ -90,7 +90,9 @@ class CheckpointFormatError(CheckpointError):
     metadata that is not valid JSON or not a JSON object, a tensor name
     that is not UTF-8, trailing bytes after the last tensor, metadata
     without a config object or with a config or seed no model can be
-    built from, or a vocabulary that is not a list of strings."""
+    built from, a vocabulary that is not a list of strings, or a train
+    section that is not an object or holds a mask_rate or span_max that
+    TrainConfig refuses."""
 
 
 class CheckpointVersionError(CheckpointError):

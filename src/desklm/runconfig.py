@@ -22,6 +22,7 @@ config loads, with a stand-in vocab_size where it has none.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
@@ -178,8 +179,6 @@ def apply_override(raw: dict, key: str, value) -> None:
 def load_run_config(config: str | None, sets: list[str] | None = None,
                     seed: int | None = None) -> RunConfig:
     """Resolve file/preset, apply overrides in order, then --seed."""
-    import os
-
     if config is None:
         path = preset_path("toy")
     elif os.path.exists(config):

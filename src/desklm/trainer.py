@@ -90,16 +90,15 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def clip_gradients(params: dict, max_norm: float) -> float:
     """Global-norm clipping in place; returns the pre-clip norm."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    for g in grads:
+        total += float((g * g).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm
 
 
@@ -148,16 +147,14 @@ def _window_avg(window: deque) -> float | None:
 
 
 def _metrics_row(step, loss, objective, windows, grad_norm, lr) -> dict:
-    mlm_avg = _window_avg(windows["mlm"])
-    arlm_avg = _window_avg(windows["arlm"])
-    active = _window_avg(windows[objective])
+    avg = {name: _window_avg(window) for name, window in windows.items()}
     return {
         "step": step,
         "objective": objective,
         "loss": loss,
-        "mlm_loss": mlm_avg,
-        "arlm_loss": arlm_avg,
-        "perplexity": None if active is None else math.exp(min(active, 700.0)),
+        "mlm_loss": avg["mlm"],
+        "arlm_loss": avg["arlm"],
+        "perplexity": None if avg[objective] is None else perplexity(avg[objective]),
         "grad_norm": grad_norm,
         "lr": lr,
     }
@@ -274,19 +271,10 @@ def train_fresh(cfg: ModelConfig, sequences: list, tcfg: TrainConfig,
 
 
 def evaluate_ppl(model: Model, rows: list[np.ndarray]) -> float:
-    """Causal perplexity: exp of the mean next-token NLL over all rows,
-    or inf when that is past the float range."""
-    total = 0.0
-    count = 0
-    with T.no_grad():
-        for row in rows:
-            row = np.asarray(row)
-            if row.size < 2:
-                continue
-            nll, c, _ = model.arlm_row(row)
-            total += nll.item()
-            count += c
-    return perplexity(_mean_nll(total, count))
+    """Causal perplexity: exp of the mean next-token NLL over all rows
+    of two or more tokens, or inf when that is past the float range."""
+    return perplexity(_mean_nll(model.arlm_row(row) for row in map(np.asarray, rows)
+                                if row.size >= 2))
 
 
 def evaluate_mlm(model: Model, rows: list[np.ndarray], tcfg: TrainConfig) -> float:
@@ -295,21 +283,26 @@ def evaluate_mlm(model: Model, rows: list[np.ndarray], tcfg: TrainConfig) -> flo
     at tcfg's mask_rate and span_max, every row's draws coming from the
     one stream rng_for(tcfg.seed, "eval/corrupt")."""
     rng = rng_for(tcfg.seed, "eval/corrupt")
+
+    def scored(row):
+        x_tilde, positions = corrupt(row, rng, model.cfg.vocab_size,
+                                     tcfg.mask_rate, tcfg.span_max)
+        predict = np.zeros(row.shape, dtype=bool)
+        predict[positions] = True
+        return model.mlm_row(row, x_tilde, predict, None)
+
+    return _mean_nll(scored(row) for row in rows)
+
+
+def _mean_nll(pieces) -> float:
+    """Sum the (nll, count, logits) pieces, in order and without a
+    tape, into one mean NLL."""
     total = 0.0
     count = 0
     with T.no_grad():
-        for row in rows:
-            x_tilde, positions = corrupt(row, rng, model.cfg.vocab_size,
-                                         tcfg.mask_rate, tcfg.span_max)
-            predict = np.zeros(row.shape, dtype=bool)
-            predict[positions] = True
-            nll, c, _ = model.mlm_row(row, x_tilde, predict, None)
+        for nll, c, _ in pieces:
             total += nll.item()
             count += c
-    return _mean_nll(total, count)
-
-
-def _mean_nll(total: float, count: int) -> float:
     if count == 0:
         raise IngestionError("evaluation rows contained no predictable tokens")
     return total / count
@@ -352,11 +345,10 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
         sub_dir = os.path.join(out_dir, name) if out_dir else None
         res = train_fresh(cfg, sequences, tcfg, scfg, sub_dir, meta_extra)
         digests.add(res.batch_digest)
-        final = res.final_loss_avg
         results.append({
             "variant": name,
-            "final_mlm_loss": final,
-            "final_ppl": math.exp(min(final, 700.0)),
+            "final_mlm_loss": res.final_loss_avg,
+            "final_ppl": perplexity(res.final_loss_avg),
             "steps": tcfg.steps,
             "seed": tcfg.seed,
         })
@@ -367,10 +359,7 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
     if out_dir:
         path = os.path.join(out_dir, "ablation.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["variant", "final_mlm_loss", "final_ppl",
-                                "steps", "seed"])
+            writer = csv.DictWriter(fh, fieldnames=list(results[0]))
             writer.writeheader()
-            for row in results:
-                writer.writerow(row)
+            writer.writerows(results)
     return results

@@ -615,6 +615,36 @@ def test_eval_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_eval_corrupts_rows_at_the_checkpoint_recipe(tmp_path, capsys):
+    # trained at mask_rate 0.4 and span_max 2, scored at them under the
+    # toy config's 0.15 and 3 as when they are set again
+    out = tmp_path / "run"
+    recipe = ["--set", "trainer.mask_rate=0.4", "--set", "trainer.span_max=2"]
+    assert main(["pretrain", "--config", "toy", *PRETRAIN_FAST, *recipe,
+                 "--out", str(out)]) == 0
+    args = ["eval", "--config", "toy", "--set", "eval.max_rows=8",
+            "--set", f"eval.checkpoint={out / 'checkpoint_final.ckpt'}"]
+    printed = []
+    for extra in ([], recipe):
+        capsys.readouterr()
+        assert main(args + extra) == 0
+        printed.append(capsys.readouterr().out)
+    assert list(_scores(printed[0])) == ["masked_nll", "masked_ppl"]
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("train", ['"fast"', '[0.4]', '{"mask_rate": 1.5}',
+                                   '{"span_max": "3"}'])
+def test_malformed_checkpoint_train_section_is_format_error(tmp_path, capsys, train):
+    ckpt, corpus, _ = _uniform_checkpoint(tmp_path)
+    _, meta = load_checkpoint(ckpt)
+    _with_metadata(ckpt, json.dumps({**meta, "train": json.loads(train)}).encode())
+    rc = main(["eval", "--config", "toy", "--set", f"eval.checkpoint={ckpt}",
+               "--set", f"eval.corpus={corpus}"])
+    assert rc == 2
+    assert "checkpoint train section" in _one_line_error(capsys)
+
+
 def _fuzzed_corpus(rng, kind: int, text: bytes) -> bytes:
     """One seeded corpus file of the given kind (0-4)."""
     if kind == 0:  # raw bytes, half of them ASCII

@@ -1,9 +1,14 @@
 """The helper scripts under tools/."""
 
+import ctypes
+import glob
 import os
 import re
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,6 +39,34 @@ def test_toy_hashes_prints_seven_stable_lines(tmp_path):
         assert re.fullmatch(r"eval [0-9a-f]{64}", lines[5])
         assert re.fullmatch(r"attention [0-9a-f]{64}", lines[6])
     assert outs[0].stdout == outs[1].stdout
+
+
+def _blas_core() -> str | None:
+    """The CPU kernel of numpy's bundled OpenBLAS, the library found as
+    tensor._one_blas_thread finds it; None without such a library."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename = lib.scipy_openblas_get_corename64_
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def test_toy_hashes_hold_the_expected_values_on_their_host():
+    # the recorded hashes depend on the numpy version and the BLAS CPU
+    # kernel, which the file's first line names
+    expected = os.path.join(ROOT, "tools", "toy_hashes.expected")
+    with open(expected, encoding="utf-8") as fh:
+        recorded = re.search(r"numpy (\S+) .*\((\w+) kernel\)", fh.readline()).groups()
+    host = (np.__version__, _blas_core())
+    if host != recorded:
+        pytest.skip("toy_hashes.expected holds numpy %s on the %s kernel; "
+                    "this host runs numpy %s on %s" % (*recorded, *host))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "toy_hashes.py"),
+                           "--check", expected], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_eval_memory_prints_a_peak_per_length_that_grows_linearly():

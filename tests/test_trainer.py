@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from desklm import trainer as trainer_mod
-from desklm.data import BatchStream, build_vocab, encode_corpus, load_corpus
+from desklm.data import NUM_RESERVED, BatchStream, build_vocab, encode_corpus, load_corpus
 from desklm.errors import ConfigError, DivergenceError, IngestionError
 from desklm.model import Model, ModelConfig, load_checkpoint
 from desklm.runconfig import bundled_corpus_path, load_run_config
@@ -230,6 +230,17 @@ def test_moving_average_tracks_window():
         assert row["perplexity"] == pytest.approx(math.exp(want), rel=1e-12)
         assert row["arlm_loss"] is None
     assert res.final_loss_avg == pytest.approx(sum(losses) / 5, abs=1e-12)
+
+
+def test_perplexity_past_the_float_range_is_inf_in_every_row():
+    # every word's logit 1e4 below the reserved ids': a mean NLL of about
+    # 10,000 nats, whose exp no float holds, under finite gradients
+    model, stream, tcfg, _ = tiny_setup(steps=2)
+    model.params["out_bias"].data[NUM_RESERVED:] = -1e4
+    res = train(model, stream, tcfg)
+    assert all(row["loss"] > 9000 for row in res.metrics)
+    assert all(math.isfinite(row["grad_norm"]) for row in res.metrics)
+    assert [row["perplexity"] for row in res.metrics] == [math.inf, math.inf]
 
 
 def test_checkpoint_contains_trained_weights(tmp_path):
