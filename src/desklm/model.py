@@ -55,8 +55,9 @@ from .seeding import rng_for, truncated_normal
 from .tensor import Tensor
 
 # The objectives each mode trains, in the order training takes them:
-# step s trains objectives[s % len(objectives)], and a run reports the
-# first.
+# step s trains objectives[s % len(objectives)].  A run reports each
+# one's window average from its last metrics row, and
+# TrainResult.final_loss_avg is the first's.
 OBJECTIVES = {"mlm": ("mlm",), "arlm": ("arlm",), "joint": ("mlm", "arlm")}
 
 

@@ -134,26 +134,26 @@ class AdamW:
 
 @dataclass
 class TrainResult:
+    """A finished run.  The last metrics row is the one source of its
+    final losses: final_loss_avg is that row's window average of the
+    mode's first objective, None when no step trained it (a 1-step
+    joint run)."""
     metrics: list[dict]
-    final_loss_avg: float
+    final_loss_avg: float | None
     batch_digest: str
     checkpoint_path: str | None
 
 
-def _window_avg(window: deque) -> float | None:
-    if not window:
-        return None
-    return sum(window) / len(window)
-
-
 def _metrics_row(step, loss, objective, windows, grad_norm, lr) -> dict:
-    avg = {name: _window_avg(window) for name, window in windows.items()}
+    """One step's row: an `<objective>_loss` window average for every
+    objective, None for one not yet trained."""
+    avg = {name: sum(window) / len(window) if window else None
+           for name, window in windows.items()}
     return {
         "step": step,
         "objective": objective,
         "loss": loss,
-        "mlm_loss": avg["mlm"],
-        "arlm_loss": avg["arlm"],
+        **{f"{name}_loss": value for name, value in avg.items()},
         "perplexity": None if avg[objective] is None else perplexity(avg[objective]),
         "grad_norm": grad_norm,
         "lr": lr,
@@ -174,7 +174,8 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     """Run the loop.  Step s (counting from 1) trains objectives[s %
     len(objectives)], objectives being OBJECTIVES[model.cfg.mode]: joint
     mode's even steps take the masked objective, its odd steps the
-    causal one.
+    causal one.  Each metrics row carries every objective's window
+    average, and the result reports the last row's (see TrainResult).
 
     On a non-finite loss, or a non-finite gradient norm under a finite
     loss, the loop stops before the update, keeps whatever periodic
@@ -184,8 +185,8 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
     """
     scfg = scfg or SiftConfig()
     opt = AdamW(model.params, tcfg)
-    windows = {"mlm": deque(maxlen=METRICS_WINDOW),
-               "arlm": deque(maxlen=METRICS_WINDOW)}
+    windows = {name: deque(maxlen=METRICS_WINDOW)
+               for objs in OBJECTIVES.values() for name in objs}
     metrics: list[dict] = []
     objectives = OBJECTIVES[model.cfg.mode]
     metrics_fh = None
@@ -252,7 +253,7 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
 
     return TrainResult(
         metrics=metrics,
-        final_loss_avg=_window_avg(windows[objectives[0]]),
+        final_loss_avg=metrics[-1][f"{objectives[0]}_loss"],
         batch_digest=stream.digest(),
         checkpoint_path=final_path,
     )
@@ -335,8 +336,11 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
     Every variant reuses the same data seed; the streams' digests are
     compared afterwards so "the data was the same" is a checked fact,
     not an assumption.  Results land in ablation.csv with one row per
-    variant.  meta_extra goes into every variant's checkpoints, as in
-    train.
+    variant, read from the variant's last metrics row: a
+    final_<objective>_loss column per objective of the mode, empty for
+    one that never ran, and final_ppl, that row's perplexity, which
+    belongs to the last step's objective.  meta_extra goes into every
+    variant's checkpoints, as in train.
     """
     results = []
     digests = set()
@@ -345,10 +349,11 @@ def run_ablation_suite(base_cfg: ModelConfig, sequences: list, tcfg: TrainConfig
         sub_dir = os.path.join(out_dir, name) if out_dir else None
         res = train_fresh(cfg, sequences, tcfg, scfg, sub_dir, meta_extra)
         digests.add(res.batch_digest)
+        last = res.metrics[-1]
         results.append({
             "variant": name,
-            "final_mlm_loss": res.final_loss_avg,
-            "final_ppl": perplexity(res.final_loss_avg),
+            **{f"final_{o}_loss": last[f"{o}_loss"] for o in OBJECTIVES[cfg.mode]},
+            "final_ppl": last["perplexity"],
             "steps": tcfg.steps,
             "seed": tcfg.seed,
         })

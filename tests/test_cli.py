@@ -201,7 +201,7 @@ def test_pretrain_writes_artifacts_and_respects_steps(tmp_path, capsys):
     assert echoed["trainer"]["steps"] == 3
     assert echoed["model"]["vocab_size"] == 134  # derived from the corpus
     stdout = capsys.readouterr().out
-    assert "final_loss_avg=" in stdout
+    assert "final_mlm_loss_avg=" in stdout
 
 
 def test_diverging_pretrain_exits_3_and_keeps_its_metrics(tmp_path, capsys):
@@ -920,6 +920,31 @@ def test_equivalence_sweep_seeds_must_not_be_negative(capsys):
     assert main(["equivalence", "--sweep-seeds", "0"]) == 0
     edge_only = len(run_equivalence_suite(seed=0).cases)
     assert f"PASS kernel_equivalence cases={edge_only} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode,steps,trained", [
+    ("mlm", 1, ["mlm"]), ("mlm", 2, ["mlm"]),
+    ("arlm", 1, ["arlm"]), ("arlm", 2, ["arlm"]),
+    # joint mode's step 1 trains the causal objective, step 2 the masked
+    ("joint", 1, ["arlm"]), ("joint", 2, ["mlm", "arlm"]),
+])
+def test_runs_report_each_objective_they_trained(tmp_path, capsys, mode, steps, trained):
+    columns = {"mlm": ["mlm"], "arlm": ["arlm"], "joint": ["mlm", "arlm"]}[mode]
+    run = ["--config", "toy", *PRETRAIN_FAST, "--set", f"model.mode={mode}",
+           "--set", f"trainer.steps={steps}"]
+    assert main(["pretrain", *run, "--out", str(tmp_path / "pre")]) == 0
+    printed = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("final_")]
+    assert printed == [f"final_{o}_loss_avg" for o in columns if o in trained]
+    assert main(["ablation-suite", *run, "--out", str(tmp_path / "abl")]) == 0
+    with open(tmp_path / "abl" / "ablation.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["variant", *(f"final_{o}_loss" for o in columns),
+                        "final_ppl", "steps", "seed"]
+    for row in table[1:]:
+        # an objective that never ran has an empty cell
+        assert [bool(cell) for cell in row[1:1 + len(columns)]] == \
+            [o in trained for o in columns]
 
 
 def test_ablation_suite_command(tmp_path, capsys):

@@ -53,16 +53,29 @@ def _blas_core() -> str | None:
     return None
 
 
+def _simd_dispatch() -> str:
+    """numpy's SIMD dispatch targets that this CPU enables, in numpy's
+    order: the code paths of numpy's own loops."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
 def test_toy_hashes_hold_the_expected_values_on_their_host():
-    # the recorded hashes depend on the numpy version and the BLAS CPU
-    # kernel, which the file's first line names
+    # the recorded hashes depend on the numpy version, numpy's SIMD
+    # dispatch targets and the BLAS CPU kernel, which the file's first
+    # line names
     expected = os.path.join(ROOT, "tools", "toy_hashes.expected")
     with open(expected, encoding="utf-8") as fh:
-        recorded = re.search(r"numpy (\S+) .*\((\w+) kernel\)", fh.readline()).groups()
-    host = (np.__version__, _blas_core())
+        recorded = re.search(r"numpy (\S+) \(SIMD dispatch: ([\w ]*)\) .*\((\w+) kernel\)",
+                             fh.readline()).groups()
+    host = (np.__version__, _simd_dispatch(), _blas_core())
     if host != recorded:
-        pytest.skip("toy_hashes.expected holds numpy %s on the %s kernel; "
-                    "this host runs numpy %s on %s" % (*recorded, *host))
+        pytest.skip("toy_hashes.expected holds numpy %s (SIMD dispatch: %s) on the %s "
+                    "kernel; this host runs numpy %s (SIMD dispatch: %s) on %s"
+                    % (*recorded, *host))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "toy_hashes.py"),
                            "--check", expected], cwd=ROOT, capture_output=True, text=True,
                           timeout=300)

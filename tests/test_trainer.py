@@ -293,6 +293,19 @@ def test_arlm_mode_never_touches_mlm_window():
     assert res.metrics[-1]["arlm_loss"] is not None
 
 
+@pytest.mark.parametrize("mode,first", [("mlm", "mlm"), ("joint", "mlm"),
+                                        ("arlm", "arlm")])
+def test_final_loss_avg_is_the_last_rows_window_of_the_first_objective(mode, first):
+    # perfbench's loss checks read final_loss_avg: it keeps the bits of
+    # the last metrics row's window average, even after a joint run's
+    # last step trained the other objective
+    model, stream, tcfg, _ = tiny_setup(mode=mode, steps=5)
+    res = train(model, stream, tcfg)
+    trained = [r["loss"] for r in res.metrics if r["objective"] == first]
+    assert res.final_loss_avg == res.metrics[-1][f"{first}_loss"] == \
+        sum(trained) / len(trained)
+
+
 def test_divergence_raises_and_keeps_partial_output(tmp_path):
     model, stream, tcfg, _ = tiny_setup(steps=4)
     model.params["out_bias"].data[:] = np.nan

@@ -27,7 +27,8 @@ With --check FILE the printed lines are compared with FILE, which holds
 lines as printed here ('#' lines are comments); every line whose hashes
 differ, or that one side lacks, is named on stderr, and the exit status
 is 1.  tools/toy_hashes.expected holds the values at the default 12
-steps.  They depend on the numpy version and the BLAS CPU kernel.
+steps.  They depend on the numpy version, numpy's SIMD dispatch targets
+and the BLAS CPU kernel, which that file's first line names.
 
 Usage: python3 tools/toy_hashes.py [--steps N] [--check FILE]
        (N defaults to 12)
