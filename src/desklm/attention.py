@@ -161,14 +161,16 @@ def _heads_t(m: Tensor, heads: int) -> Tensor:
 
 
 def _heads(m: Tensor, heads: int) -> Tensor:
-    """(..., n, d) -> (..., heads, n, head_size)."""
-    return T.transpose(_heads_t(m, heads))
+    """(..., n, d) -> (..., heads, n, head_size): a view, then one copy."""
+    *lead, n, d = m.shape
+    return T.transpose(T.reshape(m, (*lead, n, heads, d // heads)), axis=-3)
 
 
 def _merge_heads(m: Tensor) -> Tensor:
-    """(..., heads, n, head_size) -> (..., n, heads * head_size)."""
+    """(..., heads, n, head_size) -> (..., n, heads * head_size): one
+    copy, then a view."""
     *lead, heads, n, hs = m.shape
-    return T.transpose(T.reshape(T.transpose(m), (*lead, heads * hs, n)))
+    return T.reshape(T.transpose(m, axis=-3), (*lead, n, heads * hs))
 
 
 def _meter_alloc(meter, t: Tensor) -> None:

@@ -194,7 +194,10 @@ def cmd_audit(args, run_cfg: RunConfig) -> int:
         # the per-layer figures below divide by L
         raise ConfigError(f"audit needs model.L >= 1, got {cfg.L}")
     _echo(args, run_cfg, cfg)
-    print(f"total_params={count_params(cfg)}")
+    total = count_params(cfg)
+    print(f"total_params={total}")
+    # float64 storage, exact past int64 as the count is
+    print(f"param_bytes={8 * total}")
     print(f"extra_position_params={extra_param_count(cfg)}")
     # the masked objective decodes its masked slots, the causal one every
     # slot; a mode's share is the mean over the objectives it trains

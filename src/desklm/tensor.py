@@ -6,11 +6,14 @@ storage is numpy float64.  Gradients are computed by recording one
 graph node per op on the innermost active Tape and replaying the nodes
 in reverse.  A node keeps only what its backward reads (see Tape), so
 an op output is freed with its Tensor unless a backward closure
-captured it.  The stack of active tapes is one module-level list: the
-package is single-threaded and starts no thread of its own.
+captured it, and the replay drops each closure as it passes, so a tape
+is backed out once and holds no saved array after it.  Gradients add
+up on .grad across tapes.  The stack of active tapes is one
+module-level list: the package is single-threaded and starts no thread
+of its own.
 
-Every op works over any leading dims: the matrix ops (matmul,
-transpose) act on the last two axes, the row ops (row_sum, the
+Every op works over any leading dims: the matrix ops (matmul, and
+transpose by default) act on the last two axes, the row ops (row_sum, the
 softmaxes, symmetric_kl, layer_norm) on the last axis, and gather_flat
 and add_gathered on each trailing (r, c) block, so an (n, d) row and a
 (b, h, n, d) batch run through the same code.
@@ -140,15 +143,24 @@ class Tape:
     (their nodes, or leaf tensors), its backward closure and this
     tape's owner token.  It never refers to its output, so an op output
     that no closure captured (an add, a head-split copy, the scores
-    before the softmax) is freed as soon as its Tensor is dropped, and
-    dropping the tape and the loss frees the rest.  The token is a
-    plain object, not the tape, so no node refers back to the tape and
-    no reference cycle is left for the cyclic collector.
+    before the softmax) is freed as soon as its Tensor is dropped.  The
+    token is a plain object, not the tape, so no node refers back to
+    the tape and no reference cycle is left for the cyclic collector.
+
+    backward walks the nodes once, newest first, and clears each node's
+    parents and closure as it passes, whether or not a gradient reached
+    it: an array a closure saved is freed once its gradient has gone
+    to its parents, so a training step peaks near what its forward
+    holds, not at the whole graph plus every gradient.  A tape is
+    therefore backed out once; a second backward raises ContractError.
+    Gradients add up on .grad across tapes, as SiFT's clean tape and
+    the trainer's tape do.
     """
 
     def __init__(self) -> None:
         self._nodes: list[_Node] = []
         self._token = object()
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -171,12 +183,17 @@ class Tape:
         receives a .grad; with targets only the named leaves do, and
         naming a tensor this tape recorded raises ContractError.
         Recorded intermediates keep grad None.  Gradients accumulate
-        across calls; reset .grad to None between steps.
+        across tapes; reset .grad to None between steps.  A refused call
+        raises before any node is touched and leaves the tape whole; a
+        call on a tape already backed out raises ContractError.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._nodes:
             raise ContractError("backward on an empty tape")
+        if self._spent:
+            raise ContractError("backward on a tape that was already backed out; "
+                                "record the loss again on a fresh tape")
         token = self._token
         if loss._node is None or loss._node.owner is not token:
             raise ContractError("loss was not recorded on this tape")
@@ -185,13 +202,18 @@ class Tape:
                                       for t in wanted):
             raise ContractError("backward targets must be leaves, not tensors "
                                 "this tape recorded")
+        self._spent = True
         grads: dict = {loss._node: np.ones_like(loss.data)}
 
         for node in reversed(self._nodes):
             g = grads.pop(node, None)
+            parents, bwd = node.parents, node.bwd
+            # Every child of this node has been walked: what its closure
+            # saved goes once its gradient has gone to its parents.
+            node.parents = node.bwd = None
             if g is None:
                 continue
-            for parent, pg in zip(node.parents, node.bwd(g)):
+            for parent, pg in zip(parents, bwd(g)):
                 if pg is None:
                     continue
                 if parent in grads:
@@ -424,12 +446,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ShapeError(f"transpose needs at least two axes, got shape {a.shape}")
-    out = Tensor._from_data(np.ascontiguousarray(_swap(a.data)))
-    return _record(out, (a,), lambda g: [np.ascontiguousarray(_swap(g))])
+def transpose(a: Tensor, axis: int = -2) -> Tensor:
+    """Swap axis with the axis after it; by default the last two."""
+    ax = axis + a.ndim if axis < 0 else axis
+    if not 0 <= ax < a.ndim - 1:
+        raise ShapeError(f"transpose: no axis after axis {axis} in shape {a.shape}")
+    out = Tensor._from_data(np.ascontiguousarray(np.swapaxes(a.data, ax, ax + 1)))
+    return _record(out, (a,), lambda g: [np.ascontiguousarray(np.swapaxes(g, ax, ax + 1))])
 
 
 def reshape(a: Tensor, shape) -> Tensor:

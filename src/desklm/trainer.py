@@ -235,8 +235,9 @@ def train(model: Model, stream: BatchStream, tcfg: TrainConfig,
                     f"non-finite gradient norm {grad_norm!r} at step {step}")
             opt.step(lr)
             model.zero_grad()
-            # Free this step's graph now, not when the next step rebinds
-            # the names after building its own.
+            # backward already freed every array the graph saved; drop
+            # its emptied nodes now, not when the next step rebinds the
+            # names after building its own graph.
             del loss, tape
 
             windows[objective].append(val)

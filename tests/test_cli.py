@@ -763,6 +763,17 @@ def test_audit_counts_past_int64_exactly(capsys):
     assert int(out["total_params"]) > 2**64
 
 
+def test_audit_prints_the_float64_bytes_of_the_parameters(capsys):
+    assert main(["audit", "--config", "large"]) == 0
+    out = dict(line.split("=", 1)
+               for line in capsys.readouterr().out.splitlines())
+    assert out["total_params"] == "420056912"
+    assert out["param_bytes"] == "3360455296"
+    out = _audit(capsys, "model.d=4000000000", "model.heads=1")
+    assert int(out["param_bytes"]) == 8 * _registry_count(d=4_000_000_000, heads=1)
+    assert int(out["param_bytes"]) > 2**64
+
+
 def test_audit_of_a_billion_blocks_is_fast_and_exact(capsys):
     # the count is linear in L and in the decoder sets; its slopes come
     # from the registry at two and three blocks

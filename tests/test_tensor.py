@@ -424,6 +424,22 @@ def test_mul_by_minus_one_is_bitwise_negation():
     assert (gx.view(np.int64) == (-g).view(np.int64)).all()
 
 
+def test_transpose_swaps_an_axis_with_the_next():
+    rng = np.random.default_rng(67)
+    a = rng.normal(0, 1, (2, 3, 4, 5))
+    t = Tensor(a)
+    npt.assert_array_equal(T.transpose(t, axis=-3).data, np.swapaxes(a, 1, 2))
+    npt.assert_array_equal(T.transpose(t, axis=0).data, np.swapaxes(a, 0, 1))
+    npt.assert_array_equal(T.transpose(t).data, np.swapaxes(a, 2, 3))
+    for axis in (-1, 3, 4, -5):  # no axis after it
+        with pytest.raises(ShapeError):
+            T.transpose(t, axis=axis)
+    with pytest.raises(ShapeError):
+        T.transpose(Tensor(np.ones(3)))
+    _fd_check(lambda x: T.sum_all(T.mul(T.transpose(x, axis=-3), _probe((2, 4, 3, 5), 68))),
+              [a])
+
+
 def test_grad_mul_variants():
     rng = np.random.default_rng(24)
     a, b = rng.normal(0, 1, (3, 3)), rng.normal(0, 1, (3, 3))
@@ -767,13 +783,65 @@ def test_quadratic_grad_is_exact():
 
 
 def test_backward_accumulates_across_calls():
+    # two tapes that record the same expression add up on .grad
     x = Tensor([[1.0, 2.0]], requires_grad=True)
+    with Tape() as first_tape:
+        first_loss = T.sum_all(T.mul(x, 3.0))
+    first_tape.backward(first_loss)
+    first = x.grad.copy()
     with Tape() as tape:
         loss = T.sum_all(T.mul(x, 3.0))
     tape.backward(loss)
-    first = x.grad.copy()
-    tape.backward(loss)
     npt.assert_array_equal(x.grad, 2 * first)
+
+
+def test_backward_frees_what_each_node_saved_while_the_loss_lives():
+    # softmax_rows' closure holds its output; once the walk has passed
+    # that node nothing does, though the tape and the loss are still held
+    rng = np.random.default_rng(61)
+    x = Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+    w = Tensor(rng.normal(0, 1, (3, 5)))
+    with Tape() as tape:
+        p = T.softmax_rows(x, 0.5)
+        ref = weakref.ref(p.data)
+        loss = T.sum_all(T.mul(p, w))
+        del p
+    assert ref() is not None
+    tape.backward(loss)
+    assert ref() is None
+
+
+def test_second_backward_on_a_used_tape_is_refused():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    w = Tensor([[0.5, -1.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(x, w))
+    tape.backward(loss)
+    gx, gw = x.grad.copy(), w.grad.copy()
+    with pytest.raises(ContractError, match="already backed out"):
+        tape.backward(loss)
+    with pytest.raises(ContractError, match="already backed out"):
+        tape.backward(loss, targets=[x])
+    npt.assert_array_equal(x.grad, gx)
+    npt.assert_array_equal(w.grad, gw)
+
+
+def test_a_refused_backward_leaves_the_tape_whole():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    with Tape():
+        elsewhere = T.sum_all(T.mul(x, 5.0))
+    with Tape() as tape:
+        y = T.mul(x, 3.0)
+        loss = T.sum_all(y)
+    refused = (lambda: tape.backward(y),                    # not a scalar
+               lambda: tape.backward(elsewhere),            # another tape's loss
+               lambda: tape.backward(loss, targets=[y]))    # an intermediate
+    for call in refused:
+        with pytest.raises(ContractError):
+            call()
+    assert x.grad is None
+    tape.backward(loss)
+    npt.assert_array_equal(x.grad, [[3.0, 3.0]])
 
 
 def test_dropping_tape_and_loss_frees_the_graph():
@@ -892,7 +960,9 @@ def test_inner_tape_treats_an_outer_intermediate_as_a_leaf():
     # b was recorded on the outer tape: the inner tape stops at it
     assert len(inner) == 2 and x.grad is None
     npt.assert_array_equal(b.grad, 2 * b.data)
-    inner.backward(inner_loss, targets=[b])
+    with Tape() as fresh:
+        fresh_loss = T.sum_all(T.mul(b, b))
+    fresh.backward(fresh_loss, targets=[b])
     npt.assert_array_equal(b.grad, 4 * b.data)
     b.grad = None
     outer.backward(outer_loss)

@@ -97,6 +97,23 @@ def test_eval_memory_prints_a_peak_per_length_that_grows_linearly():
     assert 0 < peaks[1024] <= 2.5 * peaks[512]
 
 
+def test_step_memory_peaks_near_the_forward_graph():
+    script = os.path.join(ROOT, "tools", "step_memory.py")
+    proc = subprocess.run([sys.executable, script], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    steps = {}
+    for line in proc.stdout.splitlines():
+        kind, held, peak = line.split()
+        steps[kind] = (float(held), float(peak))
+    assert list(steps) == ["masked", "causal", "causal+sift"]
+    assert all(0 < held <= peak for held, peak in steps.values())
+    # the backward frees each node's saved arrays as it passes them, so
+    # the gradients in flight add little to what the forward holds
+    held, peak = steps["masked"]
+    assert peak - held < held / 4
+
+
 CODE_LINES_FIXTURE = '''"""Module docstring.
 
 Second paragraph.
