@@ -77,7 +77,10 @@ whole-square computation, op for op, and no trained byte depends on
 the blocking.  A shorter row can sum in a different order (numpy's
 pairwise row sums, BLAS blocking over e keys instead of n), so blocked
 outputs may differ from the whole-square ones in the last bit; the
-tests hold them to 1e-12 relative.
+tests hold them to 1e-12 relative.  Probability dropout runs inside
+the value mix, one dropout_matmul op with the draws and bits of dropout
+then matmul, so a recorded block keeps its softmax output and a
+one-byte keep mask, not also a dropped float copy of its probabilities.
 
 Both kernels take an optional meter that tracks position-path
 allocations so the asymptotic claim is auditable rather than folklore.
@@ -411,8 +414,8 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
     columns; every head and, for a one-row mask, every query gets the
     same mask.  collect, when given, receives one (..., heads, m, n)
     numpy array of post-softmax probabilities.  Dropout on the
-    probabilities runs only when rng is given.  Returns the output
-    projection of the mixed values, (..., m, d).
+    probabilities runs only when rng is given, inside the value mix.
+    Returns the output projection of the mixed values, (..., m, d).
     """
     q_in, dm = _check_inputs(h, params, table, query, positions)
     n, m = h.shape[-2], q_in.shape[-2]
@@ -430,10 +433,10 @@ def attend(h: Tensor, params: AttentionParams, table: Tensor | None,
                                None if head_mask is None else head_mask[..., r0:r1, :e])
         if collect is not None:
             collect.append(probs.data.copy())
-        probs = T.dropout(probs, dropout_p, rng)
         if v is None:  # after the first softmax, or trained bytes move
             v = _heads(T.matmul(h, params.w_vc), params.heads)
-        mixed.append(T.matmul(probs, _cut(v, slice(0, e), slice(None))))
+        mixed.append(T.dropout_matmul(probs, _cut(v, slice(0, e), slice(None)),
+                                      dropout_p, rng))
         del probs  # unrecorded, a block's probabilities die with its mix
     out = mixed[0] if len(mixed) == 1 else Tensor._from_data(
         np.concatenate([part.data for part in mixed], axis=-2))

@@ -368,10 +368,11 @@ class Model:
         return T.add(logits, self.params["out_bias"])
 
     def _nll(self, ids: np.ndarray, targets: np.ndarray, predict: np.ndarray,
-             real: np.ndarray | None, causal: bool, rng, perturb: Tensor | None):
-        """The loss core of both objectives: encode and decode ids, then
-        score targets (shaped like ids) at the True slots of predict.
-        Returns what mlm_row documents.
+             real: np.ndarray | None, causal: bool, rng, perturb: Tensor | None,
+             score: bool):
+        """The loss core of both objectives: encode and decode ids, then,
+        with score, score targets (shaped like ids) at the True slots of
+        predict.  Returns what mlm_row documents.
 
         Every column given is computed: make_batch already cuts a batch
         to its longest row, and a trailing PAD column, which nothing
@@ -381,6 +382,8 @@ class Model:
             raise ContractError("no slot to predict: the predict mask is all False")
         h = self.encode(ids, real, causal, rng, perturb)
         picked = self.decode(h, real, causal, rng, predict)
+        if not score:
+            return None, int(predict.sum()), picked
         vocab = picked.shape[-1]
         wanted = T.check_indices(
             "target id", np.asarray(targets).reshape(-1)[np.flatnonzero(predict)], vocab)
@@ -390,16 +393,18 @@ class Model:
         return T.mul(T.sum_all(chosen), -1.0), wanted.size, picked
 
     def mlm_row(self, x: np.ndarray, x_tilde: np.ndarray, predict: np.ndarray,
-                real: np.ndarray, rng=None, perturb: Tensor | None = None):
+                real: np.ndarray, rng=None, perturb: Tensor | None = None,
+                score: bool = True):
         """Masked-prediction pieces for one row (n,) or a batch (b, n).
 
         predict is True at the slots to predict.  perturb, when given,
         has the shape of x plus the model width d.  Returns (nll_sum,
         count, picked_logits) where picked_logits is the (count, vocab)
         logit rows at the predicted slots in row-major order; the
-        consistency regulariser needs them as tensors.
+        consistency regulariser needs them as tensors.  Without score,
+        nll_sum is None: no log-softmax, gather or sum is computed.
         """
-        return self._nll(x_tilde, x, predict, real, False, rng, perturb)
+        return self._nll(x_tilde, x, predict, real, False, rng, perturb, score)
 
     def forward_mlm(self, batch, rng=None, perturb: Tensor | None = None) -> Tensor:
         """Mean masked-token negative log likelihood over the batch."""
@@ -408,11 +413,12 @@ class Model:
         return T.mul(nll, 1.0 / count)
 
     def arlm_row(self, tokens: np.ndarray, real: np.ndarray | None = None,
-                 rng=None, perturb: Tensor | None = None):
+                 rng=None, perturb: Tensor | None = None, score: bool = True):
         """Causal next-token pieces: (nll_sum, count, next_token_logits).
 
         tokens is one row (n,) or a batch (b, n).  Padded rows must be
         left-packed with real False at PAD; only real targets count.
+        score means what it does for mlm_row.
         """
         ids = np.asarray(tokens)
         if ids.ndim < 1 or ids.shape[-1] < 2:
@@ -423,7 +429,7 @@ class Model:
                           else np.asarray(real, dtype=bool), -1, axis=-1)
         predict[..., -1] = False
         return self._nll(ids, np.roll(ids, -1, axis=-1), predict, real, True,
-                         rng, perturb)
+                         rng, perturb, score)
 
 
 # ---------------------------------------------------------------------

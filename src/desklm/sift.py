@@ -25,7 +25,12 @@ call, the clean pass runs on its own nested tape, whose backward puts
 the task loss's gradient on the parameters' .grad at once; that graph
 is freed before the first ascent forward.  The returned loss records
 only the perturbed pass, with the task loss added as a constant, so the
-caller's one backward of it completes the same gradient.
+caller's one backward of it completes the same gradient.  The task loss
+is scored once, on the clean pass: the ascent and perturbed passes ask
+the model for logits alone (score=False), so neither records a
+log-softmax, gather or NLL that nothing reads.  The search's own arrays
+(the initial draw, the moved perturbation, the last ascent gradient)
+are freed before the perturbed pass builds its graph.
 """
 
 from __future__ import annotations
@@ -117,6 +122,30 @@ def _ascent_grad(forward, rng, clean: Tensor, delta: Tensor, params) -> np.ndarr
     return g
 
 
+def _perturbation(forward, drop_rng, clean: Tensor, cfg: SiftConfig, seed: int,
+                  shape: tuple, params) -> np.ndarray:
+    """The (..., n, d) perturbation the ascent ends at: a seeded draw
+    scaled to epsilon / 10 per token row, then cfg.ascent_steps
+    projected ascent steps, each row's normalised by its own gradient
+    norm.  The search's other arrays die when this returns."""
+    delta0 = rng_for(seed, "sift/init").normal(0.0, 1.0, shape)
+    init_norms = np.sqrt((delta0 * delta0).sum(axis=-1, keepdims=True))
+    delta0 *= (cfg.epsilon / 10.0) / np.maximum(init_norms, 1e-300)
+    delta = Tensor(delta0, requires_grad=True)
+
+    active = np.ones(shape[:-2] + (1, 1), dtype=bool)  # per sequence
+    for _step in range(cfg.ascent_steps):
+        g = _ascent_grad(forward, drop_rng(), clean, delta, params)
+        gnorm = np.sqrt((g * g).sum(axis=(-2, -1), keepdims=True))
+        active &= gnorm >= 1e-30
+        if not active.any():
+            break
+        delta.data += np.where(active, cfg.ascent_lr * g / np.maximum(gnorm, 1e-300),
+                               0.0)
+        _project_rows(delta.data, cfg.epsilon, active)
+    return delta.data
+
+
 def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
               seed: int = 0, return_parts: bool = False):
     """Task loss plus lambda times the adversarial consistency term.
@@ -143,13 +172,13 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     is (loss, task, r_adv); enabled, task is that constant.
     """
     if mode == "mlm":
-        def forward(perturb, rng):
+        def forward(perturb, rng, score=False):
             return model.mlm_row(batch.x, batch.x_tilde, batch.predict,
-                                 batch.real, rng=rng, perturb=perturb)
+                                 batch.real, rng=rng, perturb=perturb, score=score)
     elif mode == "arlm":
-        def forward(perturb, rng):
+        def forward(perturb, rng, score=False):
             return model.arlm_row(batch.x, real=batch.real, rng=rng,
-                                  perturb=perturb)
+                                  perturb=perturb, score=score)
     else:
         raise ConfigError(f"sift mode {mode!r} not one of ('mlm', 'arlm')")
 
@@ -163,7 +192,7 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     # its graph is gone before the ascent builds the next one.
     nested = on and T.recording()
     with (Tape() if nested else contextlib.nullcontext()) as clean_tape:
-        nll, count, clean_logits = forward(None, drop_rng())
+        nll, count, clean_logits = forward(None, drop_rng(), score=True)
         task = T.mul(nll, 1.0 / count)
     if not on:
         return (task, task, None) if return_parts else task
@@ -176,24 +205,8 @@ def sift_loss(batch, model, cfg: SiftConfig, mode: str = "mlm",
     clean_const = Tensor(clean_logits.data)
     del nll, clean_logits, clean_tape
 
-    delta0 = rng_for(seed, "sift/init").normal(
-        0.0, 1.0, batch.x.shape + (model.cfg.d,))
-    init_norms = np.sqrt((delta0 * delta0).sum(axis=-1, keepdims=True))
-    delta0 *= (cfg.epsilon / 10.0) / np.maximum(init_norms, 1e-300)
-    delta = Tensor(delta0, requires_grad=True)
-
-    active = np.ones(batch.x.shape[:-1] + (1, 1), dtype=bool)  # per sequence
-    for _step in range(cfg.ascent_steps):
-        g = _ascent_grad(forward, drop_rng(), clean_const, delta, model.params.values())
-        gnorm = np.sqrt((g * g).sum(axis=(-2, -1), keepdims=True))
-        active &= gnorm >= 1e-30
-        if not active.any():
-            break
-        delta.data += np.where(active, cfg.ascent_lr * g / np.maximum(gnorm, 1e-300),
-                               0.0)
-        _project_rows(delta.data, cfg.epsilon, active)
-
-    frozen = Tensor(delta.data)
+    frozen = Tensor(_perturbation(forward, drop_rng, clean_const, cfg, seed,
+                                  batch.x.shape + (model.cfg.d,), model.params.values()))
     _, _, pert_logits = forward(frozen, drop_rng())
     r_adv = T.mul(symmetric_kl(clean_const, pert_logits), 1.0 / count)
     loss = T.add(task, T.mul(r_adv, cfg.lam))

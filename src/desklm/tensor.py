@@ -12,20 +12,24 @@ up on .grad across tapes.  The stack of active tapes is one
 module-level list: the package is single-threaded and starts no thread
 of its own.
 
-Every op works over any leading dims: the matrix ops (matmul, and
-transpose by default) act on the last two axes, the row ops (row_sum, the
-softmaxes, symmetric_kl, layer_norm) on the last axis, and gather_flat
-and add_gathered on each trailing (r, c) block, so an (n, d) row and a
-(b, h, n, d) batch run through the same code.
+Every op works over any leading dims: the matrix ops (matmul,
+dropout_matmul, and transpose by default) act on the last two axes, the
+row ops (row_sum, the softmaxes, symmetric_kl, layer_norm) on the last
+axis, and gather_flat and add_gathered on each trailing (r, c) block,
+so an (n, d) row and a (b, h, n, d) batch run through the same code.
 
 Broadcasting has one rule: in add and mul the second operand
 broadcasts to the first operand's shape (numpy rules), and the backward
 pass sums its gradient over the broadcast axes.  Only mul takes a
-python scalar as its second operand.  matmul broadcasts the leading dims
-of both operands, so a (b, n, d) batch times a (d, e) weight is one call.
-Anything else raises ShapeError.  An operand that does not require a
-gradient when the op is recorded gets none in the backward, and an op
-keeps no array that only that gradient would read.
+python scalar as its second operand.  matmul and dropout_matmul
+broadcast the leading dims of both operands, so a (b, n, d) batch times
+a (d, e) weight is one call.  Anything else raises ShapeError.  An
+operand that does not require a gradient when the op is recorded gets
+none in the backward, and an op keeps no array that only that gradient
+would read.  An op writes its intermediates into arrays it allocated
+itself, never into an input or a gradient it was handed, and does each
+product and sum in the order its formula gives, so working in place
+moves no bit.
 
 Masking convention: a mask is a bool numpy array, True at blocked
 entries.  softmax_rows(a, scale, mask) takes the scale and the mask
@@ -420,27 +424,63 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (..., k, n); the leading dims broadcast."""
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul expects two tensors")
     if not (a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
             and _broadcastable(a.shape[:-2], b.shape[:-2])):
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+
+
+def _matmul_grads(g, ad, bd, ashape: tuple, bshape: tuple) -> list:
+    """The gradients of a @ b for output gradient g, each None when the
+    other operand's data (bd for a's, ad for b's) was not kept."""
+    ga = None if bd is None else _unbroadcast(_mm(g, _swap(bd)), ashape)
+    if ad is None:
+        gb = None
+    elif len(bshape) == 2:
+        gb = ad.reshape(-1, ashape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = _unbroadcast(_swap(ad) @ g, bshape)
+    return [ga, gb]
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., m, k) @ (..., k, n); the leading dims broadcast."""
+    _check_matmul(a, b)
     out = Tensor._from_data(_mm(a.data, b.data))
     # each operand's gradient reads only the other operand
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
     ashape, bshape = a.shape, b.shape
+    return _record(out, (a, b), lambda g: _matmul_grads(g, ad, bd, ashape, bshape))
+
+
+def dropout_matmul(a: Tensor, b: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """matmul(dropout(a, p, rng), b) as one op, with the same draws and
+    the same bits, output and gradients alike.
+
+    The dropped copy of a lives only while the product is formed: the
+    op keeps what matmul would, with a itself in place of that copy,
+    plus the one-byte keep mask, and its backward forms
+    (a * keep) * scale again.  p == 0 or no rng is plain matmul.
+    """
+    _check_rate(p)
+    if p == 0.0 or rng is None:
+        return matmul(a, b)
+    _check_matmul(a, b)
+    dropped, keep, scale = _drop(a.data, p, rng)
+    out = Tensor._from_data(_mm(dropped, b.data))
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    ashape, bshape = a.shape, b.shape
 
     def bwd(g):
-        ga = None if bd is None else _unbroadcast(_mm(g, _swap(bd)), ashape)
-        if ad is None:
-            gb = None
-        elif len(bshape) == 2:
-            gb = ad.reshape(-1, ashape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(_swap(ad) @ g, bshape)
+        again = None if ad is None else (ad * keep) * scale  # the dropped copy
+        ga, gb = _matmul_grads(g, again, bd, ashape, bshape)
+        if ga is not None:  # dropout's (ga * keep) * scale, in the fresh ga
+            ga *= keep
+            ga *= scale
         return [ga, gb]
 
     return _record(out, (a, b), bwd)
@@ -614,8 +654,12 @@ def softmax_rows(a: Tensor, scale: float = 1.0, mask=None) -> Tensor:
     out = Tensor._from_data(y)
 
     def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return [y * (g - dot) * scale]
+        # y * (g - <g, y>) * scale, in one array
+        dg = g * y
+        np.subtract(g, dg.sum(axis=-1, keepdims=True), out=dg)
+        dg *= y
+        dg *= scale
+        return [dg]
 
     return _record(out, (a,), bwd)
 
@@ -633,7 +677,9 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     out = Tensor._from_data(out_data)
 
     def bwd(g):
-        return [g - np.exp(out_data) * g.sum(axis=-1, keepdims=True)]
+        dg = np.exp(out_data)
+        dg *= g.sum(axis=-1, keepdims=True)
+        return [np.subtract(g, dg, out=dg)]
 
     return _record(out, (a,), bwd)
 
@@ -694,22 +740,27 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps < 0:
         raise ContractError("layer_norm: eps must be non-negative")
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._from_data(xhat * gain.data + bias.data)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+    out = Tensor._from_data(out)
     gd = gain.data
     ga, ggain, gbias = a.requires_grad, gain.requires_grad, bias.requires_grad
 
     def bwd(g):
         dx = dgain = dbias = None
         if ga:
+            # inv / d * (d * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
             dxhat = g * gd
-            term = d * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(
-                axis=-1, keepdims=True
-            )
-            dx = inv / d * term
+            dx = dxhat * xhat
+            proj = dx.sum(axis=-1, keepdims=True)
+            np.multiply(dxhat, d, out=dx)
+            dx -= dxhat.sum(axis=-1, keepdims=True)
+            dx -= np.multiply(xhat, proj, out=dxhat)
+            dx *= inv / d
         if ggain:
             dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         if gbias:
@@ -724,31 +775,59 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation (smooth everywhere)."""
+    # 0.5 x (1 + t), t = tanh(c (x + 0.044715 x^3)), each product and
+    # sum in the formula's order; t is scratch, and 1 + t grows into dx
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = Tensor._from_data(0.5 * x * (1.0 + t))
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    dx = t + 1.0
+    y = np.multiply(x, 0.5)
+    y *= dx
+    out = Tensor._from_data(y)
     if not a.requires_grad or _active_tape() is None:
         return out
-    # the derivative, worked out now so that only it is kept
-    sech2 = 1.0 - t * t
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-    dx = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
+    # the derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2),
+    # worked out now so that only it is kept; half_x is the second scratch
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    half_x = np.multiply(x, 0.5)
+    half_x *= t
+    np.multiply(x, 3 * 0.044715, out=t)
+    t *= x
+    t += 1.0
+    t *= _GELU_C
+    half_x *= t
+    dx *= 0.5
+    dx += half_x
     return _record(out, (a,), lambda g: [g * dx])
+
+
+def _check_rate(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout rate {p} outside [0, 1)")
+
+
+def _drop(x: np.ndarray, p: float, rng: np.random.Generator):
+    """(x * keep) * scale in a new array, the one-byte keep mask drawn
+    from rng, and the scale."""
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out = x * keep
+    out *= scale
+    return out, keep, scale
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout, with its keep mask drawn from rng.  p == 0 or no
     rng returns the input tensor unchanged: no rng, no dropout."""
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout rate {p} outside [0, 1)")
+    _check_rate(p)
     if p == 0.0 or rng is None:
         return a
     # a one-byte keep mask; with keep 0 or 1, (a * keep) * scale equals
     # a * (keep * scale) bit for bit, signed zeros included.
-    keep = rng.random(a.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    out = a.data * keep
-    out *= scale
+    out, keep, scale = _drop(a.data, p, rng)
     return _record(Tensor._from_data(out), (a,), lambda g: [(g * keep) * scale])
-

@@ -373,6 +373,26 @@ def test_backed_out_task_gradient_matches_one_tape(monkeypatch, mode, row):
         npt.assert_allclose(got[name], p.grad, rtol=0, atol=bound, err_msg=name)
 
 
+@pytest.mark.parametrize("mode", ["mlm", "arlm"])
+def test_sift_step_scores_its_targets_once(monkeypatch, mode):
+    # the ascent and perturbed passes read logits alone: only the clean
+    # pass takes a log-softmax of them
+    m = cfg_model(dropout=0.1)
+    calls = []
+    real = T.log_softmax_rows
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(T, "log_softmax_rows", spy)
+    cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=1, lam=1.0)
+    with Tape() as tape:
+        loss = sift_loss(small_batch(), m, cfg, mode=mode, seed=17)
+    tape.backward(loss)
+    assert len(calls) == 1
+
+
 def test_sift_loss_without_a_tape_touches_no_grad():
     m = cfg_model()
     cfg = SiftConfig(enabled=True, epsilon=1e-2, ascent_steps=1, lam=1.0)

@@ -357,6 +357,111 @@ def test_gelu_gradient_is_the_parent_formula_bitwise():
     assert np.isnan(got[-2:]).all() and np.isfinite(got[:-2]).all()
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _layer_norm_formula(x, gain, bias, g, eps=1e-5):
+    """Forward and (dx, dgain, dbias) of layer_norm as plain expressions."""
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    term = d * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(
+        axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv / d * term,
+            (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+def test_gelu_and_layer_norm_are_their_formulas_bitwise():
+    # Both ops work in arrays of their own; every product and sum stays
+    # in the formula's order, on any host, so the bits are the formula's.
+    rng = np.random.default_rng(56)
+    x = rng.normal(0, 3, (3, 5, 12))  # a width that is no power of two
+    x[0, 0, :6] = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]
+    g = rng.normal(0, 1, x.shape)
+    gain, bias = rng.normal(1, 0.3, 12), rng.normal(0, 0.3, 12)
+    with Tape():
+        act = T.gelu(Tensor(x, requires_grad=True))
+        ln = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
+                          Tensor(bias, requires_grad=True))
+    c = np.sqrt(2.0 / np.pi)
+    want_act = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+    assert np.array_equal(_bits(act.data), _bits(want_act))
+    assert np.array_equal(_bits(act._node.bwd(g)[0]), _bits(_parent_gelu_grad(x, g)))
+    want_ln, *want_grads = _layer_norm_formula(x, gain, bias, g)
+    assert np.array_equal(_bits(ln.data), _bits(want_ln))
+    for got, want in zip(ln._node.bwd(g), want_grads):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_softmax_backwards_are_their_formulas_bitwise():
+    rng = np.random.default_rng(57)
+    a = rng.normal(0, 2, (2, 3, 4, 7))
+    g = rng.normal(0, 1, a.shape)
+    with Tape():
+        sm = T.softmax_rows(Tensor(a, requires_grad=True), 0.3)
+        ls = T.log_softmax_rows(Tensor(a, requires_grad=True))
+    y = sm.data
+    want_sm = y * (g - (g * y).sum(axis=-1, keepdims=True)) * 0.3
+    want_ls = g - np.exp(ls.data) * g.sum(axis=-1, keepdims=True)
+    assert np.array_equal(_bits(sm._node.bwd(g)[0]), _bits(want_sm))
+    assert np.array_equal(_bits(ls._node.bwd(g)[0]), _bits(want_ls))
+
+
+@pytest.mark.parametrize("ashape,bshape", [
+    ((2, 3, 4, 5), (2, 3, 5, 6)),   # (b, h, m, n) probabilities @ (b, h, n, hs) values
+    ((2, 1, 4, 5), (3, 5, 6)),      # leading dims broadcast both ways
+    ((2, 3, 4, 5), (5, 6)),         # a stack times one matrix
+])
+def test_dropout_matmul_is_dropout_then_matmul_bitwise(ashape, bshape):
+    rng = np.random.default_rng(58)
+    a, b = rng.normal(0, 1, ashape), rng.normal(0, 1, bshape)
+    a.flat[:2] = [-0.0, 0.0]
+    probe = Tensor(rng.normal(0, 1, np.broadcast_shapes(ashape[:-2], bshape[:-2])
+                              + (ashape[-2], bshape[-1])))
+    runs = []
+    for fused in (False, True):
+        draws = np.random.default_rng(59)
+        x, w = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = (T.dropout_matmul(x, w, 0.3, draws) if fused
+                   else T.matmul(T.dropout(x, 0.3, draws), w))
+            loss = T.sum_all(T.mul(out, probe))
+        tape.backward(loss)
+        runs.append((out.data, x.grad, w.grad, draws.bit_generator.state, len(tape)))
+    (*want, want_state, unfused_nodes), (*got, got_state, fused_nodes) = runs
+    for fused_arr, unfused_arr in zip(got, want):
+        assert fused_arr.shape == unfused_arr.shape
+        assert np.array_equal(_bits(fused_arr), _bits(unfused_arr))
+    assert got_state == want_state and fused_nodes == unfused_nodes - 1
+
+
+def test_dropout_matmul_without_dropout_is_matmul():
+    rng = np.random.default_rng(60)
+    a, b = rng.normal(0, 1, (2, 4, 5)), rng.normal(0, 1, (2, 5, 3))
+    want = T.matmul(Tensor(a), Tensor(b)).data
+    draws = np.random.default_rng(61)
+    state = draws.bit_generator.state
+    g = rng.normal(0, 1, want.shape)
+    for p, r in ((0.0, draws), (0.3, None)):
+        x, w = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = T.dropout_matmul(x, w, p, r)
+            plain = T.matmul(x, w)
+        assert np.array_equal(_bits(out.data), _bits(want)) and len(tape) == 2
+        for got, expected in zip(out._node.bwd(g), plain._node.bwd(g)):
+            assert np.array_equal(_bits(got), _bits(expected))
+    assert draws.bit_generator.state == state  # p = 0 draws nothing
+    for p in (1.0, -0.1, 1.5):
+        for r in (draws, None):
+            with pytest.raises(ContractError):
+                T.dropout_matmul(Tensor(a), Tensor(b), p, r)
+    with pytest.raises(ShapeError):
+        T.dropout_matmul(Tensor(a), Tensor(a), 0.3, draws)
+
+
 # ---------------------------------------------------------------------
 # Finite-difference gradient checks, one per primitive.
 # ---------------------------------------------------------------------
@@ -501,6 +606,17 @@ def test_grad_dropout_fixed_mask():
         return T.sum_all(T.mul(T.dropout(x, 0.4, rng), _probe((6, 6), 20)))
 
     _fd_check(build, [a])
+
+
+def test_grad_dropout_matmul_reseeded():
+    rng = np.random.default_rng(32)
+    a, b = rng.normal(0, 1, (2, 3, 4, 5)), rng.normal(0, 1, (2, 3, 5, 2))
+
+    def build(x, y):
+        draws = np.random.default_rng(98)  # reseeded: one mask on every call
+        return T.sum_all(T.mul(T.dropout_matmul(x, y, 0.4, draws), _probe((2, 3, 4, 2), 21)))
+
+    _fd_check(build, [a, b])
 
 
 def test_grad_masked_softmax():

@@ -112,6 +112,12 @@ def test_step_memory_peaks_near_the_forward_graph():
     # the gradients in flight add little to what the forward holds
     held, peak = steps["masked"]
     assert peak - held < held / 4
+    # Above a plain causal forward, a SiFT step's peak (in the perturbed
+    # pass's symmetric_kl) holds the task gradient, the frozen clean
+    # logits, the perturbation and the divergence's row arrays; when
+    # that pass also scored an unread NLL and the spent ascent arrays
+    # lived on, it read 3.81 MiB here.
+    assert steps["causal+sift"][1] - steps["causal"][0] < 3.5
 
 
 CODE_LINES_FIXTURE = '''"""Module docstring.
