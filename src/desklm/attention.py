@@ -47,10 +47,11 @@ Two kernels produce the same scores; attend always runs the efficient one:
     product already reads, an (..., heads, 2k, n) tensor, and gathers
     element [delta[j, i], j] straight into place (i, j).  Both gathers
     read flat offsets into each product block, derived from delta on
-    every call, and add_gathered adds each one straight into the score
-    sum, so neither term is kept as an array of its own.  Peak extra
-    storage is O(k d) for the projected tables plus one (heads, n, 2k)
-    or (heads, 2k, n) product at a time, freed once it is added.
+    every scores_efficient call, and add_gathered adds each one
+    straight into the score sum, so neither term is kept as an array of
+    its own.  Peak extra storage is O(k d) for the projected tables
+    plus one (heads, n, 2k) or (heads, 2k, n) product at a time, freed
+    once it is added.
 
 attend runs every call as one loop over query blocks.  A call that no
 tape records (evaluation, under no_grad) is cut into blocks of
@@ -63,13 +64,30 @@ call (every training step, and one with dropout, collected
 probabilities or query slots) is the one block (0, m, n).  The
 projections and the c2p and p2c products are made once per call and
 shared by the blocks.  Each block is scored (its c2c product, then its
-c2p and p2c gathers at offsets cut to its rows and keys), softmaxed
-and mixed with V[:e], and dropped before the next block is scored; the
-mixed rows of several blocks are concatenated.  Such a call holds both
-position products, 2 * heads * n * 2k floats, plus one block of at
-most heads * 32 * n, so its memory grows with n, not n^2.  The score
-assembly is one generator (_block_scores) and the whole square is its
-one-block case, as every scores_efficient call is.  V is made after
+c2p and p2c terms), softmaxed and mixed with V[:e], and dropped before
+the next block is scored; the mixed rows of several blocks are
+concatenated.  Keys [0, s), s = r0 - k + 1, are at least k behind
+every row of a block, so delta clips there: c2p reads column 2k - 1
+of rows [r0, r1) and p2c reads row 0, and both are broadcast onto
+the block.  Only the band of keys [s, e), at most 32 + k - 1 wide, is
+gathered, through add_gathered with its index check, from its c2c
+scores set aside beforehand, and written back over the broadcast
+sums there.  At n = 256
+and k = 16 a causal row's four attend calls gather 369,664 position
+entries instead of 1,179,648, 69% fewer.  Each score still gets c2c +
+c2p, then + p2c, the two summands the whole gather gives it, so no
+byte moves, and a whole-square call (r0 = 0, so s = 0) runs exactly
+the ops it ran before.  The band offsets of each block are built once
+per (n, k, block), read-only, and kept on the cached DeltaMatrix:
+O(n (32 + k)) int64 entries per length, about 180 KB at n = 256 and
+760 KB at n = 1024 for k = 16.  Full-width offsets are never cached:
+every block's together are O(n^2), 8.6 MB at n = 1024.  An unpadded
+causal row's mask (causal_mask) and its block plan are likewise built
+once per n.  Such a call holds both position products, 2 * heads * n
+* 2k floats, plus one block of at most heads * 32 * n, so its memory
+grows with n, not n^2.  The score assembly is one generator
+(_block_scores) and the whole square is its one-block case, as every
+scores_efficient call is.  V is made after
 the first softmax: h feeds the Q, K and V projections, and the tape
 sums their gradients into h in reverse op order, so a V made before
 the scores would move every trained byte.  The one block is thus the
@@ -89,6 +107,7 @@ allocations so the asymptotic claim is auditable rather than folklore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -300,6 +319,27 @@ def _cut(t: Tensor, rows: slice, cols: slice) -> Tensor:
     return t if part.shape == t.shape else Tensor._from_data(part)
 
 
+def _band_offsets(dm: DeltaMatrix, r0: int, r1: int, e: int):
+    """(s, c2p offsets, p2c offsets) of query block (r0, r1, e): keys
+    [0, s) are at least k behind every row of the block, and the
+    offsets, read-only, cover only the band of keys [s, e)."""
+    s = min(max(0, r0 - dm.k + 1), e)
+    rows, keys = slice(r0, r1), slice(s, e)
+    band = (_c2p_offsets(dm, rows=rows, keys=keys), _p2c_offsets(dm, rows=rows, keys=keys))
+    for offsets in band:
+        offsets.setflags(write=False)
+    return (s, *band)
+
+
+def _band(dm: DeltaMatrix, block: tuple[int, int, int]):
+    """_band_offsets of block, built once per (n, k, block) and kept on
+    the cached delta matrix."""
+    band = dm.bands.get(block)
+    if band is None:
+        band = dm.bands[block] = _band_offsets(dm, *block)
+    return band
+
+
 def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: AttentionParams,
                   table: Tensor | None, blocks: list[tuple[int, int, int]], meter=None,
                   fault: str | None = None, positions=None):
@@ -311,10 +351,15 @@ def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: Atten
     while the first block is scored, so one block (0, m, n) makes the
     ops of the whole score sum in their order.  Each block adds its
     c2p and p2c terms at the offsets cut to its rows and keys, and a
-    product is released once the last block has added it.  No name
-    here holds a block once it is handed over: a suspended generator
-    keeps whatever its names hold, so the consumer alone decides when
-    a block dies.
+    product is released once the last block has added it.  Of several
+    blocks, each gathers only its band of keys [s, e) (see
+    _band_offsets), at offsets cached on dm; keys [0, s) read one
+    product column (c2p) and row (p2c), broadcast onto the block in
+    place, which is safe because several blocks come only from a call
+    that no tape records.  Every score kept still gets c2c + c2p, then
+    + p2c.  No name here holds a block once it is handed over: a
+    suspended generator keeps whatever its names hold, so the consumer
+    alone decides when a block dies.
     """
     heads, every, last = params.heads, slice(None), len(blocks) - 1
     qc_h = _heads(T.matmul(q_in, params.w_qc), heads)      # (..., h, m, hs)
@@ -322,6 +367,17 @@ def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: Atten
     for i, (r0, r1, e) in enumerate(blocks):
         rows, keys = slice(r0, r1), slice(0, e)
         block = [T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))]
+        # The one block of a call, which may have positions or a fault,
+        # derives its offsets on every call: they are O(n^2) and never
+        # cached.
+        s, c2p_at, p2c_at = (0, None, None) if dm is None or not last else \
+            _band(dm, (r0, r1, e))
+        # With s, the band's c2c scores are set aside, each term's one
+        # column or row is added to the whole block in one contiguous
+        # pass (adding it to the strided keys [0, s) alone costs about
+        # twice as much), and the band's own sum is written back over it.
+        sums = block[0].data
+        band = Tensor._from_data(sums[..., s:].copy()) if s else block[0]
 
         if params.w_kr is not None:
             if i == 0:
@@ -331,7 +387,10 @@ def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: Atten
                 _meter_alloc(meter, kr)
                 c2p = T.matmul(qc_h, _heads_t(kr, heads))
                 _meter_alloc(meter, c2p)
-            block[0] = T.add_gathered(block[0], c2p, _c2p_offsets(dm, positions, rows, keys))
+            if s:  # delta(i, j) = 2k - 1 at keys [0, s)
+                np.add(sums, c2p.data[..., rows, -1:], out=sums)
+            band = T.add_gathered(band, c2p, _c2p_offsets(dm, positions, rows, keys)
+                                  if c2p_at is None else c2p_at)
             if i == last:
                 _meter_release(meter, c2p)
                 del c2p
@@ -345,8 +404,10 @@ def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: Atten
                 _meter_alloc(meter, qr)
                 p2c = T.matmul(_heads(qr, heads), kc_t)
                 _meter_alloc(meter, p2c)
-            block[0] = T.add_gathered(block[0], p2c,
-                                      _p2c_offsets(dm, positions, fault, rows, keys))
+            if s:  # delta(j, i) = 0 at keys [0, s)
+                np.add(sums, p2c.data[..., :1, :e], out=sums)
+            band = T.add_gathered(band, p2c, _p2c_offsets(dm, positions, fault, rows, keys)
+                                  if p2c_at is None else p2c_at)
             if i == last:
                 _meter_release(meter, p2c)
                 del p2c
@@ -356,6 +417,11 @@ def _block_scores(q_in: Tensor, h: Tensor, dm: DeltaMatrix | None, params: Atten
                 _meter_release(meter, kr)
             if params.w_qr is not None:
                 _meter_release(meter, qr)
+        if s:
+            sums[..., s:] = band.data
+        else:
+            block[0] = band
+        del band, sums
         yield block.pop()  # the slot empties, so nothing here keeps the block
 
 
@@ -380,6 +446,17 @@ def scores_efficient(h: Tensor, params: AttentionParams, table: Tensor | None,
     return next(_block_scores(q_in, h, dm, params, table, whole, meter, fault, positions))
 
 
+@lru_cache(maxsize=64)
+def causal_mask(n: int) -> np.ndarray:
+    """The (n, n) bool mask of a causal row, True where key j comes
+    after query i.  Cached per n and read-only, so that an unpadded row
+    builds it, and attend plans its blocks, once per length."""
+    slots = np.arange(n)
+    mask = slots[:, None] < slots
+    mask.setflags(write=False)
+    return mask
+
+
 def _query_blocks(mask: np.ndarray | None, n: int) -> list[tuple[int, int, int]]:
     """(r0, r1, e) for each run of _QUERY_BLOCK query rows, with e one
     past the last key that the (..., n, n) mask leaves open to any row
@@ -390,6 +467,17 @@ def _query_blocks(mask: np.ndarray | None, n: int) -> list[tuple[int, int, int]]
     names that row as the whole-row call does."""
     if n <= _QUERY_BLOCK or mask is None or mask.dtype != bool or mask.shape[-2:] != (n, n):
         return [(0, n, n)]
+    if mask is causal_mask(n):
+        return list(_causal_blocks(n))
+    return _plan_blocks(mask, n)
+
+
+@lru_cache(maxsize=64)
+def _causal_blocks(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(_plan_blocks(causal_mask(n), n))
+
+
+def _plan_blocks(mask: np.ndarray, n: int) -> list[tuple[int, int, int]]:
     blocked = mask.reshape(-1, n, n)
     if blocked.all(axis=-1).any():
         return [(0, n, n)]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, attend
+from .attention import AttentionParams, attend, causal_mask
 from .errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -221,12 +221,12 @@ def build_mask(n: int, real: np.ndarray | None, causal: bool) -> np.ndarray | No
 
     Padding blocks columns only: a PAD position may still attend out,
     so its own softmax row stays well defined, but nothing real ever
-    attends into PAD.
+    attends into PAD.  An unpadded causal mask is causal_mask(n), shared
+    and read-only.
     """
     if real is None and not causal:
         return None
-    slots = np.arange(n)
-    blocked = slots[:, None] < slots if causal else np.zeros((1, n), dtype=bool)
+    blocked = causal_mask(n) if causal else np.zeros((1, n), dtype=bool)
     if real is not None:
         real = np.asarray(real, dtype=bool)
         if real.shape[-1:] != (n,):

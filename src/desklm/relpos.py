@@ -16,7 +16,7 @@ position-to-content attention terms use opposite orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,10 @@ class DeltaMatrix:
     n: int
     k: int
     values: np.ndarray  # shape (n, n), int64, read-only
+    # Read-only gather offsets cut from values for each query block that
+    # attention scores blockwise, keyed by the block and filled on its
+    # first use, so they live and die with this cache entry.
+    bands: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from desklm import attention
 from desklm import tensor as T
 from desklm.attention import (
     AttentionParams,
@@ -30,8 +31,9 @@ from desklm.equivalence import (
     run_equivalence_suite,
 )
 from desklm.errors import ConfigError, ContractError, DegenerateRowError, ShapeError
-from desklm.model import ModelConfig, param_shapes
+from desklm.model import Model, ModelConfig, param_shapes
 from desklm.relpos import build_delta_matrix
+from desklm.runconfig import load_run_config
 from desklm.tensor import Tape, Tensor
 
 from helpers import assert_close, numeric_grad
@@ -400,24 +402,31 @@ def test_unrecorded_causal_attend_memory_grows_linearly():
     assert peaks[1024] < 16 * 2**20
 
 
-def _attend_all_blocks_then_concatenate(h, params, table, mask):
+def _attend_all_blocks_then_concatenate(h, params, table, mask, query=None):
     """The unrecorded blocked attend as a plain chain: every block
-    scored, then every block softmaxed and mixed with V[:e], then the
-    rows concatenated."""
+    scored, with each position term that is on gathered at offsets cut
+    to all of the block's rows and keys [0, e), then every block
+    softmaxed and mixed with V[:e], then the rows concatenated."""
     n, heads, every = h.shape[-2], params.heads, slice(None)
     dm = build_delta_matrix(n, table.shape[0] // 2)
     blocks = _query_blocks(mask, n)
     assert len(blocks) > 1
-    qc_h = _heads(T.matmul(h, params.w_qc), heads)
+    qc_h = _heads(T.matmul(h if query is None else query, params.w_qc), heads)
     kc_t = _heads_t(T.matmul(h, params.w_kc), heads)
-    c2p = T.matmul(qc_h, _heads_t(T.matmul(table, params.w_kr), heads))
-    p2c = T.matmul(_heads(T.matmul(table, params.w_qr), heads), kc_t)
+    c2p = p2c = None
+    if params.w_kr is not None:
+        c2p = T.matmul(qc_h, _heads_t(T.matmul(table, params.w_kr), heads))
+    if params.w_qr is not None:
+        p2c = T.matmul(_heads(T.matmul(table, params.w_qr), heads), kc_t)
     scores = []
     for r0, r1, e in blocks:
         rows, keys = slice(r0, r1), slice(0, e)
         s = T.matmul(_cut(qc_h, rows, every), _cut(kc_t, every, keys))
-        s = T.add_gathered(s, c2p, _c2p_offsets(dm, None, rows, keys))
-        scores.append(T.add_gathered(s, p2c, _p2c_offsets(dm, None, None, rows, keys)))
+        if c2p is not None:
+            s = T.add_gathered(s, c2p, _c2p_offsets(dm, None, rows, keys))
+        if p2c is not None:
+            s = T.add_gathered(s, p2c, _p2c_offsets(dm, None, None, rows, keys))
+        scores.append(s)
     probs = [T.softmax_rows(s, params.scale, mask[..., None, r0:r1, :e])
              for s, (r0, r1, e) in zip(scores, blocks)]
     v = _heads(T.matmul(h, params.w_vc), heads)
@@ -440,6 +449,83 @@ def test_streamed_blocks_equal_all_blocks_then_concatenate(n, lead, causal):
         streamed = attend(h, params, table, mask=mask)
         reference = _attend_all_blocks_then_concatenate(h, params, table, mask)
     assert np.array_equal(streamed.data, reference.data)
+
+
+@pytest.mark.parametrize("n", [33, 100, 256])
+@pytest.mark.parametrize("k", [1, 4, 16, 40])
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("pad", [False, True])
+def test_banded_blocks_equal_every_block_gathered_whole(n, k, lead, pad):
+    # Keys at least k behind a whole block read one c2p column and one
+    # p2c row, broadcast; only the band beside the diagonal is gathered.
+    # Every score still sums the same two terms in the same order, so
+    # the output keeps its bits, whatever the terms, the sharing, k
+    # (k = 40 is wider than a block) and the padding (an unbatched
+    # padded row ends some blocks before their band begins).
+    rng = np.random.default_rng(n + k)
+    h = Tensor(rng.normal(0, 1, lead + (n, 8)))
+    q = Tensor(rng.normal(0, 1, lead + (n, 8)))
+    mask = _causal(n)
+    if pad:
+        real = np.arange(n) < (np.array([[n], [n // 3]]) if lead else n - 5)
+        mask = mask | ~real[..., None, :]
+    for (use_c2p, use_p2c), share in itertools.product(
+            itertools.product([True, False], repeat=2), [False, True]):
+        params, table, _ = _make(n, k, 8, 2, seed=n * k, share=share,
+                                 use_c2p=use_c2p, use_p2c=use_p2c)
+        with T.no_grad():
+            banded = attend(h, params, table, mask=mask, query=q)
+            whole = _attend_all_blocks_then_concatenate(h, params, table, mask, q)
+        assert np.array_equal(banded.data, whole.data), (use_c2p, use_p2c, share)
+
+
+def test_a_causal_row_gathers_only_the_band_and_builds_it_once_per_length(monkeypatch):
+    # A 256-token toy row (k = 16, 4 heads): 4 attend calls of 8 blocks.
+    # Block 0 gathers keys [0, 32); each later block 32 + 15 band keys,
+    # for 32 rows, 4 heads and 2 terms.  Gathering every key of every
+    # block took 1,179,648 entries.
+    run_cfg = load_run_config("toy", ["model.max_len=256"], 1)
+    model = Model(run_cfg.build_model_config(40), seed=1)
+    rows = np.random.default_rng(7).integers(0, 40, (2, 256))
+    gathered, builds = [], []
+    add_gathered, band_offsets = T.add_gathered, attention._band_offsets
+
+    def counted(base, a, offsets):
+        out = add_gathered(base, a, offsets)
+        gathered.append(out.size)  # one entry per head of each offset
+        return out
+
+    monkeypatch.setattr(T, "add_gathered", counted)
+    monkeypatch.setattr(attention, "_band_offsets",
+                        lambda *args: builds.append(args[1:]) or band_offsets(*args))
+    build_delta_matrix.cache_clear()
+    counts = []
+    with T.no_grad():
+        for row in rows:
+            gathered.clear()
+            builds.clear()
+            model.arlm_row(row)
+            counts.append((sum(gathered), len(builds)))
+    assert counts == [(369_664, 8), (369_664, 0)]
+    assert 369_664 == (32 + 7 * 47) * 32 * 4 * 2 * 4
+    dm = build_delta_matrix(256, 16)
+    assert not any(a.flags.writeable for band in dm.bands.values() for a in band[1:])
+
+
+@pytest.mark.parametrize("n", [33, 64, 129])
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("use_c2p,use_p2c", list(itertools.product([True, False], repeat=2)))
+def test_unrecorded_causal_attend_matches_the_naive_oracle(n, k, use_c2p, use_p2c):
+    # The block path against the definition: naive scores, then the
+    # masked softmax, the value mix and the output projection.
+    params, table, h = _make(n, k, 8, 2, seed=n + 3 * k, use_c2p=use_c2p, use_p2c=use_p2c)
+    mask = _causal(n)
+    with T.no_grad():
+        got = attend(h, params, table, mask=mask)
+        probs = T.softmax_rows(scores_naive(h, params, table), params.scale, mask)
+        v = _heads(T.matmul(h, params.w_vc), params.heads)
+        want = T.matmul(_merge_heads(T.matmul(probs, v)), params.w_o)
+    assert_close(got.data, want.data, atol=1e-10 * np.abs(want.data).max(), rtol=1e-10)
 
 
 def test_score_blocks_die_in_their_softmax(monkeypatch):

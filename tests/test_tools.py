@@ -87,14 +87,16 @@ def test_eval_memory_prints_a_peak_per_length_that_grows_linearly():
     proc = subprocess.run([sys.executable, script], cwd=ROOT, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    peaks = {}
+    peaks, cached = {}, {}
     for line in proc.stdout.splitlines():
-        n, mib = line.split()
-        peaks[int(n)] = float(mib)
+        n, mib, nbytes = line.split()
+        peaks[int(n)], cached[int(n)] = float(mib), int(nbytes)
     assert list(peaks) == [256, 512, 1024]
     # one query block of scores at a time: doubling n about doubles the
     # peak (it was 3.5 times when every block was held at once)
     assert 0 < peaks[1024] <= 2.5 * peaks[512]
+    # the band offsets cached per length are O(n (32 + k)), not O(n^2)
+    assert 0 < cached[1024] <= 2.5 * cached[512]
 
 
 def test_step_memory_peaks_near_the_forward_graph():

@@ -7,8 +7,10 @@ one row (CLS, n - 2 tokens, SEP) and scores it once with
 `Model.arlm_row` under no_grad, as `desklm eval` does.  After one
 warm-up call it prints one line per length: n, then the peak of the
 memory that Python and numpy allocate during a second call, in MiB
-(2**20 bytes).  That peak is what the attention path holds at once;
-resident memory also counts the interpreter and the model.
+(2**20 bytes), then the bytes of band offsets that attention keeps
+cached for that length after the call.  The peak is what the attention
+path holds at once; it cannot show the cache, which the warm-up built.
+Resident memory also counts the interpreter, the model and the cache.
 
 Usage: python3 tools/eval_memory.py
 """
@@ -22,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from desklm import tensor as T  # noqa: E402
 from desklm.data import build_vocab, encode_corpus, load_corpus, pack  # noqa: E402
 from desklm.model import Model  # noqa: E402
+from desklm.relpos import build_delta_matrix  # noqa: E402
 from desklm.runconfig import bundled_corpus_path, load_run_config  # noqa: E402
 
 LENGTHS = (256, 512, 1024)
@@ -43,7 +46,9 @@ def main() -> int:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        print(f"{n} {peak / 2**20:.1f}")
+        bands = build_delta_matrix(n, model.cfg.k).bands.values()
+        cached = sum(offsets.nbytes for _, *pair in bands for offsets in pair)
+        print(f"{n} {peak / 2**20:.1f} {cached}")
     return 0
 
 
